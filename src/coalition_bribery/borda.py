@@ -10,9 +10,13 @@ above it; both groups trade exactly one inversion per extra point, so the
 reachable pairs per split form an interval whose cheapest realizations we
 read off three explicitly constructed extreme orders.
 
-A voter-by-voter table then accumulates the cheapest bribe per total
-(coalition points, leader points), and the final scan checks every pair
-meeting the support and ratio targets against the budget.
+A voter-by-voter table then accumulates the cheapest bribes per total
+(coalition points ka, leader points k1), and the final scan looks for a total
+meeting the support and ratio targets.  Cells above the budget are dropped,
+as costs only grow.  Per ka a layer keeps only its Pareto front of (lower
+cost, more leader points); this is exact because every later voter adds the
+same gain to any cell and the ratio test k1 >= rho * ka is monotone in k1.
+When rho = 0 the front is the single cheapest cell per ka.
 """
 
 from __future__ import annotations
@@ -34,11 +38,11 @@ from .costs import (
     ShiftCost,
     SolveOutcome,
     UnitCost,
+    WitnessError,
     apply_plan,
     inverted_pairs,
     plan_cost,
 )
-from .plurality_dp import WitnessError
 
 INF = float("inf")
 
@@ -340,25 +344,55 @@ class _VoterMenu:
         )
 
 
+def _pareto(cells: dict, track_leader: bool) -> dict:
+    """Per coalition-points value, the cells that no cheaper cell beats on
+    leader points; only the cheapest one when leader points don't count."""
+    front: dict[tuple[int, int], int] = {}
+    ka = best = kept = None
+    # Descending order visits each ka's cells from the most leader points.
+    for key in sorted(cells, reverse=True):
+        cost = cells[key]
+        if key[0] == ka:
+            if cost >= best:
+                continue
+            if not track_leader:
+                del front[kept]
+        ka, best, kept = key[0], cost, key
+        front[key] = cost
+    return front
+
+
 def accumulate_voter_tables(
-    menus: list[_VoterMenu],
+    menus: list[_VoterMenu], budget: int, track_leader: bool
 ) -> tuple[list[dict], list[dict]]:
-    """Cheapest bribe per running (coalition points, leader points) total."""
+    """Cheapest bribes per running (coalition points, leader points) total,
+    within the budget; layers and menu gains are cut to their `_pareto`."""
     layers = [{(0, 0): 0}]
     backpointers: list[dict] = [{}]
     for menu in menus:
-        prev = layers[-1]
-        nxt: dict[tuple[int, int], float] = {}
+        gains = _pareto(
+            {
+                (d_rest + d1, d1): c
+                for (d_rest, d1), c in menu.costs.items()
+                if c <= budget
+            },
+            track_leader,
+        )
+        steps = sorted((c, d_ka, d1) for (d_ka, d1), c in gains.items())
+        nxt: dict[tuple[int, int], int] = {}
         bp: dict[tuple[int, int], tuple[int, int]] = {}
-        for (ka, k1), cost in prev.items():
-            for (d_rest, d1), c in menu.costs.items():
-                key = (ka + d_rest + d1, k1 + d1)
+        for (ka, k1), cost in layers[-1].items():
+            for c, d_ka, d1 in steps:
                 total = cost + c
+                if total > budget:
+                    break
+                key = (ka + d_ka, k1 + d1)
                 if total < nxt.get(key, INF):
                     nxt[key] = total
-                    bp[key] = (d_rest, d1)
-        layers.append(nxt)
-        backpointers.append(bp)
+                    bp[key] = (d_ka, d1)
+        front = _pareto(nxt, track_leader)
+        layers.append(front)
+        backpointers.append({key: bp[key] for key in front})
     return layers, backpointers
 
 
@@ -375,7 +409,9 @@ def solve_borda_zero(
         return SolveOutcome.yes(BribePlan.empty())
 
     menus = [_VoterMenu(instance, i) for i in range(election.num_voters)]
-    layers, backpointers = accumulate_voter_tables(menus)
+    layers, backpointers = accumulate_voter_tables(
+        menus, instance.budget, instance.rho != 0
+    )
     final = layers[-1]
     if stats is not None:
         stats["table_cells"] = sum(len(layer) for layer in layers)
@@ -383,8 +419,6 @@ def solve_borda_zero(
     total = grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA)
     for key in sorted(final, reverse=True):
         ka, k1 = key
-        if final[key] > instance.budget:
-            continue
         if total == 0:
             if instance.phi > 0:
                 continue
@@ -402,11 +436,11 @@ def _reconstruct(instance, menus, backpointers, key) -> BribePlan:
     election = instance.election
     replacements = {}
     for voter in range(election.num_voters - 1, -1, -1):
-        d_rest, d1 = backpointers[voter + 1][key]
-        new_order = menus[voter].realize(d_rest, d1)
+        d_ka, d1 = backpointers[voter + 1][key]
+        new_order = menus[voter].realize(d_ka - d1, d1)
         if new_order != election.orders[voter]:
             replacements[voter] = new_order
-        key = (key[0] - d_rest - d1, key[1] - d1)
+        key = (key[0] - d_ka, key[1] - d1)
     if key != (0, 0):
         raise WitnessError("table trace did not return to the origin")
     cost = plan_cost(

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: solve, oracle, crossval, reduce, bench, gen.  Exit codes for
-solve/oracle: 0 feasible, 1 infeasible, 2 input error, 3 search refusal.
+solve/oracle: 0 feasible, 1 infeasible, 2 input error, 3 search refusal,
+4 failed witness check (a solver emitted a plan that does not verify).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .core import DomainError, ProblemInstance
+from .costs import WitnessError
 from .dispatch import (
     SolveReport,
     dispatch,
@@ -42,6 +44,7 @@ EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_REFUSAL = 3
+EXIT_WITNESS_ERROR = 4
 
 
 def _print_report(report: SolveReport, emit_witness: bool, fmt: str,
@@ -112,6 +115,9 @@ def _cmd_solve(args, force_oracle: bool) -> int:
     except OracleRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
+    except WitnessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WITNESS_ERROR
     _print_report(report, args.emit_witness, args.format, instance)
     return EXIT_FEASIBLE if report.feasible else EXIT_INFEASIBLE
 

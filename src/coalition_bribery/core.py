@@ -17,7 +17,14 @@ Rational = Fraction
 
 
 class DomainError(ValueError):
-    """Raised when inputs violate the election model (unknown party, etc.)."""
+    """Raised when inputs violate the election model (unknown party, etc.).
+
+    `key` names the offending instance field (e.g. "threshold"), if any.
+    """
+
+    def __init__(self, message: str, key: Optional[str] = None):
+        super().__init__(message)
+        self.key = key
 
 
 class ScoringRule(Enum):
@@ -209,24 +216,24 @@ class ProblemInstance:
     def __post_init__(self):
         universe = set(self.election.parties)
         if not self.coalition:
-            raise DomainError("coalition must be nonempty")
+            raise DomainError("coalition must be nonempty", "coalition")
         if len(set(self.coalition)) != len(self.coalition):
-            raise DomainError("duplicate parties in coalition")
+            raise DomainError("duplicate parties in coalition", "coalition")
         if not set(self.coalition) <= universe:
-            raise DomainError("coalition must be a subset of the parties")
+            raise DomainError("coalition must be a subset of the parties", "coalition")
         if self.preferred is not None and self.preferred not in self.coalition:
-            raise DomainError("preferred party must belong to the coalition")
+            raise DomainError("preferred party must belong to the coalition", "preferred")
         if self.preferred is None and self.rho != 0:
-            raise DomainError("rho must be 0 when no preferred party is given")
+            raise DomainError("rho must be 0 when no preferred party is given", "rho")
         for name, value in (
             ("threshold", self.threshold),
             ("phi", self.phi),
             ("rho", self.rho),
         ):
             if not 0 <= value <= 1:
-                raise DomainError(f"{name} must lie in [0, 1], got {value}")
+                raise DomainError(f"{name} must lie in [0, 1], got {value}", name)
         if self.budget < 0:
-            raise DomainError("budget must be non-negative")
+            raise DomainError("budget must be non-negative", "budget")
         # Per-voter cost data is validated against this election here, where
         # both sides are known.
         validate = getattr(self.cost_model, "validate_for", None)

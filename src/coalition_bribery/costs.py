@@ -19,6 +19,10 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .core import DomainError, Election, PreferenceOrder
 
 
+class WitnessError(RuntimeError):
+    """A solver's plan failed re-verification; indicates a solver bug."""
+
+
 def inverted_pairs(
     old: PreferenceOrder, new: PreferenceOrder
 ) -> set[tuple[str, str]]:

@@ -21,7 +21,7 @@ from .core import (
     seat_fractions_from_scores,
     tally,
 )
-from .costs import BribePlan, SolveOutcome, apply_plan, plan_cost
+from .costs import BribePlan, SolveOutcome, WitnessError, apply_plan, plan_cost
 from .generators import with_budget
 from .oracle import SearchBudget, solve_np_hard
 from .plurality_dp import solve_plurality_t_dollar
@@ -94,9 +94,9 @@ def solve_instance(
         cost = plan_cost(instance.cost_model, instance.coalition, election, plan)
         new_orders = apply_plan(election, plan)
         if cost is None or cost > instance.budget or cost != plan.cost:
-            raise RuntimeError("solver emitted a plan that fails verification")
+            raise WitnessError("solver emitted a plan that fails verification")
         if not check_goals(new_orders, instance):
-            raise RuntimeError("solver emitted a plan that misses the goals")
+            raise WitnessError("solver emitted a plan that misses the goals")
         scores_after = tally(new_orders, election.parties, instance.rule)
         seats_after = seat_fractions_from_scores(
             scores_after, total, instance.threshold

@@ -110,19 +110,24 @@ def parse_instance(text: str) -> ProblemInstance:
         except (ValueError, ZeroDivisionError):
             raise InstanceParseError(lineno, f"bad rational {text!r}") from None
 
-    _, threshold = rational("threshold")
-    _, phi = rational("phi")
-    _, rho = rational("rho")
+    key_lines: dict[str, int] = {}
+    key_lines["threshold"], threshold = rational("threshold")
+    key_lines["phi"], phi = rational("phi")
+    key_lines["rho"], rho = rational("rho")
     lineno, budget_text = _expect(lines, "budget")
+    key_lines["budget"] = lineno
     try:
         budget = int(budget_text)
     except ValueError:
         raise InstanceParseError(lineno, f"bad budget {budget_text!r}") from None
     parties_line, parties_text = _expect(lines, "parties")
     parties = _names(parties_line, parties_text)
+    if not parties:
+        raise InstanceParseError(parties_line, "no parties given")
     if len(set(parties)) != len(parties):
         raise InstanceParseError(parties_line, "duplicate party names")
     coalition_line, coalition_text = _expect(lines, "coalition")
+    key_lines["coalition"] = coalition_line
     coalition = _names(coalition_line, coalition_text)
     for p in coalition:
         if p not in parties:
@@ -131,11 +136,12 @@ def parse_instance(text: str) -> ProblemInstance:
     row = lines.peek()
     if row is not None and row[1].startswith("preferred:"):
         lineno, preferred = _expect(lines, "preferred")
+        key_lines["preferred"] = lineno
         if preferred not in coalition:
             raise InstanceParseError(lineno, f"preferred party {preferred!r} not in coalition")
-    lineno, cost_kind = _expect(lines, "cost")
+    cost_line, cost_kind = _expect(lines, "cost")
     if cost_kind not in ("unit", "dollar", "swap", "shift"):
-        raise InstanceParseError(lineno, f"unknown cost model {cost_kind!r}")
+        raise InstanceParseError(cost_line, f"unknown cost model {cost_kind!r}")
 
     voters: list[str] = []
     orders: list[PreferenceOrder] = []
@@ -224,7 +230,9 @@ def parse_instance(text: str) -> ProblemInstance:
             cost_model=model,
         )
     except DomainError as exc:
-        raise InstanceParseError(1, str(exc)) from None
+        # Errors without a key come from the cost model's per-voter checks.
+        line = key_lines.get(exc.key, cost_line)
+        raise InstanceParseError(line, str(exc)) from None
 
 
 def serialize_instance(instance: ProblemInstance) -> str:

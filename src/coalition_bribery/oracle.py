@@ -37,13 +37,13 @@ from .costs import (
     SolveOutcome,
     SwapCost,
     UnitCost,
+    WitnessError,
     apply_plan,
     bribe_cost,
     iter_shift_orders,
     lift_to_top,
     plan_cost,
 )
-from .plurality_dp import WitnessError
 
 INF = float("inf")
 

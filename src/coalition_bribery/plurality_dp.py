@@ -1,26 +1,33 @@
-"""Threshold plurality under 1- and $-bribery, by layered dynamic programs.
+"""Threshold plurality under 1- and $-bribery, by one dynamic program.
 
-The search splits a bribe in two stages: first pick *which* voters to buy
-(their old votes vanish from the pool), then decide where the freed votes go.
-Three tables drive the scan:
+A bribe buys voters (their old votes leave the pool) and redirects the freed
+votes into the coalition.  For a non-leader party p only its net loss
+``g_p = bought - added`` matters: its count becomes ``S_p - g_p``.  Outsiders
+never receive votes, so there ``g_p`` is the number bought; for a member of
+the coalition rest, ``g_p`` fixes the count, and its cheapest realization
+buys ``max(0, g_p)`` supporters (the cheapest ones) and adds the rest.
 
-  * per-party ``mincost``: cheapest way to buy a given number of a party's
-    supporters;
-  * ``f`` over non-coalition parties: cost of freeing votes there while
-    leaving a prescribed number of active outsider votes;
-  * ``h`` over the coalition minus its leader: same, but with extra votes
-    poured in so the surviving active count is prescribed.
+One left-to-right combine over the non-leader parties keeps the least cost
+per signature ``(g, a_out, a_rest)``: the leader's net gain ``g = sum g_p``,
+and the active (threshold-cleared) vote totals of the outsiders and of the
+coalition rest.  The leader's count is ``base + g``; when ``g < 0`` more
+votes went to the rest than were freed, and the difference is topped up by
+buying the leader's own cheapest ``-g`` supporters.
 
-Cells combine into the least cost of any undetermined bribe with a given
-signature, and a scan over signatures applies the remaining arithmetic:
-top-up bribes drawn from the leader's own supporters when more redirected
-votes are needed than were freed, threshold zeroing of the leader's count,
-and the exact support/ratio test.  The scan runs in descending lexicographic
-signature order and returns a reconstructed plan for the first hit.
+The goal test reads nothing but the leader's count and the two active
+totals, which a signature fixes, and costs add across parties; so the
+cheapest cell per signature decides the instance exactly.  Cells above the
+budget are dropped as they appear (costs only grow), and so are cells whose
+gain can no longer reach ``-base`` (the leader's count must stay
+non-negative).  The scan runs over the signatures in descending
+lexicographic order and reconstructs a plan for the first one that meets
+the targets within the budget.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from math import inf
 from typing import Optional
 
 from .core import DomainError, ProblemInstance, ScoringRule, check_goals
@@ -29,16 +36,11 @@ from .costs import (
     DollarCost,
     SolveOutcome,
     UnitCost,
+    WitnessError,
     apply_plan,
     lift_to_top,
     plan_cost,
 )
-
-INF = float("inf")
-
-
-class WitnessError(RuntimeError):
-    """A reconstructed plan failed re-verification; indicates a solver bug."""
 
 
 def _voter_prices(instance: ProblemInstance) -> list[int]:
@@ -51,16 +53,16 @@ def _voter_prices(instance: ProblemInstance) -> list[int]:
     raise DomainError("this solver handles unit and dollar bribery only")
 
 
-class _Tables:
-    """The mincost/f/h tables for one instance, with backpointers."""
+class _Table:
+    """Least cost per (g, a_out, a_rest) signature, with backpointers."""
 
     def __init__(self, instance: ProblemInstance):
         election = instance.election
         self.n = election.num_voters
         self.threshold_count = instance.plurality_activity_count()
         self.leader = instance.leader
-        self.rest = list(instance.coalition_rest)
-        self.outs = list(instance.outsiders)
+        self.parties = list(instance.outsiders) + list(instance.coalition_rest)
+        self.is_rest = set(instance.coalition_rest)
         prices = _voter_prices(instance)
         self.supporters: dict[str, list[tuple[int, int]]] = {
             p: [] for p in election.parties
@@ -70,107 +72,58 @@ class _Tables:
         for lst in self.supporters.values():
             lst.sort()
         self.prefix = {
-            p: self._prefix_sums(lst) for p, lst in self.supporters.items()
+            p: list(accumulate((price for price, _ in lst), initial=0))
+            for p, lst in self.supporters.items()
         }
         self.cells_built = 0
-        self.f_table, self.f_bp = self._combine(
-            [self._f_single(p) for p in self.outs], arity=2
-        )
-        self.h_table, self.h_bp = self._combine(
-            [self._h_single(p) for p in self.rest], arity=3
-        )
+        self._combine(instance.budget)
 
-    @staticmethod
-    def _prefix_sums(lst):
-        sums = [0]
-        for price, _ in lst:
-            sums.append(sums[-1] + price)
-        return sums
-
-    def mincost(self, party: str, count: int):
+    def mincost(self, party: str, count: int) -> int:
         """Sum of the `count` smallest prices among the party's supporters."""
-        if count <= 0:
-            return 0
-        sums = self.prefix[party]
-        if count >= len(sums):
-            return INF
-        return sums[count]
+        return self.prefix[party][count]
 
-    def _f_single(self, party: str) -> dict[tuple[int, int], int]:
-        table = {}
+    def single(self, party: str) -> dict[tuple[int, int, int], int]:
+        """One party's cells: (g_p, active outsider votes, active rest votes)."""
+        size = len(self.supporters[party])
         t = self.threshold_count
-        for bought in range(len(self.supporters[party]) + 1):
-            remaining = len(self.supporters[party]) - bought
-            active = remaining if remaining >= t else 0
-            table[(bought, active)] = self.mincost(party, bought)
-        self.cells_built += len(table)
+        rest = party in self.is_rest
+        table = {}
+        for g in range(size - self.n if rest else 0, size + 1):
+            count = size - g
+            active = count if count >= t else 0
+            key = (g, 0, active) if rest else (g, active, 0)
+            table[key] = self.mincost(party, max(0, g))
         return table
 
-    def _h_single(self, party: str) -> dict[tuple[int, int, int], int]:
-        table = {}
-        t = self.threshold_count
-        for bought in range(len(self.supporters[party]) + 1):
-            cost = self.mincost(party, bought)
-            remaining = len(self.supporters[party]) - bought
-            for added in range(self.n + 1):
-                count = remaining + added
-                active = count if count >= t else 0
-                if active > self.n:
-                    continue
-                table[(bought, added, active)] = cost
-        self.cells_built += len(table)
-        return table
-
-    def _combine(self, singles, arity: int):
-        """Fold single-party tables left to right, keeping split backpointers."""
-        combined = {tuple([0] * arity): 0}
-        backpointers = []
-        for table in singles:
-            merged: dict[tuple, float] = {}
-            bp: dict[tuple, tuple] = {}
-            for prev_key, prev_cost in combined.items():
-                if prev_cost is INF:
-                    continue
-                for single_key, single_cost in table.items():
-                    if single_cost is INF:
+    def _combine(self, budget: int) -> None:
+        # The parties after the current one can still raise g by at most
+        # their supporter count, and the final g must reach -base.
+        floor = -len(self.supporters[self.leader]) - sum(
+            len(self.supporters[p]) for p in self.parties
+        )
+        cells = {(0, 0, 0): 0}
+        self.backpointers = []
+        for party in self.parties:
+            floor += len(self.supporters[party])
+            single = sorted(self.single(party).items(), key=lambda kv: kv[1])
+            self.cells_built += len(single)
+            merged: dict[tuple[int, int, int], int] = {}
+            bp: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+            for (g, a_out, a_rest), cost in cells.items():
+                for step, c in single:
+                    total = cost + c
+                    if total > budget:
+                        break
+                    key = (g + step[0], a_out + step[1], a_rest + step[2])
+                    if key[0] < floor:
                         continue
-                    key = tuple(a + b for a, b in zip(prev_key, single_key))
-                    if any(v > self.n for v in key):
-                        continue
-                    cost = prev_cost + single_cost
-                    if cost < merged.get(key, INF):
-                        merged[key] = cost
-                        bp[key] = single_key
+                    if total < merged.get(key, inf):
+                        merged[key] = total
+                        bp[key] = step
             self.cells_built += len(merged)
-            combined = merged
-            backpointers.append(bp)
-        return combined, backpointers
-
-    def trace(self, backpointers, key) -> list[tuple]:
-        """Per-party single-table keys realizing a combined cell."""
-        parts = []
-        for bp in reversed(backpointers):
-            single = bp[key]
-            parts.append(single)
-            key = tuple(a - b for a, b in zip(key, single))
-        parts.reverse()
-        return parts
-
-
-def g_value(instance: ProblemInstance, ell: int, active_out: int, added: int,
-            active_rest: int) -> float:
-    """Least cost of an undetermined bribe with the given signature (or inf)."""
-    tables = _Tables(instance)
-    best = INF
-    for (lh, d, a), ch in tables.h_table.items():
-        if d != added or a != active_rest:
-            continue
-        lf = ell - lh
-        if lf < 0:
-            continue
-        cf = tables.f_table.get((lf, active_out), INF)
-        best = min(best, ch + cf)
-    return best
+            cells = merged
+            self.backpointers.append(bp)
+        self.cells = cells
 
 
 def solve_plurality_t_dollar(
@@ -186,76 +139,53 @@ def solve_plurality_t_dollar(
     if check_goals(election.orders, instance):
         return SolveOutcome.yes(BribePlan.empty())
 
-    tables = _Tables(instance)
-    n = election.num_voters
-    base_leader = len(tables.supporters[instance.leader])
-    t_count = tables.threshold_count
-
-    # Every finite g-cell is a pairing of one h-cell and one f-cell; collect
-    # the cheapest pairing per (ell, active_out, added, active_rest) signature.
-    candidates: dict[tuple[int, int, int, int], tuple[float, tuple, tuple]] = {}
-    for hkey, ch in tables.h_table.items():
-        lh, d, a_rest = hkey
-        for fkey, cf in tables.f_table.items():
-            lf, a_out = fkey
-            ell = lh + lf
-            if ell > n:
-                continue
-            key = (ell, a_out, d, a_rest)
-            cost = ch + cf
-            if cost < candidates.get(key, (INF, None, None))[0]:
-                candidates[key] = (cost, hkey, fkey)
+    table = _Table(instance)
     if stats is not None:
-        stats["table_cells"] = tables.cells_built
-        stats["signatures"] = len(candidates)
+        stats["table_cells"] = table.cells_built
+        stats["signatures"] = len(table.cells)
 
-    budget = instance.budget
-    phi, rho = instance.phi, instance.rho
-    for key in sorted(candidates, reverse=True):
-        ell, a_out, d, a_rest = key
-        base_cost, hkey, fkey = candidates[key]
-        if base_cost > budget:
+    base_leader = len(table.supporters[instance.leader])
+    t_count = table.threshold_count
+    phi_num, phi_den = instance.phi.numerator, instance.phi.denominator
+    rho_num, rho_den = instance.rho.numerator, instance.rho.denominator
+    for key in sorted(table.cells, reverse=True):
+        g, a_out, a_rest = key
+        if g < 0 and (
+            table.cells[key] + table.mincost(instance.leader, -g) > instance.budget
+        ):
             continue
-        topup = 0
-        if d > ell:
-            topup = d - ell
-            extra = tables.mincost(instance.leader, topup)
-            if base_cost + extra > budget:
-                continue
-        leader_count = base_leader + ell - d
+        leader_count = base_leader + g
         leader_active = leader_count if leader_count >= t_count else 0
         coalition_active = a_rest + leader_active
         total_active = coalition_active + a_out
         if total_active == 0:
-            ok = phi == 0
+            ok = phi_num == 0
         else:
-            ok = coalition_active >= phi * total_active and (
-                leader_active >= rho * coalition_active
+            ok = coalition_active * phi_den >= phi_num * total_active and (
+                leader_active * rho_den >= rho_num * coalition_active
             )
         if ok:
-            plan = _reconstruct(instance, tables, hkey, fkey, topup)
-            return SolveOutcome.yes(plan)
+            return SolveOutcome.yes(_reconstruct(instance, table, key))
     return SolveOutcome.no()
 
 
-def _reconstruct(
-    instance: ProblemInstance, tables: _Tables, hkey, fkey, topup: int
-) -> BribePlan:
+def _reconstruct(instance: ProblemInstance, table: _Table, key) -> BribePlan:
     election = instance.election
     leader = instance.leader
 
+    topups = [idx for _, idx in table.supporters[leader][:max(0, -key[0])]]
     bought: list[int] = []
-    for party, (lp, _a) in zip(tables.outs, tables.trace(tables.f_bp, fkey)):
-        bought.extend(idx for _, idx in tables.supporters[party][:lp])
     additions: list[tuple[str, int]] = []
-    for party, (lp, dp, _a) in zip(tables.rest, tables.trace(tables.h_bp, hkey)):
-        bought.extend(idx for _, idx in tables.supporters[party][:lp])
-        if dp:
-            additions.append((party, dp))
-    topups = [idx for _, idx in tables.supporters[leader][:topup]]
+    for party, bp in zip(reversed(table.parties), reversed(table.backpointers)):
+        step = bp[key]
+        key = tuple(a - b for a, b in zip(key, step))
+        count = max(0, step[0])
+        bought.extend(idx for _, idx in table.supporters[party][:count])
+        if count > step[0]:
+            additions.append((party, count - step[0]))
 
-    # Redirect `d` of the freed votes into the coalition remainder, the rest
-    # to the leader.  Prefer cross-party targets so replacements are real.
+    # Redirect the added votes into the coalition remainder, the rest to the
+    # leader.  Prefer cross-party targets so replacements are real.
     pool = bought + topups
     targets: list[str] = []
     for party, count in additions:

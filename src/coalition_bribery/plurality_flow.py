@@ -19,13 +19,13 @@ from .costs import (
     ShiftCost,
     SolveOutcome,
     SwapCost,
+    WitnessError,
     apply_plan,
     bribe_cost,
     lift_to_top,
     plan_cost,
 )
 from .flow import FlowEdge, FlowNetwork, min_cost_flow
-from .plurality_dp import WitnessError
 
 LEADER, REST, OUTSIDE = 0, 1, 2
 

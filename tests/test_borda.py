@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coalition_bribery.borda import (
     accumulate_voter_tables,
@@ -164,29 +165,70 @@ class TestShiftMenu:
                         ), (order, coalition, (k_rest, k1))
 
 
+def _covered(layer, ka, k1, cost, track_leader):
+    """Whether a cell of the layer is as good as (ka, k1) at `cost`."""
+    return any(
+        ka_cell == ka and (k1_cell >= k1 or not track_leader) and c <= cost
+        for (ka_cell, k1_cell), c in layer.items()
+    )
+
+
 class TestVoterTable:
     def test_single_voter_base_row(self):
         inst = unanimous_four_party_borda_cb(1)
         menus = [_VoterMenu(inst, 0)]
-        layers, _ = accumulate_voter_tables(menus)
-        assert layers[1] == {
+        menu_cells = {
             (k_rest + k1, k1): cost for (k_rest, k1), cost in menus[0].costs.items()
         }
+        for track_leader in (False, True):
+            layers, _ = accumulate_voter_tables(menus, 10, track_leader)
+            assert set(layers[1].items()) <= set(menu_cells.items())
+            for (ka, k1), cost in menu_cells.items():
+                assert _covered(layers[1], ka, k1, cost, track_leader)
 
     def test_replicated_voters_bound(self):
         inst = unanimous_four_party_borda_cb(1)
         menus = [_VoterMenu(inst, i) for i in (0, 1)]
-        layers, _ = accumulate_voter_tables(menus)
-        for (k_rest, k1), cost in menus[0].costs.items():
-            key = (2 * (k_rest + k1), 2 * k1)
-            assert layers[2][key] <= 2 * cost
+        for track_leader in (False, True):
+            layers, _ = accumulate_voter_tables(menus, 10, track_leader)
+            for (k_rest, k1), cost in menus[0].costs.items():
+                assert _covered(
+                    layers[2], 2 * (k_rest + k1), 2 * k1, 2 * cost, track_leader
+                )
 
     def test_full_fixture_reaches_eight_points_for_one(self):
         inst = unanimous_four_party_borda_cb(1)
         menus = [_VoterMenu(inst, i) for i in range(4)]
-        layers, _ = accumulate_voter_tables(menus)
+        layers, _ = accumulate_voter_tables(menus, inst.budget, False)
         costs = [c for (ka, _k1), c in layers[4].items() if ka == 8]
         assert min(costs) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 8),
+    st.sampled_from(["unit", "dollar", "shift"]),
+)
+def test_layers_stay_within_budget_and_front(seed, budget, kind):
+    inst = random_problem(random.Random(seed), ScoringRule.BORDA, False, kind,
+                          False, max_voters=5, max_parties=5)
+    menus = [_VoterMenu(inst, i) for i in range(inst.election.num_voters)]
+    for track_leader in (False, True):
+        layers, _ = accumulate_voter_tables(menus, budget, track_leader)
+        for layer in layers:
+            assert all(cost <= budget for cost in layer.values())
+            kas = [ka for ka, _k1 in layer]
+            if not track_leader:
+                # rho = 0: one cheapest cell per coalition-points value
+                assert len(kas) == len(set(kas))
+                continue
+            for (ka, k1), cost in layer.items():
+                assert not any(
+                    other != (ka, k1) and other[0] == ka and other[1] >= k1
+                    and c <= cost
+                    for other, c in layer.items()
+                )
 
 
 class TestSolver:

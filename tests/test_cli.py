@@ -2,15 +2,19 @@
 
 import json
 
+import pytest
+
 import coalition_bribery.cli as cli
+import coalition_bribery.dispatch as dispatch_module
 from coalition_bribery.core import ScoringRule
-from coalition_bribery.costs import SolveOutcome
+from coalition_bribery.costs import BribePlan, SolveOutcome, WitnessError, lift_to_top
 from coalition_bribery.dispatch import (
     BORDA_DP,
     ORACLE,
     PLURALITY_DP,
     PLURALITY_FLOW,
     dispatch,
+    solve_instance,
 )
 from coalition_bribery.generators import Variant, random_instance
 from coalition_bribery.instance_io import serialize_instance
@@ -93,6 +97,36 @@ def test_oracle_refusal_exit_three(tmp_path, capsys):
     path = write(tmp_path, "big.txt", reduce_x3c_to_borda_unit_cb(x4))
     assert cli.main(["oracle", str(path)]) == 3
     assert "expansions" in capsys.readouterr().err
+
+
+def _over_budget_solver_for(name, budget):
+    """A broken solver: it buys every Z voter, far beyond the budget."""
+
+    def solve(instance):
+        orders = instance.election.orders
+        replacements = {
+            i: lift_to_top(order, "X")
+            for i, order in enumerate(orders) if order.top() == "Z"
+        }
+        return SolveOutcome.yes(BribePlan(replacements, 0))
+
+    return solve
+
+
+def test_failed_witness_raises_witness_error(monkeypatch):
+    monkeypatch.setattr(dispatch_module, "solver_for", _over_budget_solver_for)
+    with pytest.raises(WitnessError):
+        solve_instance(three_party_unit_cb(5))
+
+
+def test_failed_witness_exit_four(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dispatch_module, "solver_for", _over_budget_solver_for)
+    path = write(tmp_path, "w.txt", three_party_unit_cb(5))
+    for command in ("solve", "oracle"):
+        assert cli.main([command, path]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_crossval_all_agree(tmp_path, capsys):

@@ -1,0 +1,60 @@
+"""The plurality-threshold and Borda-zero tables against the exact search,
+on seeded tiny instances whose goals are unmet at zero cost (no bribe of
+cost 0 meets them), so every case exercises the tables rather than an early
+exit."""
+
+import random
+
+import pytest
+
+from coalition_bribery.borda import solve_borda_zero
+from coalition_bribery.core import ScoringRule, check_goals
+from coalition_bribery.dispatch import minimal_feasible_budget
+from coalition_bribery.generators import with_budget
+from coalition_bribery.oracle import oracle_solve
+from coalition_bribery.plurality_dp import solve_plurality_t_dollar
+
+from conftest import assert_verifies, random_problem
+
+CASES = 40
+
+VARIANTS = [
+    (ScoringRule.PLURALITY, True, kind, cbp, solve_plurality_t_dollar, 8)
+    for kind in ("unit", "dollar")
+    for cbp in (False, True)
+] + [
+    (ScoringRule.BORDA, False, kind, cbp, solve_borda_zero, 4)
+    for kind in ("unit", "dollar", "shift")
+    for cbp in (False, True)
+]
+
+
+def hard_instances(rule, thresholded, kind, cbp, max_voters):
+    """(instance, oracle optimum) pairs whose goals no free bribe meets."""
+    rng = random.Random(f"hard:{rule.value}:{kind}:{cbp}")
+    found = []
+    while len(found) < CASES:
+        inst = random_problem(
+            rng, rule, thresholded, kind, cbp, max_voters=max_voters, max_parties=4
+        )
+        if check_goals(inst.election.orders, inst):
+            continue
+        optimum, _ = oracle_solve(inst)
+        if optimum != 0:
+            found.append((inst, optimum))
+    return found
+
+
+@pytest.mark.parametrize(
+    "rule, thresholded, kind, cbp, solver, max_voters",
+    VARIANTS,
+    ids=[f"{v[0].value}-{v[2]}-{'cbp' if v[3] else 'cb'}" for v in VARIANTS],
+)
+def test_least_budget_matches_oracle(rule, thresholded, kind, cbp, solver, max_voters):
+    for inst, optimum in hard_instances(rule, thresholded, kind, cbp, max_voters):
+        assert minimal_feasible_budget(inst, solver) == optimum
+        if optimum is not None:
+            at_optimum = with_budget(inst, optimum)
+            out = solver(at_optimum)
+            assert out.feasible
+            assert_verifies(at_optimum, out.plan)

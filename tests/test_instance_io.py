@@ -1,6 +1,7 @@
 """Instance file format: round trips and line-anchored diagnostics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coalition_bribery.core import ScoringRule
 from coalition_bribery.generators import POLYNOMIAL_VARIANTS, Variant, random_instance
@@ -81,6 +82,85 @@ def test_errors_carry_line_numbers(mutation, bad_line):
     with pytest.raises(InstanceParseError) as err:
         parse_instance(text)
     assert err.value.line == bad_line
+
+
+@pytest.mark.parametrize(
+    "mutation, bad_line",
+    [
+        (("threshold: 1/5", "threshold: -1/2"), 2),
+        (("phi: 1/2", "phi: 3/2"), 3),
+        (("rho: 0/1", "rho: 3/2"), 4),
+        (("budget: 3", "budget: -1"), 5),
+        (("coalition: X Y", "coalition: X X"), 7),
+        (("coalition: X Y\npreferred: X", "coalition:"), 7),
+    ],
+)
+def test_range_errors_carry_their_key_line(mutation, bad_line):
+    old, new = mutation
+    text = BASIC.replace("cost: unit", "preferred: X\ncost: unit").replace(old, new)
+    with pytest.raises(InstanceParseError) as err:
+        parse_instance(text)
+    assert err.value.line == bad_line
+    assert str(err.value).startswith(f"line {bad_line}: ")
+
+
+def test_cost_model_errors_point_at_the_cost_line():
+    text = BASIC.replace("cost: unit", "cost: dollar").replace(
+        "voter v2: Z Y X", "price v1: 1\nvoter v2: Z Y X\nprice v2: -4"
+    )
+    with pytest.raises(InstanceParseError) as err:
+        parse_instance(text)
+    assert err.value.line == 8 and "non-negative" in str(err.value)
+
+
+_KEY_PREFIXES = [
+    "rule: ", "threshold: ", "phi: ", "rho: ", "budget: ", "parties: ",
+    "coalition: ", "preferred: ", "cost: ", "voter v1: ", "voter v2: ",
+    "price v1: ", "swap v1: ", "shift v1: ", "shift v1: slope ", "# ", "",
+]
+_TRICKY_VALUES = ["X", "X X", "X Y Z", "Q", "", "1/0", "-1", "-1/2", "3/2",
+                  "dollar", "shift", "X>Y=1", "0 2 1", "9" * 20]
+_value = st.one_of(st.text(max_size=12), st.sampled_from(_TRICKY_VALUES))
+_line = st.one_of(
+    st.sampled_from(BASIC.splitlines()),
+    st.builds(str.__add__, st.sampled_from(_KEY_PREFIXES), _value),
+)
+
+
+def _edit_values(edits) -> str:
+    """BASIC with the values after some lines' keys replaced."""
+    lines = BASIC.splitlines()
+    for index, value in edits:
+        key = lines[index].split(":", 1)[0]
+        lines[index] = f"{key}: {value}"
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(_line, max_size=14).map("\n".join),
+        st.lists(
+            st.tuples(st.integers(0, len(BASIC.splitlines()) - 1), _value),
+            min_size=1, max_size=3,
+        ).map(_edit_values),
+    )
+)
+def test_arbitrary_text_raises_only_parse_errors(text):
+    try:
+        parse_instance(text)
+    except InstanceParseError:
+        pass
+
+
+def test_every_tricky_value_on_every_line_raises_only_parse_errors():
+    for index in range(len(BASIC.splitlines())):
+        for value in _TRICKY_VALUES:
+            try:
+                parse_instance(_edit_values([(index, value)]))
+            except InstanceParseError:
+                pass
 
 
 def test_duplicate_voter_rejected():

@@ -14,7 +14,7 @@ from coalition_bribery.core import (
 from coalition_bribery.costs import DollarCost, UnitCost, apply_plan
 from coalition_bribery.generators import with_budget
 from coalition_bribery.oracle import oracle_solve
-from coalition_bribery.plurality_dp import INF, _Tables, g_value, solve_plurality_t_dollar
+from coalition_bribery.plurality_dp import _Table, solve_plurality_t_dollar
 from coalition_bribery.sample_instances import (
     three_party_dollar_cb,
     three_party_dollar_cbp,
@@ -48,71 +48,88 @@ def small_instance(prices, threshold, coalition=("a", "b"), preferred=None,
     )
 
 
+def _table(instance, budget=10**6):
+    """The signature table of an instance, uncapped unless a budget is given."""
+    return _Table(with_budget(instance, budget))
+
+
 class TestMincost:
     def test_two_smallest(self):
         inst = small_instance(
             [("b", 3), ("b", 1), ("b", 2), ("a", 1)], Fraction(0), ("a",)
         )
-        tables = _Tables(inst)
+        tables = _table(inst)
         assert tables.mincost("b", 2) == 3
 
     def test_not_enough_supporters(self):
+        # No signature frees more votes than the non-leader parties hold.
         inst = small_instance([("b", 3), ("b", 1), ("b", 2), ("a", 1)], Fraction(0), ("a",))
-        tables = _Tables(inst)
-        assert tables.mincost("b", 4) is INF
+        tables = _table(inst)
+        assert max(g for g, _a_out, _a_rest in tables.cells) == 3
+        assert tables.cells[(3, 0, 0)] == 6
 
     def test_dollar_fixture_prices(self):
         inst = three_party_dollar_cb(5)
-        tables = _Tables(inst)
+        tables = _table(inst)
         assert tables.mincost("Z", 2) == 4
 
 
 class TestSingleTables:
+    """One party's cells; "f" names an outsider, "h" a coalition-rest party."""
+
     def _tables(self):
         # 3 b-voters at unit price, activity needs 2 votes (t = 2/4, n = 4)
         prices = [("b", 1), ("b", 1), ("b", 1), ("a", 1)]
         inst = small_instance(prices, Fraction(2, 4), coalition=("a",))
-        return _Tables(inst)
+        return _table(inst)
 
     def test_f_buy_one_keeps_party_active(self):
         tables = self._tables()
-        single = tables._f_single("b")
-        assert single[(1, 2)] == 1
+        assert tables.single("b")[(1, 2, 0)] == 1
 
     def test_f_empty_bribe(self):
         tables = self._tables()
-        assert tables._f_single("b")[(0, 3)] == 0
+        assert tables.single("b")[(0, 3, 0)] == 0
 
     def test_f_below_threshold_forces_zero(self):
         tables = self._tables()
-        single = tables._f_single("b")
-        assert (2, 1) not in single
-        assert single[(2, 0)] == 2
+        single = tables.single("b")
+        assert (2, 1, 0) not in single
+        assert single[(2, 0, 0)] == 2
 
     def test_h_added_vote_activates(self):
         # single b-supporter, threshold count 2
         prices = [("b", 5), ("a", 1), ("a", 1), ("a", 1)]
         inst = small_instance(prices, Fraction(2, 4), coalition=("a", "b"), preferred="a")
-        tables = _Tables(inst)
-        single = tables._h_single("b")
-        assert single[(0, 1, 2)] == 0
+        tables = _table(inst)
+        single = tables.single("b")
+        assert single[(-1, 0, 2)] == 0  # one vote added, none bought
         assert single[(0, 0, 0)] == 0
         assert single[(1, 0, 0)] == 5
 
 
 class TestGValue:
+    """Cells keyed by g (the leader's net vote gain) and the active outsider
+    and coalition-rest vote totals."""
+
     def test_empty_requirements(self):
         inst = three_party_dollar_cbp(7)
-        assert g_value(inst, 0, 50, 0, 0) == 0
+        assert _table(inst).cells[(0, 50, 0)] == 0
 
     def test_freeing_five_outsider_votes(self):
         inst = three_party_dollar_cbp(7)
-        # buy five Z-supporters at $2 each; five added votes activate Y
-        assert g_value(inst, 5, 45, 5, 20) == 10
+        # buy five Z-supporters at $2 each; their five votes activate Y
+        assert _table(inst).cells[(0, 45, 20)] == 10
 
     def test_more_active_votes_than_supporters(self):
         inst = three_party_dollar_cbp(7)
-        assert g_value(inst, 0, 55, 0, 0) is INF
+        assert (0, 55, 0) not in _table(inst).cells
+
+    def test_budget_caps_the_cells(self):
+        inst = three_party_dollar_cbp(7)
+        cells = _table(inst, budget=7).cells
+        assert (0, 45, 20) not in cells
+        assert all(cost <= 7 for cost in cells.values())
 
 
 class TestWorkedExamples:
@@ -176,7 +193,7 @@ def test_price_increase_never_shrinks_f():
     rng = random.Random(99)
     for _ in range(25):
         inst = random_problem(rng, ScoringRule.PLURALITY, True, "dollar", False)
-        low = _Tables(inst)
+        low = _table(inst)
         model = inst.cost_model
         bumped_prices = tuple(p + rng.randint(0, 2) for p in model.prices)
         bumped = ProblemInstance(
@@ -184,9 +201,10 @@ def test_price_increase_never_shrinks_f():
             coalition=inst.coalition, phi=inst.phi, rho=inst.rho,
             budget=inst.budget, cost_model=DollarCost(bumped_prices),
         )
-        high = _Tables(bumped)
-        for key, cost in low.f_table.items():
-            assert high.f_table.get(key, INF) >= cost
+        high = _table(bumped)
+        assert high.cells.keys() == low.cells.keys()
+        for key, cost in low.cells.items():
+            assert high.cells[key] >= cost
 
 
 def test_cb_equals_cbp_with_zero_ratio(rng):
