@@ -26,7 +26,6 @@ from .costs import (
     CostModel,
     DollarCost,
     ShiftCost,
-    SolveOutcome,
     SwapCost,
     UnitCost,
     admissible,
@@ -47,7 +46,6 @@ __all__ = [
     "Rational",
     "ScoringRule",
     "ShiftCost",
-    "SolveOutcome",
     "SwapCost",
     "UnitCost",
     "active_parties",

@@ -136,8 +136,7 @@ def _cmd_crossval(args) -> int:
             )
             solver = solver_for(dispatch(instance), budget)
             optimum, _plan = oracle_solve(instance, budget)
-            ok = _budgets_agree(instance, solver, optimum)
-            if ok:
+            if minimal_feasible_budget(instance, solver) == optimum:
                 agree += 1
             else:
                 failures += 1
@@ -153,11 +152,6 @@ def _cmd_crossval(args) -> int:
                 )
         print(f"{variant.label()} {agree} {args.count}")
     return EXIT_INFEASIBLE if failures else EXIT_FEASIBLE
-
-
-def _budgets_agree(instance, solver, optimum: Optional[int]) -> bool:
-    solved = minimal_feasible_budget(instance, solver)
-    return solved == optimum
 
 
 def _cmd_oracle(args) -> int:
@@ -197,13 +191,13 @@ def _cmd_bench(args) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
         name = dispatch(instance)
+        solver = solver_for(name, budget)
         times = []
         stats: dict = {}
         for _ in range(args.reps):
             stats = {}
-            solver = _stats_solver(name, budget, stats)
             start = time.monotonic()
-            solver(instance)
+            solver(instance, instance.budget, stats)
             times.append(time.monotonic() - start)
         cells = stats.get("table_cells", stats.get("networks_solved", ""))
         signatures = stats.get("signatures", "")
@@ -213,21 +207,6 @@ def _cmd_bench(args) -> int:
             f"\t{median:.6f}\t{cells}\t{signatures}"
         )
     return EXIT_FEASIBLE
-
-
-def _stats_solver(name: str, budget: SearchBudget, stats: dict):
-    from .borda import solve_borda_zero
-    from .oracle import solve_np_hard
-    from .plurality_dp import solve_plurality_t_dollar
-    from .plurality_flow import solve_plurality_zero
-
-    if name == "plurality-threshold-dp":
-        return lambda inst: solve_plurality_t_dollar(inst, stats=stats)
-    if name == "plurality-flow-solver":
-        return lambda inst: solve_plurality_zero(inst, stats=stats)
-    if name == "borda-solvers":
-        return lambda inst: solve_borda_zero(inst, stats=stats)
-    return lambda inst: solve_np_hard(inst, budget)
 
 
 def _cmd_gen(args) -> int:

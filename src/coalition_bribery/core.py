@@ -19,7 +19,8 @@ Rational = Fraction
 class DomainError(ValueError):
     """Raised when inputs violate the election model (unknown party, etc.).
 
-    `key` names the offending instance field (e.g. "threshold"), if any.
+    `key` names the offending field (e.g. "threshold") or item (e.g.
+    "subset 2"), if any.
     """
 
     def __init__(self, message: str, key: Optional[str] = None):
@@ -223,8 +224,6 @@ class ProblemInstance:
             raise DomainError("coalition must be a subset of the parties", "coalition")
         if self.preferred is not None and self.preferred not in self.coalition:
             raise DomainError("preferred party must belong to the coalition", "preferred")
-        if self.preferred is None and self.rho != 0:
-            raise DomainError("rho must be 0 when no preferred party is given", "rho")
         for name, value in (
             ("threshold", self.threshold),
             ("phi", self.phi),
@@ -232,6 +231,8 @@ class ProblemInstance:
         ):
             if not 0 <= value <= 1:
                 raise DomainError(f"{name} must lie in [0, 1], got {value}", name)
+        if self.preferred is None and self.rho != 0:
+            raise DomainError("rho must be 0 when no preferred party is given", "rho")
         if self.budget < 0:
             raise DomainError("budget must be non-negative", "budget")
         # Per-voter cost data is validated against this election here, where

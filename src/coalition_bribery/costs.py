@@ -45,6 +45,10 @@ class UnitCost:
 
     kind = "unit"
 
+    def voter_price(self, i: int) -> int:
+        """What voter i charges for any change."""
+        return 1
+
     def voter_cost(self, i: int, old: PreferenceOrder, new: PreferenceOrder,
                    coalition: Sequence[str]) -> Optional[int]:
         return 0 if new == old else 1
@@ -65,6 +69,10 @@ class DollarCost:
             raise DomainError("one price per voter required")
         if any(p < 0 for p in self.prices):
             raise DomainError("prices must be non-negative")
+
+    def voter_price(self, i: int) -> int:
+        """What voter i charges for any change."""
+        return self.prices[i]
 
     def voter_cost(self, i, old, new, coalition) -> Optional[int]:
         return 0 if new == old else self.prices[i]
@@ -207,22 +215,6 @@ class BribePlan:
 
     def __len__(self) -> int:
         return len(self.replacements)
-
-
-@dataclass(frozen=True)
-class SolveOutcome:
-    """Decision-problem answer plus a verifying plan when feasible."""
-
-    feasible: bool
-    plan: Optional[BribePlan] = None
-
-    @classmethod
-    def yes(cls, plan: BribePlan) -> "SolveOutcome":
-        return cls(True, plan)
-
-    @classmethod
-    def no(cls) -> "SolveOutcome":
-        return cls(False, None)
 
 
 def plan_cost(

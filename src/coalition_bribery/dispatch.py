@@ -1,8 +1,9 @@
 """Routing of instances to solvers, and solve reports.
 
 Polynomial cells go to their dedicated solvers; everything else goes to the
-exact bounded search.  Feasible answers are always re-verified against the
-plan machinery before a report is emitted.
+exact bounded search.  Every engine returns its cheapest plan under a cost
+cap; `solve_capped` is the one place that calls an engine, and it re-verifies
+every plan it returns against the plan machinery.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .core import (
     seat_fractions_from_scores,
     tally,
 )
-from .costs import BribePlan, SolveOutcome, WitnessError, apply_plan, plan_cost
-from .generators import with_budget
+from .costs import BribePlan, WitnessError, apply_plan, plan_cost
 from .oracle import SearchBudget, solve_np_hard
 from .plurality_dp import solve_plurality_t_dollar
 from .plurality_flow import solve_plurality_zero
@@ -45,14 +45,52 @@ def dispatch(instance: ProblemInstance) -> str:
     return ORACLE
 
 
-def solver_for(name: str, budget: SearchBudget) -> Callable[[ProblemInstance], SolveOutcome]:
-    if name == PLURALITY_DP:
-        return solve_plurality_t_dollar
-    if name == PLURALITY_FLOW:
-        return solve_plurality_zero
-    if name == BORDA_DP:
-        return solve_borda_zero
-    return lambda instance: solve_np_hard(instance, budget)
+# Engine entry point per solver, by its name in this module: `solve_capped`
+# looks it up at call time, so a wrapper installed there is the one called.
+ENGINES = {
+    PLURALITY_DP: "solve_plurality_t_dollar",
+    PLURALITY_FLOW: "solve_plurality_zero",
+    BORDA_DP: "solve_borda_zero",
+    ORACLE: "solve_np_hard",
+}
+
+
+def solve_capped(
+    name: str,
+    instance: ProblemInstance,
+    cap: Optional[int],
+    search_budget: SearchBudget = SearchBudget(),
+    stats: Optional[dict] = None,
+) -> Optional[BribePlan]:
+    """The named solver's cheapest plan costing at most `cap` (None: no
+    limit), verified; None when there is none.
+
+    Raises WitnessError when the engine's plan is inadmissible, misstates or
+    exceeds its cost, or misses the goals.
+    """
+    if check_goals(instance.election.orders, instance):
+        return BribePlan.empty()
+    kwargs: dict = {"budget": search_budget} if name == ORACLE else {}
+    if stats is not None:
+        kwargs["stats"] = stats
+    plan = globals()[ENGINES[name]](instance, cap, **kwargs)
+    if plan is None:
+        return None
+    cost = plan_cost(instance.cost_model, instance.coalition, instance.election, plan)
+    if cost is None or cost != plan.cost or (cap is not None and cost > cap):
+        raise WitnessError("solver emitted a plan that fails verification")
+    if not check_goals(apply_plan(instance.election, plan), instance):
+        raise WitnessError("solver emitted a plan that misses the goals")
+    return plan
+
+
+def solver_for(
+    name: str, budget: SearchBudget
+) -> Callable[..., Optional[BribePlan]]:
+    """`solve_capped` bound to one solver: (instance, cap, stats=None)."""
+    return lambda instance, cap, stats=None: solve_capped(
+        name, instance, cap, budget, stats
+    )
 
 
 @dataclass
@@ -74,11 +112,10 @@ def solve_instance(
     search_budget: SearchBudget = SearchBudget(),
     force_oracle: bool = False,
 ) -> SolveReport:
-    """Dispatch, solve, verify the witness, and assemble a report."""
+    """Dispatch, solve within the instance's budget, and assemble a report."""
     name = ORACLE if force_oracle else dispatch(instance)
-    solver = solver_for(name, search_budget)
     start = time.monotonic()
-    outcome = solver(instance)
+    plan = solve_capped(name, instance, instance.budget, search_budget)
     elapsed = time.monotonic() - start
 
     election = instance.election
@@ -88,25 +125,19 @@ def solve_instance(
         scores_before, total, instance.threshold
     )
     scores_after = seats_after = None
-    cost = None
-    if outcome.feasible:
-        plan = outcome.plan
-        cost = plan_cost(instance.cost_model, instance.coalition, election, plan)
-        new_orders = apply_plan(election, plan)
-        if cost is None or cost > instance.budget or cost != plan.cost:
-            raise WitnessError("solver emitted a plan that fails verification")
-        if not check_goals(new_orders, instance):
-            raise WitnessError("solver emitted a plan that misses the goals")
-        scores_after = tally(new_orders, election.parties, instance.rule)
+    if plan is not None:
+        scores_after = tally(
+            apply_plan(election, plan), election.parties, instance.rule
+        )
         seats_after = seat_fractions_from_scores(
             scores_after, total, instance.threshold
         )
     return SolveReport(
         variant=instance.variant_label(),
         solver=name,
-        feasible=outcome.feasible,
-        cost=cost,
-        plan=outcome.plan if outcome.feasible else None,
+        feasible=plan is not None,
+        cost=None if plan is None else plan.cost,
+        plan=plan,
         elapsed=elapsed,
         scores_before=scores_before,
         scores_after=scores_after,
@@ -117,21 +148,9 @@ def solve_instance(
 
 def minimal_feasible_budget(
     instance: ProblemInstance,
-    solver: Callable[[ProblemInstance], SolveOutcome],
+    solver: Callable[..., Optional[BribePlan]],
 ) -> Optional[int]:
-    """Least budget the solver accepts, by bisection; None when none exists."""
-    election = instance.election
-    upper = sum(
-        instance.cost_model.max_voter_cost(i, election.num_parties)
-        for i in range(election.num_voters)
-    )
-    if not solver(with_budget(instance, upper)).feasible:
-        return None
-    lo, hi = 0, upper
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if solver(with_budget(instance, mid)).feasible:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    """Least budget at which `solver` (from `solver_for`) finds a plan: the
+    cost of its uncapped optimum; None when no plan exists."""
+    plan = solver(instance, None)
+    return None if plan is None else plan.cost

@@ -4,14 +4,18 @@ Inputs are non-negative integers, so Dijkstra with node potentials keeps all
 reduced costs non-negative and every returned flow is integral.  A network
 whose maximum flow falls short of the demand is reported as infeasible rather
 than routed partially.
+
+Successive shortest paths never get cheaper, so once the cost so far plus the
+open demand times the latest path's cost exceeds a cost cap, no flow within
+the cap exists and the search stops early.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-
-INF = float("inf")
+from math import inf
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,11 @@ class Flow:
     cost: int
 
 
-def min_cost_flow(network: FlowNetwork) -> Flow | None:
-    """Cheapest integral flow meeting the demand exactly, or None if impossible."""
+def min_cost_flow(network: FlowNetwork, cap: Optional[int] = None) -> Flow | None:
+    """Cheapest integral flow meeting the demand exactly, or None when there
+    is none or it costs more than `cap` (None: no limit)."""
+    if cap is not None and cap < 0:
+        return None
     n = network.num_nodes
     # Residual graph: per node a list of [head, capacity, cost, index of twin].
     adj: list[list[list[int]]] = [[] for _ in range(n)]
@@ -65,7 +72,7 @@ def min_cost_flow(network: FlowNetwork) -> Flow | None:
     remaining = network.demand
     total_cost = 0
     while remaining > 0:
-        dist = [INF] * n
+        dist = [inf] * n
         dist[network.source] = 0
         prev: list[tuple[int, int] | None] = [None] * n
         heap = [(0, network.source)]
@@ -74,26 +81,31 @@ def min_cost_flow(network: FlowNetwork) -> Flow | None:
             if d > dist[u]:
                 continue
             for idx, arc in enumerate(adj[u]):
-                v, cap, cost, _ = arc
-                if cap <= 0:
+                v, residual, cost, _ = arc
+                if residual <= 0:
                     continue
                 nd = d + cost + potential[u] - potential[v]
                 if nd < dist[v]:
                     dist[v] = nd
                     prev[v] = (u, idx)
                     heapq.heappush(heap, (nd, v))
-        if dist[network.sink] == INF:
+        if dist[network.sink] == inf:
             return None
         for v in range(n):
-            if dist[v] < INF:
+            if dist[v] < inf:
                 potential[v] += dist[v]
-        # Bottleneck along the shortest path, capped by the open demand.
+        # Bottleneck and cost of the shortest path; the open demand costs at
+        # least its cost per unit.
         push = remaining
+        path_cost = 0
         v = network.sink
         while prev[v] is not None:
             u, idx = prev[v]
             push = min(push, adj[u][idx][1])
+            path_cost += adj[u][idx][2]
             v = u
+        if cap is not None and total_cost + remaining * path_cost > cap:
+            return None
         v = network.sink
         while prev[v] is not None:
             u, idx = prev[v]

@@ -225,7 +225,8 @@ def parse_instance(text: str) -> ProblemInstance:
             coalition=coalition,
             preferred=preferred,
             phi=phi,
-            rho=rho if preferred is not None else Fraction(0),
+            # Without a preferred party rho is moot: an in-range value reads as 0.
+            rho=rho if preferred is not None or not 0 <= rho <= 1 else Fraction(0),
             budget=budget,
             cost_model=model,
         )
@@ -277,6 +278,7 @@ def parse_exact_cover(text: str) -> ExactCover34Instance:
     """Source format: a `universe: n` line then one `subset:` line per subset."""
     lines = _Lines(text)
     lineno, n_text = _expect(lines, "universe")
+    key_lines = {"universe": lineno}
     try:
         n = int(n_text)
     except ValueError:
@@ -284,6 +286,7 @@ def parse_exact_cover(text: str) -> ExactCover34Instance:
     subsets = []
     while lines.peek() is not None:
         lineno, members = _expect(lines, "subset")
+        key_lines[f"subset {len(subsets)}"] = lineno
         try:
             subsets.append(tuple(int(z) for z in members.split()))
         except ValueError:
@@ -291,22 +294,23 @@ def parse_exact_cover(text: str) -> ExactCover34Instance:
     try:
         return ExactCover34Instance(n, tuple(subsets))
     except DomainError as exc:
-        raise InstanceParseError(1, str(exc)) from None
+        raise InstanceParseError(key_lines[exc.key], str(exc)) from None
 
 
 def parse_min_bisection(text: str) -> MinBisectionInstance:
     """Source format: `vertices:` and `bound:` lines then `edge: u v` lines."""
     lines = _Lines(text)
-    lineno, n_text = _expect(lines, "vertices")
+    key_lines = {}
+    key_lines["vertices"], n_text = _expect(lines, "vertices")
     try:
         n = int(n_text)
     except ValueError:
-        raise InstanceParseError(lineno, f"bad vertex count {n_text!r}") from None
-    lineno, k_text = _expect(lines, "bound")
+        raise InstanceParseError(key_lines["vertices"], f"bad vertex count {n_text!r}") from None
+    key_lines["bound"], k_text = _expect(lines, "bound")
     try:
         bound = int(k_text)
     except ValueError:
-        raise InstanceParseError(lineno, f"bad bound {k_text!r}") from None
+        raise InstanceParseError(key_lines["bound"], f"bad bound {k_text!r}") from None
     edges = set()
     while lines.peek() is not None:
         lineno, pair = _expect(lines, "edge")
@@ -314,8 +318,9 @@ def parse_min_bisection(text: str) -> MinBisectionInstance:
             u, v = (int(t) for t in pair.split())
         except ValueError:
             raise InstanceParseError(lineno, f"bad edge {pair!r}") from None
+        key_lines.setdefault(f"edge {u} {v}", lineno)
         edges.add((u, v))
     try:
         return MinBisectionInstance(n, frozenset(edges), bound)
     except DomainError as exc:
-        raise InstanceParseError(1, str(exc)) from None
+        raise InstanceParseError(key_lines[exc.key], str(exc)) from None

@@ -9,9 +9,13 @@ depends on nothing else).  Option lists themselves are deduplicated by score
 effect, which for plurality collapses them to one cheapest replacement per
 achievable top.
 
-The search refuses instances whose option spaces or sweep states outgrow the
-configured expansion budget instead of running unboundedly; the refusal
-carries the expansion count that would have been needed.
+With a cost cap, options and partial bribes above it are dropped, and the
+search returns the cheapest bribe under the cap.
+
+The search refuses instances whose option spaces and sweep states together
+outgrow the configured expansion budget instead of running unboundedly: one
+meter per solve counts option enumeration and sweep steps alike, and the
+refusal carries the expansion count reached.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 from .core import (
@@ -34,18 +39,12 @@ from .costs import (
     BribePlan,
     DollarCost,
     ShiftCost,
-    SolveOutcome,
     SwapCost,
     UnitCost,
-    WitnessError,
-    apply_plan,
     bribe_cost,
     iter_shift_orders,
     lift_to_top,
-    plan_cost,
 )
-
-INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,6 @@ class SearchBudget:
     """Hard limits for the exact search."""
 
     max_expansions: int = 10_000_000
-    max_voters: Optional[int] = None
-    max_parties: Optional[int] = None
-    prune: bool = True
 
 
 class OracleRefusal(RuntimeError):
@@ -70,6 +66,8 @@ class OracleRefusal(RuntimeError):
 
 
 class _Meter:
+    """Expansions charged by one solve, against the budget's limit."""
+
     def __init__(self, budget: SearchBudget):
         self.limit = budget.max_expansions
         self.count = 0
@@ -81,34 +79,34 @@ class _Meter:
 
 
 def enumerate_voter_options(
-    instance: ProblemInstance, voter: int, budget: SearchBudget = SearchBudget()
+    instance: ProblemInstance, voter: int, meter: Optional[_Meter] = None
 ) -> list[tuple[PreferenceOrder, int]]:
     """All admissible replacement orders for one voter, with exact costs.
 
     Unit/dollar and swap bribery admit every permutation; shift bribery only
-    the orders in which nothing but coalition members rise.  Refuses when the
-    permutation space alone exceeds the expansion budget.
+    the orders in which nothing but coalition members rise.  Each order is
+    charged to `meter` (a fresh default-budget one when None); the whole
+    permutation space is charged up front, so it refuses before enumerating
+    a space that does not fit.
     """
     election = instance.election
     order = election.orders[voter]
     model = instance.cost_model
-    meter = _Meter(budget)
+    if meter is None:
+        meter = _Meter(SearchBudget())
     options: dict[PreferenceOrder, int] = {}
     if isinstance(model, ShiftCost):
         for candidate, inversions in iter_shift_orders(order, instance.coalition):
             meter.charge()
             cost = model.tables[voter][inversions]
-            if cost < options.get(candidate, INF):
+            if cost < options.get(candidate, inf):
                 options[candidate] = cost
     else:
-        space = math.factorial(election.num_parties)
-        if space > budget.max_expansions:
-            raise OracleRefusal(space, budget.max_expansions)
+        meter.charge(math.factorial(election.num_parties))
         for perm in itertools.permutations(election.parties):
-            meter.charge()
             candidate = PreferenceOrder(perm)
             cost = bribe_cost(model, voter, order, candidate, instance.coalition)
-            if cost is not None and cost < options.get(candidate, INF):
+            if cost is not None and cost < options.get(candidate, inf):
                 options[candidate] = cost
     return sorted(options.items(), key=lambda item: (item[1], item[0].ranking))
 
@@ -130,7 +128,7 @@ def _plurality_top_options(
     model = instance.cost_model
     options = [(order, 0)]
     if isinstance(model, (UnitCost, DollarCost)):
-        price = 1 if isinstance(model, UnitCost) else model.prices[voter]
+        price = model.voter_price(voter)
         for party in election.parties:
             if party != order.top():
                 options.append((lift_to_top(order, party), price))
@@ -146,7 +144,7 @@ def _plurality_top_options(
 
 
 def _voter_effect_options(
-    instance: ProblemInstance, voter: int, budget: SearchBudget,
+    instance: ProblemInstance, voter: int, meter: _Meter,
     cost_cap: Optional[int],
 ) -> list[tuple[tuple[int, ...], int, PreferenceOrder]]:
     """(score delta, cost, representative order), deduplicated by delta."""
@@ -155,7 +153,6 @@ def _voter_effect_options(
     if instance.rule is ScoringRule.PLURALITY:
         raw = _plurality_top_options(instance, voter)
     elif isinstance(model, ShiftCost):
-        meter = _Meter(budget)
         raw = []
         max_inv = None
         if cost_cap is not None:
@@ -169,14 +166,14 @@ def _voter_effect_options(
             meter.charge()
             raw.append((candidate, model.tables[voter][inversions]))
     else:
-        raw = enumerate_voter_options(instance, voter, budget)
+        raw = enumerate_voter_options(instance, voter, meter)
     order = election.orders[voter]
     best: dict[tuple[int, ...], tuple[int, PreferenceOrder]] = {}
     for candidate, cost in raw:
         if cost_cap is not None and cost > cost_cap:
             continue
         delta = _score_delta(order, candidate, election.parties, instance.rule)
-        if cost < best.get(delta, (INF, None))[0]:
+        if cost < best.get(delta, (inf, None))[0]:
             best[delta] = (cost, candidate)
     return [
         (delta, cost, rep)
@@ -206,18 +203,11 @@ def _voter_classes(instance: ProblemInstance) -> list[list[int]]:
 
 
 def _search(
-    instance: ProblemInstance,
-    budget: SearchBudget,
-    cost_cap: Optional[int],
-) -> tuple[Optional[int], Optional[BribePlan]]:
-    """Minimum goal-reaching bribe cost (and plan), or (None, None)."""
+    instance: ProblemInstance, meter: _Meter, cost_cap: Optional[int]
+) -> Optional[BribePlan]:
+    """Cheapest goal-reaching bribe costing at most `cost_cap`, or None."""
     election = instance.election
-    if budget.max_voters is not None and election.num_voters > budget.max_voters:
-        raise OracleRefusal(election.num_voters, budget.max_voters)
-    if budget.max_parties is not None and election.num_parties > budget.max_parties:
-        raise OracleRefusal(election.num_parties, budget.max_parties)
     classes = _voter_classes(instance)
-    meter = _Meter(budget)
 
     parties = election.parties
     base = tuple(
@@ -228,7 +218,7 @@ def _search(
     trail: list[dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]] = []
     class_options = []
     for members in classes:
-        options = _voter_effect_options(instance, members[0], budget, cost_cap)
+        options = _voter_effect_options(instance, members[0], meter, cost_cap)
         class_options.append(options)
         nxt: dict[tuple[int, ...], int] = {}
         bp: dict[tuple[int, ...], tuple] = {}
@@ -242,27 +232,27 @@ def _search(
                 d, c, _rep = options[idx]
                 delta = tuple(a + b for a, b in zip(delta, d))
                 cost += c
-            if cost_cap is not None and budget.prune and cost > cost_cap:
+            if cost_cap is not None and cost > cost_cap:
                 continue
             for state, state_cost in states.items():
                 meter.charge()
                 total = state_cost + cost
-                if cost_cap is not None and budget.prune and total > cost_cap:
+                if cost_cap is not None and total > cost_cap:
                     continue
                 key = tuple(a + b for a, b in zip(state, delta))
-                if total < nxt.get(key, INF):
+                if total < nxt.get(key, inf):
                     nxt[key] = total
                     bp[key] = (state, combo)
         states = nxt
         trail.append(bp)
 
-    best_key, best_cost = None, INF
+    best_key, best_cost = None, inf
     for state, cost in states.items():
         scores = dict(zip(parties, (a + b for a, b in zip(base, state))))
         if check_goals_from_scores(scores, instance) and cost < best_cost:
             best_key, best_cost = state, cost
     if best_key is None:
-        return None, None
+        return None
 
     replacements: dict[int, PreferenceOrder] = {}
     key = best_key
@@ -275,15 +265,7 @@ def _search(
             if rep != election.orders[voter]:
                 replacements[voter] = rep
         key = prev
-    plan = BribePlan(replacements, best_cost)
-    verified = plan_cost(
-        instance.cost_model, instance.coalition, election, plan
-    )
-    if verified != best_cost:
-        raise WitnessError("search plan cost disagrees with the table")
-    if not check_goals(apply_plan(election, plan), instance):
-        raise WitnessError("search plan misses the goals")
-    return best_cost, plan
+    return BribePlan(replacements, best_cost)
 
 
 def oracle_solve(
@@ -292,22 +274,24 @@ def oracle_solve(
     """Cheapest cost of any goal-reaching bribe, with witness.
 
     Returns (None, None) when no bribe of any cost reaches the goals.  The
-    instance's own budget field is ignored here; use `solve_np_hard` for the
-    decision problem.
+    instance's own budget field is ignored here.
     """
     if check_goals(instance.election.orders, instance):
         return 0, BribePlan.empty()
-    return _search(instance, budget, cost_cap=None)
+    plan = _search(instance, _Meter(budget), cost_cap=None)
+    return (None, None) if plan is None else (plan.cost, plan)
 
 
 def solve_np_hard(
-    instance: ProblemInstance, budget: SearchBudget = SearchBudget()
-) -> SolveOutcome:
-    """Exact decision for any variant, pruned at the instance's budget."""
-    if check_goals(instance.election.orders, instance):
-        return SolveOutcome.yes(BribePlan.empty())
-    cap = instance.budget if budget.prune else None
-    cost, plan = _search(instance, budget, cost_cap=cap)
-    if cost is None or cost > instance.budget:
-        return SolveOutcome.no()
-    return SolveOutcome.yes(plan)
+    instance: ProblemInstance,
+    cap: Optional[int],
+    budget: SearchBudget = SearchBudget(),
+    stats: Optional[dict] = None,
+) -> Optional[BribePlan]:
+    """Cheapest bribe costing at most `cap` (None: no limit) for any
+    variant, by the exact search, or None."""
+    meter = _Meter(budget)
+    plan = _search(instance, meter, cap)
+    if stats is not None:
+        stats["expansions"] = meter.count
+    return plan

@@ -16,12 +16,12 @@ buying the leader's own cheapest ``-g`` supporters.
 
 The goal test reads nothing but the leader's count and the two active
 totals, which a signature fixes, and costs add across parties; so the
-cheapest cell per signature decides the instance exactly.  Cells above the
-budget are dropped as they appear (costs only grow), and so are cells whose
-gain can no longer reach ``-base`` (the leader's count must stay
-non-negative).  The scan runs over the signatures in descending
-lexicographic order and reconstructs a plan for the first one that meets
-the targets within the budget.
+cheapest cell per signature is the cheapest bribe realizing it.  Cells above
+the cost cap are dropped as they appear (costs only grow), and so are cells
+whose gain can no longer reach ``-base`` (the leader's count must stay
+non-negative).  The scan picks, among the signatures that meet the targets,
+the one whose cell plus leader top-up is cheapest under the cap, and
+reconstructs its plan.
 """
 
 from __future__ import annotations
@@ -30,45 +30,28 @@ from itertools import accumulate
 from math import inf
 from typing import Optional
 
-from .core import DomainError, ProblemInstance, ScoringRule, check_goals
-from .costs import (
-    BribePlan,
-    DollarCost,
-    SolveOutcome,
-    UnitCost,
-    WitnessError,
-    apply_plan,
-    lift_to_top,
-    plan_cost,
-)
-
-
-def _voter_prices(instance: ProblemInstance) -> list[int]:
-    model = instance.cost_model
-    n = instance.election.num_voters
-    if isinstance(model, UnitCost):
-        return [1] * n
-    if isinstance(model, DollarCost):
-        return list(model.prices)
-    raise DomainError("this solver handles unit and dollar bribery only")
+from .core import DomainError, ProblemInstance, ScoringRule
+from .costs import BribePlan, DollarCost, UnitCost, WitnessError, lift_to_top
 
 
 class _Table:
     """Least cost per (g, a_out, a_rest) signature, with backpointers."""
 
-    def __init__(self, instance: ProblemInstance):
+    def __init__(self, instance: ProblemInstance, cap: Optional[int]):
         election = instance.election
         self.n = election.num_voters
         self.threshold_count = instance.plurality_activity_count()
         self.leader = instance.leader
         self.parties = list(instance.outsiders) + list(instance.coalition_rest)
         self.is_rest = set(instance.coalition_rest)
-        prices = _voter_prices(instance)
+        model = instance.cost_model
+        if not isinstance(model, (UnitCost, DollarCost)):
+            raise DomainError("this solver handles unit and dollar bribery only")
         self.supporters: dict[str, list[tuple[int, int]]] = {
             p: [] for p in election.parties
         }
         for i, order in enumerate(election.orders):
-            self.supporters[order.top()].append((prices[i], i))
+            self.supporters[order.top()].append((model.voter_price(i), i))
         for lst in self.supporters.values():
             lst.sort()
         self.prefix = {
@@ -76,7 +59,7 @@ class _Table:
             for p, lst in self.supporters.items()
         }
         self.cells_built = 0
-        self._combine(instance.budget)
+        self._combine(inf if cap is None else cap)
 
     def mincost(self, party: str, count: int) -> int:
         """Sum of the `count` smallest prices among the party's supporters."""
@@ -95,7 +78,7 @@ class _Table:
             table[key] = self.mincost(party, max(0, g))
         return table
 
-    def _combine(self, budget: int) -> None:
+    def _combine(self, cap: float) -> None:
         # The parties after the current one can still raise g by at most
         # their supporter count, and the final g must reach -base.
         floor = -len(self.supporters[self.leader]) - sum(
@@ -112,7 +95,7 @@ class _Table:
             for (g, a_out, a_rest), cost in cells.items():
                 for step, c in single:
                     total = cost + c
-                    if total > budget:
+                    if total > cap:
                         break
                     key = (g + step[0], a_out + step[1], a_rest + step[2])
                     if key[0] < floor:
@@ -127,19 +110,15 @@ class _Table:
 
 
 def solve_plurality_t_dollar(
-    instance: ProblemInstance, stats: Optional[dict] = None
-) -> SolveOutcome:
-    """Decide the instance and emit a verifying plan when feasible.
+    instance: ProblemInstance, cap: Optional[int], stats: Optional[dict] = None
+) -> Optional[BribePlan]:
+    """Cheapest bribe costing at most `cap` (None: no limit), or None.
 
     Works for any threshold, including zero, under unit or dollar pricing.
     """
     if instance.rule is not ScoringRule.PLURALITY:
         raise DomainError("plurality instances only")
-    election = instance.election
-    if check_goals(election.orders, instance):
-        return SolveOutcome.yes(BribePlan.empty())
-
-    table = _Table(instance)
+    table = _Table(instance, cap)
     if stats is not None:
         stats["table_cells"] = table.cells_built
         stats["signatures"] = len(table.cells)
@@ -148,11 +127,12 @@ def solve_plurality_t_dollar(
     t_count = table.threshold_count
     phi_num, phi_den = instance.phi.numerator, instance.phi.denominator
     rho_num, rho_den = instance.rho.numerator, instance.rho.denominator
+    best_key, best_cost = None, inf if cap is None else cap + 1
     for key in sorted(table.cells, reverse=True):
         g, a_out, a_rest = key
-        if g < 0 and (
-            table.cells[key] + table.mincost(instance.leader, -g) > instance.budget
-        ):
+        cell = table.cells[key]
+        cost = cell + table.mincost(instance.leader, -g) if g < 0 else cell
+        if cost >= best_cost:
             continue
         leader_count = base_leader + g
         leader_active = leader_count if leader_count >= t_count else 0
@@ -165,11 +145,13 @@ def solve_plurality_t_dollar(
                 leader_active * rho_den >= rho_num * coalition_active
             )
         if ok:
-            return SolveOutcome.yes(_reconstruct(instance, table, key))
-    return SolveOutcome.no()
+            best_key, best_cost = key, cost
+    if best_key is None:
+        return None
+    return _reconstruct(instance, table, best_key, best_cost)
 
 
-def _reconstruct(instance: ProblemInstance, table: _Table, key) -> BribePlan:
+def _reconstruct(instance: ProblemInstance, table: _Table, key, cost: int) -> BribePlan:
     election = instance.election
     leader = instance.leader
 
@@ -204,14 +186,4 @@ def _reconstruct(instance: ProblemInstance, table: _Table, key) -> BribePlan:
         new_order = lift_to_top(election.orders[pick], target)
         if new_order != election.orders[pick]:
             replacements[pick] = new_order
-
-    cost = plan_cost(
-        instance.cost_model, instance.coalition, election,
-        BribePlan(replacements, 0),
-    )
-    if cost is None or cost > instance.budget:
-        raise WitnessError("reconstructed plan exceeds the budget")
-    plan = BribePlan(replacements, cost)
-    if not check_goals(apply_plan(election, plan), instance):
-        raise WitnessError("reconstructed plan misses the goals")
-    return plan
+    return BribePlan(replacements, cost)

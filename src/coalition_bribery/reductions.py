@@ -35,19 +35,21 @@ class ExactCover34Instance:
     def __post_init__(self):
         n = self.universe_size
         if n <= 0 or n % 4 != 0:
-            raise DomainError("universe size must be a positive multiple of 4")
+            raise DomainError("universe size must be a positive multiple of 4", "universe")
         if len(self.subsets) != 3 * n // 4:
-            raise DomainError("need exactly 3n/4 subsets")
+            raise DomainError("need exactly 3n/4 subsets", "universe")
         occurrences = {z: 0 for z in range(1, n + 1)}
-        for subset in self.subsets:
+        for j, subset in enumerate(self.subsets):
             if len(set(subset)) != 4:
-                raise DomainError("every subset must have exactly 4 distinct elements")
+                raise DomainError(
+                    "every subset must have exactly 4 distinct elements", f"subset {j}"
+                )
             for z in subset:
                 if z not in occurrences:
-                    raise DomainError(f"element {z} outside the universe")
+                    raise DomainError(f"element {z} outside the universe", f"subset {j}")
                 occurrences[z] += 1
         if any(c != 3 for c in occurrences.values()):
-            raise DomainError("every element must occur in exactly 3 subsets")
+            raise DomainError("every element must occur in exactly 3 subsets", "universe")
 
     def covers(self, chosen: Sequence[int]) -> bool:
         """Whether the chosen subset indices partition the universe."""
@@ -76,12 +78,12 @@ class MinBisectionInstance:
 
     def __post_init__(self):
         if self.num_vertices <= 0 or self.num_vertices % 2 != 0:
-            raise DomainError("vertex count must be positive and even")
+            raise DomainError("vertex count must be positive and even", "vertices")
         if self.bound < 0:
-            raise DomainError("crossing bound must be non-negative")
+            raise DomainError("crossing bound must be non-negative", "bound")
         for u, v in self.edges:
             if u == v or not (1 <= u <= self.num_vertices and 1 <= v <= self.num_vertices):
-                raise DomainError(f"bad edge ({u}, {v})")
+                raise DomainError(f"bad edge ({u}, {v})", f"edge {u} {v}")
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges

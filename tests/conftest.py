@@ -19,6 +19,8 @@ from coalition_bribery.costs import (
     plan_cost,
     apply_plan,
 )
+from coalition_bribery.dispatch import solver_for
+from coalition_bribery.oracle import SearchBudget
 
 
 def make_election(parties, rankings):
@@ -84,6 +86,12 @@ def assert_verifies(instance, plan):
     assert cost == plan.cost
     assert cost <= instance.budget
     assert check_goals(apply_plan(instance.election, plan), instance)
+
+
+def solve_at_budget(name, instance):
+    """The named solver's verified plan within the instance's own budget
+    (dispatch's zero-cost exit and witness check included), or None."""
+    return solver_for(name, SearchBudget())(instance, instance.budget)
 
 
 @pytest.fixture

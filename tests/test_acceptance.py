@@ -16,19 +16,25 @@ from fractions import Fraction
 
 import pytest
 
-from coalition_bribery.borda import attainable, leader_and_rest_scores, solve_borda_zero
+from coalition_bribery.borda import attainable, leader_and_rest_scores
 from coalition_bribery.core import PreferenceOrder, ScoringRule, check_goals, tally
 from coalition_bribery.costs import apply_plan
-from coalition_bribery.dispatch import dispatch, minimal_feasible_budget, solver_for
+from coalition_bribery.dispatch import (
+    BORDA_DP,
+    ORACLE,
+    PLURALITY_DP,
+    PLURALITY_FLOW,
+    dispatch,
+    minimal_feasible_budget,
+    solver_for,
+)
 from coalition_bribery.flow import min_cost_flow, validate_flow
 from coalition_bribery.generators import (
     POLYNOMIAL_VARIANTS,
     random_instance,
     with_budget,
 )
-from coalition_bribery.oracle import OracleRefusal, SearchBudget, oracle_solve, solve_np_hard
-from coalition_bribery.plurality_dp import solve_plurality_t_dollar
-from coalition_bribery.plurality_flow import solve_plurality_zero
+from coalition_bribery.oracle import OracleRefusal, SearchBudget, oracle_solve
 from coalition_bribery.reductions import (
     ExactCover34Instance,
     MinBisectionInstance,
@@ -47,7 +53,7 @@ from coalition_bribery.sample_instances import (
     unanimous_four_party_borda_cb,
 )
 
-from conftest import assert_verifies, random_problem
+from conftest import assert_verifies, random_problem, solve_at_budget
 from test_flow import brute_force_min_cost, random_network
 
 
@@ -69,15 +75,15 @@ def test_criterion_01_unit_bribery_worked_example():
     with criterion(1, "unit bribery on the 35/15/50 instance"):
         start = time.monotonic()
         minimum = minimal_feasible_budget(
-            three_party_unit_cb(0), solve_plurality_t_dollar
+            three_party_unit_cb(0), solver_for(PLURALITY_DP, SearchBudget())
         )
         assert minimum == 5
         inst = three_party_unit_cb(5)
-        out = solve_plurality_t_dollar(inst)
-        assert out.feasible
-        assert_verifies(inst, out.plan)
+        plan = solve_at_budget(PLURALITY_DP, inst)
+        assert plan is not None
+        assert_verifies(inst, plan)
         counts = tally(
-            apply_plan(inst.election, out.plan), inst.election.parties, inst.rule
+            apply_plan(inst.election, plan), inst.election.parties, inst.rule
         )
         active_total = sum(v for v in counts.values() if v >= 20)
         share = Fraction(counts["X"] + counts["Y"], active_total)
@@ -88,17 +94,17 @@ def test_criterion_01_unit_bribery_worked_example():
 def test_criterion_02_dollar_bribery_exact_half():
     with criterion(2, "dollar bribery buys five of the leader's own voters"):
         minimum = minimal_feasible_budget(
-            three_party_dollar_cb(0), solve_plurality_t_dollar
+            three_party_dollar_cb(0), solver_for(PLURALITY_DP, SearchBudget())
         )
         assert minimum == 5
         inst = three_party_dollar_cb(5)
-        out = solve_plurality_t_dollar(inst)
-        assert out.feasible and out.plan.cost == 5
-        bought = sorted(out.plan.replacements)
+        plan = solve_at_budget(PLURALITY_DP, inst)
+        assert plan is not None and plan.cost == 5
+        bought = sorted(plan.replacements)
         assert len(bought) == 5
         assert all(inst.election.orders[i].top() == "X" for i in bought)
         counts = tally(
-            apply_plan(inst.election, out.plan), inst.election.parties, inst.rule
+            apply_plan(inst.election, plan), inst.election.parties, inst.rule
         )
         assert counts == {"X": 30, "Y": 20, "Z": 50}
         share = Fraction(counts["X"] + counts["Y"], sum(counts.values()))
@@ -108,7 +114,7 @@ def test_criterion_02_dollar_bribery_exact_half():
 def test_criterion_03_preferred_party_budget_seven():
     with criterion(3, "preferred-party variant costs seven, final tally rederived"):
         minimum = minimal_feasible_budget(
-            three_party_dollar_cbp(0), solve_plurality_t_dollar
+            three_party_dollar_cbp(0), solver_for(PLURALITY_DP, SearchBudget())
         )
         assert minimum == 7
         # the one-fifth replica pins the outsider tally by conservation
@@ -125,19 +131,19 @@ def test_criterion_03_preferred_party_budget_seven():
         )
         assert replica_counts["Z"] == 10 - bribed_z
         inst = three_party_dollar_cbp(7)
-        out = solve_plurality_t_dollar(inst)
-        assert out.feasible
-        assert check_goals(apply_plan(inst.election, out.plan), inst)
+        plan = solve_at_budget(PLURALITY_DP, inst)
+        assert plan is not None
+        assert check_goals(apply_plan(inst.election, plan), inst)
         counts = tally(
-            apply_plan(inst.election, out.plan), inst.election.parties, inst.rule
+            apply_plan(inst.election, plan), inst.election.parties, inst.rule
         )
         assert counts == {"X": 32, "Y": 20, "Z": 48}
 
 
 def test_criterion_04_borda_unanimous_profile():
     with criterion(4, "rank-scoring coalition feasible at one bribe, not zero"):
-        assert solve_borda_zero(unanimous_four_party_borda_cb(1)).feasible
-        assert not solve_borda_zero(unanimous_four_party_borda_cb(0)).feasible
+        assert solve_at_budget(BORDA_DP, unanimous_four_party_borda_cb(1)) is not None
+        assert solve_at_budget(BORDA_DP, unanimous_four_party_borda_cb(0)) is None
 
 
 def test_criterion_05_sixteen_voter_shift_instance():
@@ -148,7 +154,7 @@ def test_criterion_05_sixteen_voter_shift_instance():
         assert cost == 3
         witness = sorted(inst.election.voters[i] for i in plan.replacements)
         assert witness == ["v1", "v7", "v8"]
-        assert not solve_np_hard(sixteen_voter_shift_cbp(2)).feasible
+        assert solve_at_budget(ORACLE, sixteen_voter_shift_cbp(2)) is None
         assert time.monotonic() - start < 60
 
 
@@ -216,7 +222,7 @@ def test_criterion_08a_cover_round_trip():
         start = time.monotonic()
         cover = next(COVERED4.exact_covers())
         shift_inst = reduce_x3c_to_plurality_shift_cb(COVERED4)
-        assert solve_np_hard(shift_inst).feasible
+        assert solve_at_budget(ORACLE, shift_inst) is not None
         plan = map_cover_to_bribe(cover, shift_inst, "plurality-shift", COVERED4)
         assert plan.cost <= shift_inst.budget
         assert check_goals(apply_plan(shift_inst.election, plan), shift_inst)
@@ -235,14 +241,15 @@ def test_criterion_08a_cover_round_trip():
     "feasibility is certified by the mapped witness instead",
 )
 def test_criterion_08a_borda_reduction_via_search():
-    assert solve_np_hard(reduce_x3c_to_borda_unit_cb(COVERED4)).feasible
+    assert solve_at_budget(ORACLE, reduce_x3c_to_borda_unit_cb(COVERED4)) is not None
 
 
 def test_criterion_08b_coverless_round_trip():
     with criterion(8, "(b) exhaustively certified coverless source: infeasible"):
         start = time.monotonic()
         assert list(COVERLESS8.exact_covers()) == []
-        assert not solve_np_hard(reduce_x3c_to_plurality_shift_cb(COVERLESS8)).feasible
+        coverless = reduce_x3c_to_plurality_shift_cb(COVERLESS8)
+        assert solve_at_budget(ORACLE, coverless) is None
         _charge_criterion8(time.monotonic() - start)
 
 
@@ -253,7 +260,7 @@ def test_criterion_08b_coverless_round_trip():
     "expansion budget for the exact search",
 )
 def test_criterion_08b_borda_reduction_via_search():
-    assert not solve_np_hard(reduce_x3c_to_borda_unit_cb(COVERLESS8)).feasible
+    assert solve_at_budget(ORACLE, reduce_x3c_to_borda_unit_cb(COVERLESS8)) is None
 
 
 def test_criterion_08c_bisection_round_trip():
@@ -261,10 +268,11 @@ def test_criterion_08c_bisection_round_trip():
         start = time.monotonic()
         yes = MinBisectionInstance(2, frozenset(), 0)
         assert yes.has_bisection()
-        assert solve_np_hard(reduce_minbisection_to_borda_swap_cb(yes)).feasible
+        image = reduce_minbisection_to_borda_swap_cb(yes)
+        assert solve_at_budget(ORACLE, image) is not None
         no = MinBisectionInstance(2, frozenset({(1, 2)}), 0)
         assert not no.has_bisection()
-        assert not solve_np_hard(reduce_minbisection_to_borda_swap_cb(no)).feasible
+        assert solve_at_budget(ORACLE, reduce_minbisection_to_borda_swap_cb(no)) is None
         _charge_criterion8(time.monotonic() - start)
 
 
@@ -291,9 +299,9 @@ def test_criterion_09_flow_engine_and_decoding():
                 assert flow is not None and flow.cost == expected
                 assert validate_flow(net, flow)
                 assert all(isinstance(v, int) for v in flow.values)
-        # decoded replacement plans reproduce the scanned top signature; the
-        # solver raises if the round trip breaks, so a feasible answer passing
-        # verification is the assertion
+        # decoded replacement plans must re-verify: dispatch raises if the
+        # round trip breaks, so a feasible answer passing verification is the
+        # assertion
         for kind in ("swap", "shift"):
             sub = random.Random(f"decode:{kind}")
             for _ in range(60):
@@ -305,9 +313,10 @@ def test_criterion_09_flow_engine_and_decoding():
                     inst.cost_model.max_voter_cost(i, inst.election.num_parties)
                     for i in range(inst.election.num_voters)
                 )
-                out = solve_plurality_zero(with_budget(inst, upper))
-                if out.feasible:
-                    assert_verifies(with_budget(inst, upper), out.plan)
+                bounded = with_budget(inst, upper)
+                plan = solve_at_budget(PLURALITY_FLOW, bounded)
+                if plan is not None:
+                    assert_verifies(bounded, plan)
 
 
 def test_criterion_10_property_suites_substitute_for_asymptotics():

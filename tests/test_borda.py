@@ -16,7 +16,6 @@ from coalition_bribery.borda import (
     realize_pair,
     shift_bounds,
     shift_menu,
-    solve_borda_zero,
     _VoterMenu,
 )
 
@@ -39,11 +38,12 @@ def test_realize_pair_hits_every_attainable_cell():
                     )
 from coalition_bribery.core import PreferenceOrder, ProblemInstance, ScoringRule
 from coalition_bribery.costs import UnitCost, inverted_pairs, iter_shift_orders
+from coalition_bribery.dispatch import BORDA_DP
 from coalition_bribery.generators import with_budget
 from coalition_bribery.oracle import oracle_solve
 from coalition_bribery.sample_instances import unanimous_four_party_borda_cb
 
-from conftest import assert_verifies, random_problem
+from conftest import assert_verifies, random_problem, solve_at_budget
 
 
 class TestAttainable:
@@ -234,12 +234,12 @@ def test_layers_stay_within_budget_and_front(seed, budget, kind):
 class TestSolver:
     def test_budget_one_feasible(self):
         inst = unanimous_four_party_borda_cb(1)
-        out = solve_borda_zero(inst)
-        assert out.feasible
-        assert_verifies(inst, out.plan)
+        plan = solve_at_budget(BORDA_DP, inst)
+        assert plan is not None
+        assert_verifies(inst, plan)
 
     def test_budget_zero_infeasible(self):
-        assert not solve_borda_zero(unanimous_four_party_borda_cb(0)).feasible
+        assert solve_at_budget(BORDA_DP, unanimous_four_party_borda_cb(0)) is None
 
     def test_zero_targets_feasible_for_free(self):
         base = unanimous_four_party_borda_cb(0)
@@ -248,8 +248,8 @@ class TestSolver:
             coalition=base.coalition, phi=Fraction(0), rho=Fraction(0),
             budget=0, cost_model=UnitCost(),
         )
-        out = solve_borda_zero(inst)
-        assert out.feasible and len(out.plan) == 0
+        plan = solve_at_budget(BORDA_DP, inst)
+        assert plan is not None and len(plan) == 0
 
 
 def test_cb_equals_cbp_with_zero_ratio():
@@ -265,8 +265,8 @@ def test_cb_equals_cbp_with_zero_ratio():
         )
         for budget in range(0, inst.election.num_voters + 1):
             assert (
-                solve_borda_zero(with_budget(inst, budget)).feasible
-                == solve_borda_zero(with_budget(as_cbp, budget)).feasible
+                (solve_at_budget(BORDA_DP, with_budget(inst, budget)) is None)
+                == (solve_at_budget(BORDA_DP, with_budget(as_cbp, budget)) is None)
             )
 
 
@@ -285,10 +285,10 @@ def test_oracle_equivalence_small(kind, cbp):
         )
         feasible = [
             b for b in range(upper + 1)
-            if solve_borda_zero(with_budget(inst, b)).feasible
+            if solve_at_budget(BORDA_DP, with_budget(inst, b)) is not None
         ]
         solver_min = feasible[0] if feasible else None
         assert solver_min == optimum
         if feasible:
-            out = solve_borda_zero(with_budget(inst, solver_min))
-            assert_verifies(with_budget(inst, solver_min), out.plan)
+            plan = solve_at_budget(BORDA_DP, with_budget(inst, solver_min))
+            assert_verifies(with_budget(inst, solver_min), plan)

@@ -7,7 +7,7 @@ import pytest
 import coalition_bribery.cli as cli
 import coalition_bribery.dispatch as dispatch_module
 from coalition_bribery.core import ScoringRule
-from coalition_bribery.costs import BribePlan, SolveOutcome, WitnessError, lift_to_top
+from coalition_bribery.costs import BribePlan, WitnessError, lift_to_top
 from coalition_bribery.dispatch import (
     BORDA_DP,
     ORACLE,
@@ -99,28 +99,30 @@ def test_oracle_refusal_exit_three(tmp_path, capsys):
     assert "expansions" in capsys.readouterr().err
 
 
-def _over_budget_solver_for(name, budget):
-    """A broken solver: it buys every Z voter, far beyond the budget."""
+def _over_budget_engine(instance, cap, budget=None, stats=None):
+    """A broken engine: it buys every Z voter, far beyond the cap, and
+    states that cost truthfully."""
+    orders = instance.election.orders
+    replacements = {
+        i: lift_to_top(order, "X")
+        for i, order in enumerate(orders) if order.top() == "Z"
+    }
+    return BribePlan(replacements, len(replacements))
 
-    def solve(instance):
-        orders = instance.election.orders
-        replacements = {
-            i: lift_to_top(order, "X")
-            for i, order in enumerate(orders) if order.top() == "Z"
-        }
-        return SolveOutcome.yes(BribePlan(replacements, 0))
 
-    return solve
+def _break_engines(monkeypatch):
+    for engine in dispatch_module.ENGINES.values():
+        monkeypatch.setattr(dispatch_module, engine, _over_budget_engine)
 
 
 def test_failed_witness_raises_witness_error(monkeypatch):
-    monkeypatch.setattr(dispatch_module, "solver_for", _over_budget_solver_for)
+    _break_engines(monkeypatch)
     with pytest.raises(WitnessError):
         solve_instance(three_party_unit_cb(5))
 
 
 def test_failed_witness_exit_four(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(dispatch_module, "solver_for", _over_budget_solver_for)
+    _break_engines(monkeypatch)
     path = write(tmp_path, "w.txt", three_party_unit_cb(5))
     for command in ("solve", "oracle"):
         assert cli.main([command, path]) == 4
@@ -154,7 +156,7 @@ def test_crossval_zero_count(tmp_path, capsys):
 
 def test_crossval_detects_corrupted_solver(tmp_path, capsys, monkeypatch):
     def lying_solver_for(name, budget):
-        return lambda instance: SolveOutcome.no()
+        return lambda instance, cap, stats=None: None
 
     monkeypatch.setattr(cli, "solver_for", lying_solver_for)
     code = cli.main(
@@ -202,3 +204,18 @@ def test_bench_empty_list(capsys):
     assert cli.main(["bench", "--reps", "2"]) == 0
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 1
+
+
+def test_out_of_range_rho_without_preferred_exit_two(tmp_path, capsys):
+    path = tmp_path / "rho.txt"
+    text = serialize_instance(three_party_unit_cb(5))
+    path.write_text(text.replace("rho: 0/1", "rho: 3/2", 1))
+    assert cli.main(["solve", str(path)]) == 2
+    assert "line 4: rho must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_reduce_reports_the_offending_subset_line(tmp_path, capsys):
+    source = tmp_path / "cover.txt"
+    source.write_text("universe: 4\nsubset: 1 2 3 4\nsubset: 1 2 3 9\nsubset: 1 2 3 4\n")
+    assert cli.main(["reduce", "x3c-borda-unit", str(source)]) == 2
+    assert "line 3: element 9 outside the universe" in capsys.readouterr().err

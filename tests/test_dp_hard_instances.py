@@ -1,30 +1,32 @@
-"""The plurality-threshold and Borda-zero tables against the exact search,
-on seeded tiny instances whose goals are unmet at zero cost (no bribe of
-cost 0 meets them), so every case exercises the tables rather than an early
-exit."""
+"""The plurality-threshold and Borda-zero tables and the plurality flow
+engine against the exact search, on seeded tiny instances whose goals are
+unmet at zero cost (no bribe of cost 0 meets them), so every case exercises
+the engine rather than an early exit."""
 
 import random
 
 import pytest
 
-from coalition_bribery.borda import solve_borda_zero
 from coalition_bribery.core import ScoringRule, check_goals
-from coalition_bribery.dispatch import minimal_feasible_budget
+from coalition_bribery.dispatch import BORDA_DP, PLURALITY_DP, PLURALITY_FLOW, solver_for
 from coalition_bribery.generators import with_budget
-from coalition_bribery.oracle import oracle_solve
-from coalition_bribery.plurality_dp import solve_plurality_t_dollar
+from coalition_bribery.oracle import SearchBudget, oracle_solve
 
 from conftest import assert_verifies, random_problem
 
 CASES = 40
 
 VARIANTS = [
-    (ScoringRule.PLURALITY, True, kind, cbp, solve_plurality_t_dollar, 8)
+    (ScoringRule.PLURALITY, True, kind, cbp, PLURALITY_DP, 8)
     for kind in ("unit", "dollar")
     for cbp in (False, True)
 ] + [
-    (ScoringRule.BORDA, False, kind, cbp, solve_borda_zero, 4)
+    (ScoringRule.BORDA, False, kind, cbp, BORDA_DP, 4)
     for kind in ("unit", "dollar", "shift")
+    for cbp in (False, True)
+] + [
+    (ScoringRule.PLURALITY, False, kind, cbp, PLURALITY_FLOW, 5)
+    for kind in ("swap", "shift")
     for cbp in (False, True)
 ]
 
@@ -51,10 +53,13 @@ def hard_instances(rule, thresholded, kind, cbp, max_voters):
     ids=[f"{v[0].value}-{v[2]}-{'cbp' if v[3] else 'cb'}" for v in VARIANTS],
 )
 def test_least_budget_matches_oracle(rule, thresholded, kind, cbp, solver, max_voters):
+    solve = solver_for(solver, SearchBudget())
     for inst, optimum in hard_instances(rule, thresholded, kind, cbp, max_voters):
-        assert minimal_feasible_budget(inst, solver) == optimum
+        plan = solve(inst, None)
+        assert (None if plan is None else plan.cost) == optimum
         if optimum is not None:
             at_optimum = with_budget(inst, optimum)
-            out = solver(at_optimum)
-            assert out.feasible
-            assert_verifies(at_optimum, out.plan)
+            assert_verifies(at_optimum, plan)
+            capped = solve(inst, optimum)
+            assert capped is not None and capped.cost == optimum
+            assert solve(inst, optimum - 1) is None

@@ -119,3 +119,19 @@ def test_optimality_property(net):
             direct = [e.cost for e in net.edges if e.tail == net.source and e.head == net.sink]
             if direct:
                 assert flow.cost >= 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_networks(), st.integers(0, 12))
+def test_cap_property(net, cap):
+    """Below the optimum a cap yields None; at or above it the optimum."""
+    expected = brute_force_min_cost(net)
+    flow = min_cost_flow(net, cap)
+    if expected is None or cap < expected:
+        assert flow is None
+    else:
+        assert flow is not None and flow.cost == expected
+        assert validate_flow(net, flow)
+    if expected is not None:
+        assert min_cost_flow(net, expected - 1) is None
+        assert min_cost_flow(net, expected).cost == expected

@@ -224,3 +224,46 @@ def test_min_bisection_source_format():
     assert x.num_vertices == 4 and x.bound == 1 and len(x.edges) == 2
     with pytest.raises(InstanceParseError):
         parse_min_bisection("vertices: 3\nbound: 0\n")
+
+
+@pytest.mark.parametrize("rho", ["3/2", "-1/2"])
+def test_rho_out_of_range_without_preferred(rho):
+    with pytest.raises(InstanceParseError) as err:
+        parse_instance(BASIC.replace("rho: 0/1", f"rho: {rho}"))
+    assert err.value.line == 4 and "rho must lie in [0, 1]" in str(err.value)
+
+
+def test_rho_in_range_without_preferred_reads_as_zero():
+    assert parse_instance(BASIC.replace("rho: 0/1", "rho: 1/2")).rho == 0
+
+
+@pytest.mark.parametrize(
+    "text, bad_line",
+    [
+        ("universe: 4\nsubset: 1 2 3 4\nsubset: 1 2 3 9\nsubset: 1 2 3 4\n", 3),
+        ("universe: 4\nsubset: 1 2 3 4\nsubset: 1 2 3 4\nsubset: 1 1 2 3\n", 4),
+        ("# source\nuniverse: 4\nsubset: 1 2 3 4\n", 2),
+        ("universe: 8\n" + "subset: 1 2 3 4\n" * 6, 1),
+    ],
+    ids=["outside-element", "repeated-element", "subset-count", "element-count"],
+)
+def test_exact_cover_errors_carry_their_line(text, bad_line):
+    with pytest.raises(InstanceParseError) as err:
+        parse_exact_cover(text)
+    assert str(err.value).startswith(f"line {bad_line}: ")
+
+
+@pytest.mark.parametrize(
+    "text, bad_line",
+    [
+        ("vertices: 3\nbound: 0\n", 1),
+        ("vertices: 4\nbound: -1\n", 2),
+        ("vertices: 4\nbound: 1\nedge: 1 2\nedge: 3 3\nedge: 2 4\n", 4),
+        ("vertices: 4\nbound: 1\nedge: 1 2\n\nedge: 2 7\n", 5),
+    ],
+    ids=["odd-vertices", "negative-bound", "loop", "outside-vertex"],
+)
+def test_min_bisection_errors_carry_their_line(text, bad_line):
+    with pytest.raises(InstanceParseError) as err:
+        parse_min_bisection(text)
+    assert str(err.value).startswith(f"line {bad_line}: ")

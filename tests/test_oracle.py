@@ -14,6 +14,7 @@ from coalition_bribery.core import (
     check_goals,
 )
 from coalition_bribery.costs import (
+    DollarCost,
     ShiftCost,
     SwapCost,
     UnitCost,
@@ -21,10 +22,12 @@ from coalition_bribery.costs import (
     inverted_pairs,
     plan_cost,
 )
+from coalition_bribery.dispatch import ORACLE, solve_instance
 from coalition_bribery.generators import with_budget
 from coalition_bribery.oracle import (
     OracleRefusal,
     SearchBudget,
+    _Meter,
     enumerate_voter_options,
     oracle_solve,
     solve_np_hard,
@@ -35,7 +38,7 @@ from coalition_bribery.sample_instances import (
     unanimous_four_party_plurality_cb,
 )
 
-from conftest import make_election, random_problem
+from conftest import make_election, random_problem, solve_at_budget
 
 
 def naive_optimum(instance):
@@ -100,8 +103,31 @@ class TestEnumerateOptions:
             cost_model=UnitCost(),
         )
         with pytest.raises(OracleRefusal) as err:
-            enumerate_voter_options(inst, 0, SearchBudget(max_expansions=10_000))
+            enumerate_voter_options(inst, 0, _Meter(SearchBudget(max_expansions=10_000)))
         assert err.value.required == math.factorial(11)
+
+    def test_one_meter_per_solve(self):
+        # Three voter classes, each enumerating 4! = 24 orders; the budget of
+        # 1 leaves each class only its current order, so the sweep adds one
+        # expansion per class.  No single enumeration reaches the limit of
+        # 50, but the solve's 75 expansions do.
+        parties = ("a", "b", "c", "d")
+        election = make_election(
+            parties, [("b", "a", "c", "d"), ("c", "a", "b", "d"), ("d", "a", "b", "c")]
+        )
+        inst = ProblemInstance(
+            election=election, rule=ScoringRule.BORDA, threshold=Fraction(0),
+            coalition=("a",), phi=Fraction(1, 2), rho=Fraction(0), budget=1,
+            cost_model=DollarCost((5, 5, 5)),
+        )
+        assert not check_goals(election.orders, inst)
+        assert len(enumerate_voter_options(inst, 0, _Meter(SearchBudget(50)))) == 24
+        stats = {}
+        assert solve_np_hard(inst, inst.budget, SearchBudget(), stats=stats) is None
+        assert stats["expansions"] == 75
+        with pytest.raises(OracleRefusal) as err:
+            solve_instance(inst, SearchBudget(max_expansions=50), force_oracle=True)
+        assert err.value.limit == 50 and err.value.required > 50
 
 
 class TestOracleSolve:
@@ -151,10 +177,10 @@ class TestSolveNpHard:
         ]
 
     def test_sixteen_voter_tight_budget(self):
-        assert not solve_np_hard(sixteen_voter_shift_cbp(2)).feasible
+        assert solve_at_budget(ORACLE, sixteen_voter_shift_cbp(2)) is None
 
     def test_zero_budget_unsatisfied(self):
-        assert not solve_np_hard(unanimous_four_party_borda_cb(0)).feasible
+        assert solve_at_budget(ORACLE, unanimous_four_party_borda_cb(0)) is None
 
     def test_pruning_matches_unpruned(self):
         rng = random.Random("prune")
@@ -163,6 +189,9 @@ class TestSolveNpHard:
                                   max_voters=3, max_parties=3)
             budget = rng.randint(0, 3)
             inst = with_budget(inst, budget)
-            pruned = solve_np_hard(inst)
-            unpruned = solve_np_hard(inst, SearchBudget(prune=False))
-            assert pruned.feasible == unpruned.feasible
+            pruned = solve_np_hard(inst, budget)
+            unpruned = solve_np_hard(inst, None)
+            if unpruned is None or unpruned.cost > budget:
+                assert pruned is None
+            else:
+                assert pruned is not None and pruned.cost == unpruned.cost

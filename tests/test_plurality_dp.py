@@ -12,9 +12,10 @@ from coalition_bribery.core import (
     tally,
 )
 from coalition_bribery.costs import DollarCost, UnitCost, apply_plan
+from coalition_bribery.dispatch import PLURALITY_DP
 from coalition_bribery.generators import with_budget
 from coalition_bribery.oracle import oracle_solve
-from coalition_bribery.plurality_dp import _Table, solve_plurality_t_dollar
+from coalition_bribery.plurality_dp import _Table
 from coalition_bribery.sample_instances import (
     three_party_dollar_cb,
     three_party_dollar_cbp,
@@ -22,7 +23,7 @@ from coalition_bribery.sample_instances import (
     unanimous_four_party_plurality_cb,
 )
 
-from conftest import assert_verifies, make_election, random_problem
+from conftest import assert_verifies, make_election, random_problem, solve_at_budget
 
 
 def small_instance(prices, threshold, coalition=("a", "b"), preferred=None,
@@ -48,9 +49,9 @@ def small_instance(prices, threshold, coalition=("a", "b"), preferred=None,
     )
 
 
-def _table(instance, budget=10**6):
+def _table(instance, budget=None):
     """The signature table of an instance, uncapped unless a budget is given."""
-    return _Table(with_budget(instance, budget))
+    return _Table(instance, budget)
 
 
 class TestMincost:
@@ -134,44 +135,44 @@ class TestGValue:
 
 class TestWorkedExamples:
     def test_unit_budget_five(self):
-        out = solve_plurality_t_dollar(three_party_unit_cb(5))
-        assert out.feasible
-        assert_verifies(three_party_unit_cb(5), out.plan)
+        plan = solve_at_budget(PLURALITY_DP, three_party_unit_cb(5))
+        assert plan is not None
+        assert_verifies(three_party_unit_cb(5), plan)
         inst = three_party_unit_cb(5)
         seats = seat_fractions(
-            apply_plan(inst.election, out.plan), inst.election.parties,
+            apply_plan(inst.election, plan), inst.election.parties,
             inst.rule, inst.threshold,
         )
         assert seats["X"] + seats["Y"] == Fraction(55, 100)
 
     def test_unit_budget_four_fails(self):
-        assert not solve_plurality_t_dollar(three_party_unit_cb(4)).feasible
+        assert solve_at_budget(PLURALITY_DP, three_party_unit_cb(4)) is None
 
     def test_dollar_witness_buys_own_supporters(self):
         inst = three_party_dollar_cb(5)
-        out = solve_plurality_t_dollar(inst)
-        assert out.feasible and out.plan.cost == 5
-        bought = set(out.plan.replacements)
+        plan = solve_at_budget(PLURALITY_DP, inst)
+        assert plan is not None and plan.cost == 5
+        bought = set(plan.replacements)
         assert len(bought) == 5
         assert all(inst.election.orders[i].top() == "X" for i in bought)
         seats = seat_fractions(
-            apply_plan(inst.election, out.plan), inst.election.parties,
+            apply_plan(inst.election, plan), inst.election.parties,
             inst.rule, inst.threshold,
         )
         assert seats["X"] + seats["Y"] == Fraction(1, 2)
 
     def test_cbp_budget_seven(self):
         inst = three_party_dollar_cbp(7)
-        out = solve_plurality_t_dollar(inst)
-        assert out.feasible and out.plan.cost == 7
-        assert_verifies(inst, out.plan)
+        plan = solve_at_budget(PLURALITY_DP, inst)
+        assert plan is not None and plan.cost == 7
+        assert_verifies(inst, plan)
         counts = tally(
-            apply_plan(inst.election, out.plan), inst.election.parties, inst.rule
+            apply_plan(inst.election, plan), inst.election.parties, inst.rule
         )
         assert counts == {"X": 32, "Y": 20, "Z": 48}
 
     def test_cbp_budget_six_fails(self):
-        assert not solve_plurality_t_dollar(three_party_dollar_cbp(6)).feasible
+        assert solve_at_budget(PLURALITY_DP, three_party_dollar_cbp(6)) is None
 
     def test_satisfied_instance_needs_no_bribe(self):
         inst = unanimous_four_party_plurality_cb(0)
@@ -180,13 +181,13 @@ class TestWorkedExamples:
             coalition=("c4",), phi=Fraction(1, 2), rho=Fraction(0),
             budget=0, cost_model=UnitCost(),
         )
-        out = solve_plurality_t_dollar(relaxed)
-        assert out.feasible and len(out.plan) == 0
+        plan = solve_at_budget(PLURALITY_DP, relaxed)
+        assert plan is not None and len(plan) == 0
 
 
 def test_zero_threshold_special_case():
-    out = solve_plurality_t_dollar(unanimous_four_party_plurality_cb(1))
-    assert out.feasible and out.plan.cost == 1
+    plan = solve_at_budget(PLURALITY_DP, unanimous_four_party_plurality_cb(1))
+    assert plan is not None and plan.cost == 1
 
 
 def test_price_increase_never_shrinks_f():
@@ -217,8 +218,8 @@ def test_cb_equals_cbp_with_zero_ratio(rng):
             cost_model=inst.cost_model,
         )
         for budget in range(0, inst.election.num_voters + 1):
-            a = solve_plurality_t_dollar(with_budget(inst, budget)).feasible
-            b = solve_plurality_t_dollar(with_budget(as_cbp, budget)).feasible
+            a = solve_at_budget(PLURALITY_DP, with_budget(inst, budget)) is not None
+            b = solve_at_budget(PLURALITY_DP, with_budget(as_cbp, budget)) is not None
             assert a == b
 
 
@@ -237,10 +238,10 @@ def test_oracle_equivalence_small(kind, cbp):
         )
         feasible_budgets = [
             b for b in range(upper + 1)
-            if solve_plurality_t_dollar(with_budget(inst, b)).feasible
+            if solve_at_budget(PLURALITY_DP, with_budget(inst, b)) is not None
         ]
         solver_min = feasible_budgets[0] if feasible_budgets else None
         assert solver_min == optimum
         if feasible_budgets:
-            out = solve_plurality_t_dollar(with_budget(inst, solver_min))
-            assert_verifies(with_budget(inst, solver_min), out.plan)
+            plan = solve_at_budget(PLURALITY_DP, with_budget(inst, solver_min))
+            assert_verifies(with_budget(inst, solver_min), plan)

@@ -12,6 +12,7 @@ from coalition_bribery.core import (
     tally,
 )
 from coalition_bribery.costs import ShiftCost, SwapCost, apply_plan
+from coalition_bribery.dispatch import PLURALITY_FLOW
 from coalition_bribery.generators import with_budget
 from coalition_bribery.oracle import enumerate_voter_options, oracle_solve
 from coalition_bribery.plurality_flow import (
@@ -24,7 +25,7 @@ from coalition_bribery.plurality_flow import (
 )
 from coalition_bribery.sample_instances import sixteen_voter_shift_cbp
 
-from conftest import assert_verifies, make_election, random_problem
+from conftest import assert_verifies, make_election, random_problem, solve_at_budget
 
 
 def swap_instance(rankings, coalition, preferred, phi, rho, budget, pair_price):
@@ -148,19 +149,19 @@ class TestSolver:
             2,
             price,
         )
-        out = solve_plurality_zero(inst)
-        assert out.feasible and out.plan.cost == 2
-        assert_verifies(inst, out.plan)
+        plan = solve_at_budget(PLURALITY_FLOW, inst)
+        assert plan is not None and plan.cost == 2
+        assert_verifies(inst, plan)
         tight = with_budget(inst, 1)
-        assert not solve_plurality_zero(tight).feasible
+        assert solve_at_budget(PLURALITY_FLOW, tight) is None
 
     def test_satisfied_instance_empty_plan(self):
         inst = swap_instance(
             [["a", "z", "b"]], ("a", "b"), "a", Fraction(1, 2), Fraction(1), 0,
             lambda x, y: 3,
         )
-        out = solve_plurality_zero(inst)
-        assert out.feasible and len(out.plan) == 0
+        plan = solve_at_budget(PLURALITY_FLOW, inst)
+        assert plan is not None and len(plan) == 0
 
     def test_signature_scan_is_quadratic(self):
         rng = random.Random("scan-count")
@@ -168,7 +169,7 @@ class TestSolver:
             inst = random_problem(rng, ScoringRule.PLURALITY, False, "swap", True,
                                   max_voters=5, max_parties=4)
             stats = {}
-            solve_plurality_zero(inst, stats=stats)
+            solve_plurality_zero(inst, inst.budget, stats=stats)
             n = inst.election.num_voters
             assert stats["networks_solved"] <= (n + 1) * (n + 2) // 2
 
@@ -187,7 +188,7 @@ class TestSolver:
             budget=0,
             cost_model=ShiftCost.multiplicative([5], 3),
         )
-        assert not solve_plurality_zero(inst).feasible
+        assert solve_at_budget(PLURALITY_FLOW, inst) is None
 
 
 @pytest.mark.parametrize("kind", ["swap", "shift"])
@@ -205,15 +206,15 @@ def test_oracle_equivalence_small(kind, cbp):
         )
         feasible = [
             b for b in range(upper + 1)
-            if solve_plurality_zero(with_budget(inst, b)).feasible
+            if solve_at_budget(PLURALITY_FLOW, with_budget(inst, b)) is not None
         ]
         solver_min = feasible[0] if feasible else None
         assert solver_min == optimum
         if feasible:
-            out = solve_plurality_zero(with_budget(inst, solver_min))
-            assert_verifies(with_budget(inst, solver_min), out.plan)
+            plan = solve_at_budget(PLURALITY_FLOW, with_budget(inst, solver_min))
+            assert_verifies(with_budget(inst, solver_min), plan)
             # decoded tallies must reproduce a scanned signature exactly
             counts = tally(
-                apply_plan(inst.election, out.plan), inst.election.parties, inst.rule
+                apply_plan(inst.election, plan), inst.election.parties, inst.rule
             )
             assert sum(counts.values()) == inst.election.num_voters

@@ -13,7 +13,8 @@ from coalition_bribery.core import (
     tally,
 )
 from coalition_bribery.costs import apply_plan, bribe_cost, iter_shift_orders
-from coalition_bribery.oracle import oracle_solve, solve_np_hard
+from coalition_bribery.dispatch import ORACLE
+from coalition_bribery.oracle import oracle_solve
 from coalition_bribery.reductions import (
     ExactCover34Instance,
     MinBisectionInstance,
@@ -24,6 +25,8 @@ from coalition_bribery.reductions import (
     shift_to_swap,
 )
 from coalition_bribery.sample_instances import sixteen_voter_shift_cbp
+
+from conftest import solve_at_budget
 
 COVERED4 = ExactCover34Instance(4, ((1, 2, 3, 4),) * 3)
 COVERLESS8 = ExactCover34Instance(
@@ -89,8 +92,10 @@ class TestShiftReduction:
         assert check_goals(apply_plan(inst.election, plan), inst)
 
     def test_feasibility_tracks_cover_existence(self):
-        assert solve_np_hard(reduce_x3c_to_plurality_shift_cb(COVERED4)).feasible
-        assert not solve_np_hard(reduce_x3c_to_plurality_shift_cb(COVERLESS8)).feasible
+        covered = reduce_x3c_to_plurality_shift_cb(COVERED4)
+        assert solve_at_budget(ORACLE, covered) is not None
+        coverless = reduce_x3c_to_plurality_shift_cb(COVERLESS8)
+        assert solve_at_budget(ORACLE, coverless) is None
 
 
 class TestBordaUnitReduction:
@@ -155,21 +160,21 @@ class TestBisectionReduction:
     def test_feasibility_tracks_bisection_existence(self):
         yes = MinBisectionInstance(2, frozenset(), 0)
         assert yes.has_bisection()
-        assert solve_np_hard(reduce_minbisection_to_borda_swap_cb(yes)).feasible
+        assert solve_at_budget(ORACLE, reduce_minbisection_to_borda_swap_cb(yes)) is not None
         no = MinBisectionInstance(2, frozenset({(1, 2)}), 0)
         assert not no.has_bisection()
-        assert not solve_np_hard(reduce_minbisection_to_borda_swap_cb(no)).feasible
+        assert solve_at_budget(ORACLE, reduce_minbisection_to_borda_swap_cb(no)) is None
 
     def test_four_vertex_cases(self):
         # a path graph splits 2|2 with one crossing edge
         path = MinBisectionInstance(4, frozenset({(1, 2), (2, 3), (3, 4)}), 1)
         assert path.has_bisection()
-        assert solve_np_hard(reduce_minbisection_to_borda_swap_cb(path)).feasible
+        image = reduce_minbisection_to_borda_swap_cb(path)
+        assert solve_at_budget(ORACLE, image) is not None
         strict = MinBisectionInstance(4, frozenset({(1, 2), (2, 3), (3, 4)}), 0)
         assert not strict.has_bisection()
-        assert not solve_np_hard(
-            reduce_minbisection_to_borda_swap_cb(strict)
-        ).feasible
+        image = reduce_minbisection_to_borda_swap_cb(strict)
+        assert solve_at_budget(ORACLE, image) is None
 
 
 class TestShiftToSwap:
