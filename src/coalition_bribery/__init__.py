@@ -14,12 +14,9 @@ from .core import (
     ProblemInstance,
     Rational,
     ScoringRule,
-    active_parties,
     check_goals,
-    seat_fractions,
     score,
     tally,
-    total_score,
 )
 from .costs import (
     BribePlan,
@@ -28,7 +25,6 @@ from .costs import (
     ShiftCost,
     SwapCost,
     UnitCost,
-    admissible,
     apply_plan,
     bribe_cost,
     inverted_pairs,
@@ -48,15 +44,11 @@ __all__ = [
     "ShiftCost",
     "SwapCost",
     "UnitCost",
-    "active_parties",
-    "admissible",
     "apply_plan",
     "bribe_cost",
     "check_goals",
     "inverted_pairs",
     "plan_cost",
-    "seat_fractions",
     "score",
     "tally",
-    "total_score",
 ]

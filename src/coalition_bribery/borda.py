@@ -12,11 +12,13 @@ read off three explicitly constructed extreme orders.
 
 A voter-by-voter table then accumulates the cheapest bribes per total
 (coalition points ka, leader points k1), and the final scan picks the
-cheapest total meeting the support and ratio targets.  Cells above the cost
-cap are dropped, as costs only grow.  Per ka a layer keeps only its Pareto front of (lower
-cost, more leader points); this is exact because every later voter adds the
-same gain to any cell and the ratio test k1 >= rho * ka is monotone in k1.
-When rho = 0 the front is the single cheapest cell per ka.
+cheapest total meeting the support and ratio targets: with a zero threshold
+every party is seated, so the test is `core.goals_met(ka, k1, total)`.
+Cells above the cost cap are dropped, as costs only grow.  Per ka a layer
+keeps only its Pareto front of (lower cost, more leader points); this is
+exact because every later voter adds the same gain to any cell and the ratio
+test k1 >= rho * ka is monotone in k1.  When rho = 0 the front is the single
+cheapest cell per ka.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .core import (
     PreferenceOrder,
     ProblemInstance,
     ScoringRule,
+    goals_met,
     grand_total,
     score,
 )
@@ -415,16 +418,8 @@ def solve_borda_zero(
     for key in sorted(final, reverse=True):
         ka, k1 = key
         cost = final[key]
-        if cost >= best_cost:
-            continue
-        if total == 0:
-            if instance.phi > 0:
-                continue
-        elif ka < instance.phi * total:
-            continue
-        if k1 < instance.rho * ka:
-            continue
-        best_key, best_cost = key, cost
+        if cost < best_cost and goals_met(ka, k1, total, instance):
+            best_key, best_cost = key, cost
     if best_key is None:
         return None
     return _reconstruct(instance, menus, backpointers, best_key, best_cost)

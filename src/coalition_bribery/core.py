@@ -1,8 +1,10 @@
 """Election model: parties, preference orders, positional scoring, seats.
 
-Everything that decides feasibility is exact: thresholds, seat fractions and
-goal checks use `fractions.Fraction`, never floats.  Elections and problem
-instances are immutable once built, so all functions here are pure.
+Everything that decides feasibility is exact: the threshold and the phi/rho
+targets are `fractions.Fraction`s, and `goals_met` compares integer point
+counts against them by cross-multiplication, never through floats.  Reported
+seat shares are `Fraction`s.  Elections and problem instances are immutable
+once built, so all functions here are pure.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 Rational = Fraction
 
@@ -117,14 +119,6 @@ def score(order: PreferenceOrder, party: str, rule: ScoringRule) -> int:
     return len(order) - pos
 
 
-def total_score(
-    orders: Iterable[PreferenceOrder], parties: Iterable[str], rule: ScoringRule
-) -> int:
-    """Sum of `score` over every (order, party) pair."""
-    parties = list(parties)
-    return sum(score(order, party, rule) for order in orders for party in parties)
-
-
 def tally(
     orders: Sequence[PreferenceOrder], parties: Sequence[str], rule: ScoringRule
 ) -> dict[str, int]:
@@ -152,19 +146,8 @@ def active_parties_from_scores(
     scores: Mapping[str, int], total: int, threshold: Fraction
 ) -> set[str]:
     """Parties whose points reach `threshold` * `total`; equality counts as active."""
-    bar = threshold * total
-    return {p for p, s in scores.items() if s >= bar}
-
-
-def active_parties(
-    orders: Sequence[PreferenceOrder],
-    parties: Sequence[str],
-    rule: ScoringRule,
-    threshold: Fraction,
-) -> set[str]:
-    scores = tally(orders, parties, rule)
-    total = grand_total(len(orders), len(parties), rule)
-    return active_parties_from_scores(scores, total, threshold)
+    num, den = threshold.numerator, threshold.denominator
+    return {p for p, s in scores.items() if s * den >= num * total}
 
 
 def seat_fractions_from_scores(
@@ -183,17 +166,6 @@ def seat_fractions_from_scores(
         p: Fraction(scores[p], active_total) if p in active else Fraction(0)
         for p in scores
     }
-
-
-def seat_fractions(
-    orders: Sequence[PreferenceOrder],
-    parties: Sequence[str],
-    rule: ScoringRule,
-    threshold: Fraction,
-) -> dict[str, Fraction]:
-    scores = tally(orders, parties, rule)
-    total = grand_total(len(orders), len(parties), rule)
-    return seat_fractions_from_scores(scores, total, threshold)
 
 
 @dataclass(frozen=True)
@@ -256,23 +228,43 @@ class ProblemInstance:
         inside = set(self.coalition)
         return tuple(p for p in self.election.parties if p not in inside)
 
-    def activity_bar(self) -> Fraction:
-        """Exact point count a party needs to stay active."""
-        total = grand_total(
-            self.election.num_voters, self.election.num_parties, self.rule
-        )
-        return self.threshold * total
-
     def plurality_activity_count(self) -> int:
         """Least integral vote count that clears the threshold (plurality only)."""
         return math.ceil(self.threshold * self.election.num_voters)
 
     def variant_label(self) -> str:
-        rule = "Plurality" if self.rule is ScoringRule.PLURALITY else "Borda"
-        sub = "t" if self.threshold > 0 else "0"
-        kind = "CBP" if self.preferred is not None else "CB"
-        bribery = getattr(self.cost_model, "kind", "?")
-        return f"{rule}_{sub}-{kind}/{bribery}"
+        return label_variant(
+            self.rule, self.threshold > 0, self.preferred is not None,
+            getattr(self.cost_model, "kind", "?"),
+        )
+
+
+def label_variant(
+    rule: ScoringRule, thresholded: bool, with_preferred: bool, bribery: str
+) -> str:
+    """Taxonomy cell name, e.g. ``Plurality_t-CBP/dollar``."""
+    name = "Plurality" if rule is ScoringRule.PLURALITY else "Borda"
+    sub = "t" if thresholded else "0"
+    kind = "CBP" if with_preferred else "CB"
+    return f"{name}_{sub}-{kind}/{bribery}"
+
+
+def goals_met(coalition: int, leader: int, seated: int, instance: ProblemInstance) -> bool:
+    """The support and ratio targets on seated points.
+
+    `coalition`, `leader` and `seated` are the points of the seated coalition
+    members, of the leader (0 when not seated) and of all seated parties.
+    The coalition needs ``coalition >= phi * seated`` and the leader
+    ``leader >= rho * coalition`` (rho is 0 without a preferred party);
+    when nobody is seated only ``phi == 0`` is met.
+    """
+    if seated == 0:
+        return instance.phi == 0
+    phi, rho = instance.phi, instance.rho
+    return (
+        coalition * phi.denominator >= phi.numerator * seated
+        and leader * rho.denominator >= rho.numerator * coalition
+    )
 
 
 def check_goals_from_scores(scores: Mapping[str, int], instance: ProblemInstance) -> bool:
@@ -280,19 +272,12 @@ def check_goals_from_scores(scores: Mapping[str, int], instance: ProblemInstance
     total = grand_total(
         instance.election.num_voters, instance.election.num_parties, instance.rule
     )
-    seats = seat_fractions_from_scores(scores, total, instance.threshold)
-    seats_all = sum(seats.values())
-    seats_coalition = sum(seats[p] for p in instance.coalition)
-    if seats_all == 0:
-        # Nobody is seated; a positive support target cannot be met.
-        coalition_ok = instance.phi == 0
-    else:
-        coalition_ok = seats_coalition >= instance.phi * seats_all
-    if not coalition_ok:
-        return False
-    if instance.preferred is None:
-        return True
-    return seats[instance.preferred] >= instance.rho * seats_coalition
+    seated = active_parties_from_scores(scores, total, instance.threshold)
+    coalition = sum(scores[p] for p in instance.coalition if p in seated)
+    leader = scores[instance.leader] if instance.leader in seated else 0
+    return goals_met(
+        coalition, leader, sum(scores[p] for p in seated), instance
+    )
 
 
 def check_goals(orders: Sequence[PreferenceOrder], instance: ProblemInstance) -> bool:

@@ -171,26 +171,6 @@ class ShiftCost:
 CostModel = UnitCost | DollarCost | SwapCost | ShiftCost
 
 
-def admissible(
-    model: CostModel,
-    coalition: Sequence[str],
-    old: PreferenceOrder,
-    new: PreferenceOrder,
-) -> bool:
-    """Whether `model` permits replacing `old` by `new`.
-
-    Everything is permitted except under shift bribery, where every inverted
-    pair must have its rising party inside the coalition.
-    """
-    if not isinstance(model, ShiftCost):
-        # Unit, dollar and swap bribery permit all changes.
-        if frozenset(old.ranking) != frozenset(new.ranking):
-            raise DomainError("orders range over different party sets")
-        return True
-    coalition = set(coalition)
-    return all(riser in coalition for _, riser in inverted_pairs(old, new))
-
-
 def bribe_cost(
     model: CostModel,
     i: int,

@@ -11,7 +11,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Election, PreferenceOrder, ProblemInstance, ScoringRule
+from .core import (
+    Election, PreferenceOrder, ProblemInstance, ScoringRule, label_variant,
+)
 from .costs import CostModel, DollarCost, ShiftCost, SwapCost, UnitCost
 
 
@@ -25,10 +27,9 @@ class Variant:
     with_preferred: bool
 
     def label(self) -> str:
-        rule = "Plurality" if self.rule is ScoringRule.PLURALITY else "Borda"
-        sub = "t" if self.thresholded else "0"
-        kind = "CBP" if self.with_preferred else "CB"
-        return f"{rule}_{sub}-{kind}/{self.bribery}"
+        return label_variant(
+            self.rule, self.thresholded, self.with_preferred, self.bribery
+        )
 
 
 POLYNOMIAL_VARIANTS: tuple[Variant, ...] = tuple(
@@ -41,8 +42,6 @@ POLYNOMIAL_VARIANTS: tuple[Variant, ...] = tuple(
     for bribery in briberies
     for with_preferred in (False, True)
 )
-
-ALL_BRIBERIES = ("unit", "dollar", "swap", "shift")
 
 
 def _random_cost_model(

@@ -59,7 +59,8 @@ class OracleRefusal(RuntimeError):
 
     def __init__(self, required: int, limit: int):
         super().__init__(
-            f"exact search needs about {required} expansions, limit is {limit}"
+            f"exact search needs more than {limit} expansions "
+            f"(stopped at {required})"
         )
         self.required = required
         self.limit = limit
@@ -248,8 +249,10 @@ def _search(
 
     best_key, best_cost = None, inf
     for state, cost in states.items():
+        if cost >= best_cost:
+            continue
         scores = dict(zip(parties, (a + b for a, b in zip(base, state))))
-        if check_goals_from_scores(scores, instance) and cost < best_cost:
+        if check_goals_from_scores(scores, instance):
             best_key, best_cost = state, cost
     if best_key is None:
         return None

@@ -14,14 +14,14 @@ coalition rest.  The leader's count is ``base + g``; when ``g < 0`` more
 votes went to the rest than were freed, and the difference is topped up by
 buying the leader's own cheapest ``-g`` supporters.
 
-The goal test reads nothing but the leader's count and the two active
-totals, which a signature fixes, and costs add across parties; so the
-cheapest cell per signature is the cheapest bribe realizing it.  Cells above
-the cost cap are dropped as they appear (costs only grow), and so are cells
-whose gain can no longer reach ``-base`` (the leader's count must stay
-non-negative).  The scan picks, among the signatures that meet the targets,
-the one whose cell plus leader top-up is cheapest under the cap, and
-reconstructs its plan.
+The goal test (`core.goals_met` on the seated coalition, leader and total
+vote counts) reads nothing but the leader's count and the two active totals,
+which a signature fixes, and costs add across parties; so the cheapest cell
+per signature is the cheapest bribe realizing it.  Cells above the cost cap
+are dropped as they appear (costs only grow), and so are cells whose gain
+can no longer reach ``-base`` (the leader's count must stay non-negative).
+The scan picks, among the signatures that meet the targets, the one whose
+cell plus leader top-up is cheapest under the cap, and reconstructs its plan.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import accumulate
 from math import inf
 from typing import Optional
 
-from .core import DomainError, ProblemInstance, ScoringRule
+from .core import DomainError, ProblemInstance, ScoringRule, goals_met
 from .costs import BribePlan, DollarCost, UnitCost, WitnessError, lift_to_top
 
 
@@ -125,8 +125,6 @@ def solve_plurality_t_dollar(
 
     base_leader = len(table.supporters[instance.leader])
     t_count = table.threshold_count
-    phi_num, phi_den = instance.phi.numerator, instance.phi.denominator
-    rho_num, rho_den = instance.rho.numerator, instance.rho.denominator
     best_key, best_cost = None, inf if cap is None else cap + 1
     for key in sorted(table.cells, reverse=True):
         g, a_out, a_rest = key
@@ -136,15 +134,8 @@ def solve_plurality_t_dollar(
             continue
         leader_count = base_leader + g
         leader_active = leader_count if leader_count >= t_count else 0
-        coalition_active = a_rest + leader_active
-        total_active = coalition_active + a_out
-        if total_active == 0:
-            ok = phi_num == 0
-        else:
-            ok = coalition_active * phi_den >= phi_num * total_active and (
-                leader_active * rho_den >= rho_num * coalition_active
-            )
-        if ok:
+        total_active = a_rest + leader_active + a_out
+        if goals_met(a_rest + leader_active, leader_active, total_active, instance):
             best_key, best_cost = key, cost
     if best_key is None:
         return None

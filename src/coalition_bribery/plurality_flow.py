@@ -4,17 +4,18 @@ Only the top of each order matters here, so a voter has three interesting
 replacements: the cheapest orders putting the leader, some other coalition
 member, or an outsider on top.  A transport network wires k1 leader-tops and
 k2 other-coalition-tops through the voters; its cheapest flow of value n is
-exactly the cheapest bribe realizing that top signature.  Scanning the
-O(n^2) signatures that meet the support and ratio targets, with the cost cap
-tightened below the best flow found so far, yields the cheapest bribe under
-the cap.
+exactly the cheapest bribe realizing that top signature.  With a zero
+threshold every party is seated, so a signature meets the support and ratio
+targets iff `core.goals_met(k1 + k2, k1, n)`.  Scanning the O(n^2) signatures
+that meet them, with the cost cap tightened below the best flow found so far,
+yields the cheapest bribe under the cap.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .core import DomainError, ProblemInstance, ScoringRule
+from .core import DomainError, ProblemInstance, ScoringRule, goals_met
 from .costs import (
     BribePlan,
     ShiftCost,
@@ -122,10 +123,7 @@ def solve_plurality_zero(
     solved = 0
     for k_leader in range(n, -1, -1):
         for k_rest in range(n - k_leader, -1, -1):
-            k_coalition = k_leader + k_rest
-            if k_coalition < instance.phi * n:
-                continue
-            if k_leader < instance.rho * k_coalition:
+            if not goals_met(k_leader + k_rest, k_leader, n, instance):
                 continue
             network = build_top_signature_network(k_leader, k_rest, options)
             flow = min_cost_flow(network, cap)

@@ -11,19 +11,31 @@ from coalition_bribery.core import (
     PreferenceOrder,
     ProblemInstance,
     ScoringRule,
-    active_parties,
+    active_parties_from_scores,
     check_goals,
+    check_goals_from_scores,
     grand_total,
-    seat_fractions,
+    seat_fractions_from_scores,
     score,
     tally,
-    total_score,
 )
 from coalition_bribery.costs import UnitCost
 
 from conftest import make_election
 
 REVERSED4 = PreferenceOrder(("c4", "c3", "c2", "c1"))
+
+
+def active(election, rule, threshold):
+    scores = tally(election.orders, election.parties, rule)
+    total = grand_total(election.num_voters, election.num_parties, rule)
+    return active_parties_from_scores(scores, total, threshold)
+
+
+def seats(election, rule, threshold):
+    scores = tally(election.orders, election.parties, rule)
+    total = grand_total(election.num_voters, election.num_parties, rule)
+    return seat_fractions_from_scores(scores, total, threshold)
 
 
 def election_35_15_50():
@@ -50,28 +62,30 @@ class TestScore:
 
 class TestTotalScore:
     def test_four_identical_orders_coalition(self):
-        orders = [REVERSED4] * 4
-        assert total_score(orders, ("c1", "c2"), ScoringRule.BORDA) == 4
+        scores = tally([REVERSED4] * 4, REVERSED4.ranking, ScoringRule.BORDA)
+        assert scores["c1"] + scores["c2"] == 4
 
     def test_plurality_full_set_is_voter_count(self):
         e = election_35_15_50()
-        assert total_score(e.orders, e.parties, ScoringRule.PLURALITY) == 100
+        assert sum(tally(e.orders, e.parties, ScoringRule.PLURALITY).values()) == 100
+        assert grand_total(100, 3, ScoringRule.PLURALITY) == 100
 
     def test_empty_party_set(self):
-        assert total_score([REVERSED4], (), ScoringRule.BORDA) == 0
+        # a lone party is every voter's last choice and earns no Borda point
+        assert grand_total(1, 1, ScoringRule.BORDA) == 0
 
 
 class TestActiveParties:
     def test_threshold_knocks_out_middle_party(self):
         e = election_35_15_50()
-        assert active_parties(e.orders, e.parties, ScoringRule.PLURALITY, Fraction(1, 5)) == {
+        assert active(e, ScoringRule.PLURALITY, Fraction(1, 5)) == {
             "X",
             "Z",
         }
 
     def test_zero_threshold_keeps_everyone(self):
         e = election_35_15_50()
-        assert active_parties(e.orders, e.parties, ScoringRule.PLURALITY, Fraction(0)) == {
+        assert active(e, ScoringRule.PLURALITY, Fraction(0)) == {
             "X",
             "Y",
             "Z",
@@ -84,7 +98,7 @@ class TestActiveParties:
             + [["c3", "c1", "c2"]] * 10
         )
         e = make_election(("c1", "c2", "c3"), rankings)
-        assert active_parties(e.orders, e.parties, ScoringRule.PLURALITY, Fraction(1, 8)) == {
+        assert active(e, ScoringRule.PLURALITY, Fraction(1, 8)) == {
             "c1",
             "c3",
         }
@@ -93,21 +107,21 @@ class TestActiveParties:
 class TestSeatFractions:
     def test_inactive_party_gets_zero(self):
         e = election_35_15_50()
-        seats = seat_fractions(e.orders, e.parties, ScoringRule.PLURALITY, Fraction(1, 5))
-        assert seats == {"X": Fraction(35, 85), "Y": Fraction(0), "Z": Fraction(50, 85)}
+        shares = seats(e, ScoringRule.PLURALITY, Fraction(1, 5))
+        assert shares == {"X": Fraction(35, 85), "Y": Fraction(0), "Z": Fraction(50, 85)}
 
     def test_zero_threshold_symmetric(self):
         e = make_election(("a", "b"), [["a", "b"], ["b", "a"]])
-        seats = seat_fractions(e.orders, e.parties, ScoringRule.PLURALITY, Fraction(0))
-        assert seats == {"a": Fraction(1, 2), "b": Fraction(1, 2)}
+        shares = seats(e, ScoringRule.PLURALITY, Fraction(0))
+        assert shares == {"a": Fraction(1, 2), "b": Fraction(1, 2)}
 
     def test_post_bribe_coalition_share(self):
         rankings = (
             [["X", "Y", "Z"]] * 35 + [["Y", "Z", "X"]] * 20 + [["Z", "X", "Y"]] * 45
         )
         e = make_election(("X", "Y", "Z"), rankings)
-        seats = seat_fractions(e.orders, e.parties, ScoringRule.PLURALITY, Fraction(1, 5))
-        assert seats["X"] + seats["Y"] == Fraction(55, 100)
+        shares = seats(e, ScoringRule.PLURALITY, Fraction(1, 5))
+        assert shares["X"] + shares["Y"] == Fraction(55, 100)
 
 
 class TestCheckGoals:
@@ -197,27 +211,68 @@ def test_score_conservation(election, rule):
 
 @given(elections(), st.sampled_from(list(ScoringRule)), thresholds())
 def test_seat_normalization(election, rule, t):
-    seats = seat_fractions(election.orders, election.parties, rule, t)
-    assert sum(seats.values()) in (Fraction(0), Fraction(1))
+    assert sum(seats(election, rule, t).values()) in (Fraction(0), Fraction(1))
+
+
+@st.composite
+def goal_cases(draw):
+    """An instance and a score vector, favouring the predicate's edges."""
+    election = draw(elections())
+    rule = draw(st.sampled_from(list(ScoringRule)))
+    parties = election.parties
+    total = grand_total(election.num_voters, election.num_parties, rule)
+    edge = st.sampled_from([Fraction(0), Fraction(1)])
+    values = draw(st.one_of(
+        st.just([0] * len(parties)),
+        st.lists(st.integers(0, total), min_size=len(parties), max_size=len(parties)),
+    ))
+    coalition = draw(st.one_of(
+        st.just(parties),
+        st.lists(st.sampled_from(parties), min_size=1, unique=True).map(tuple),
+    ))
+    preferred = draw(st.one_of(st.none(), st.sampled_from(coalition)))
+    inst = ProblemInstance(
+        election=election, rule=rule,
+        threshold=draw(st.one_of(edge, thresholds())),
+        coalition=coalition, preferred=preferred,
+        phi=draw(st.one_of(edge, thresholds())),
+        rho=Fraction(0) if preferred is None else draw(st.one_of(edge, thresholds())),
+        budget=0, cost_model=UnitCost(),
+    )
+    return inst, dict(zip(parties, values))
+
+
+@given(goal_cases())
+def test_goal_predicate_matches_seat_shares(case):
+    inst, scores = case
+    total = grand_total(inst.election.num_voters, inst.election.num_parties, inst.rule)
+    shares = seat_fractions_from_scores(scores, total, inst.threshold)
+    seated = sum(shares.values())
+    coalition = sum(shares[p] for p in inst.coalition)
+    if seated == 0:
+        expected = inst.phi == 0
+    else:
+        expected = coalition >= inst.phi * seated and (
+            inst.preferred is None or shares[inst.preferred] >= inst.rho * coalition
+        )
+    assert check_goals_from_scores(scores, inst) == expected
 
 
 @given(elections(), st.sampled_from(list(ScoringRule)), thresholds(), thresholds())
 def test_threshold_monotone(election, rule, t1, t2):
     lo, hi = min(t1, t2), max(t1, t2)
-    low_active = active_parties(election.orders, election.parties, rule, lo)
-    high_active = active_parties(election.orders, election.parties, rule, hi)
-    assert high_active <= low_active
+    assert active(election, rule, hi) <= active(election, rule, lo)
 
 
 @given(elections(), st.sampled_from(list(ScoringRule)))
 def test_zero_threshold_is_pure_proportionality(election, rule):
-    seats = seat_fractions(election.orders, election.parties, rule, Fraction(0))
+    shares = seats(election, rule, Fraction(0))
     counts = tally(election.orders, election.parties, rule)
     total = grand_total(election.num_voters, election.num_parties, rule)
     if total == 0:
-        assert all(v == 0 for v in seats.values())
+        assert all(v == 0 for v in shares.values())
     else:
-        assert seats == {p: Fraction(c, total) for p, c in counts.items()}
+        assert shares == {p: Fraction(c, total) for p, c in counts.items()}
 
 
 def test_election_validation():

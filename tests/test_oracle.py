@@ -128,6 +128,10 @@ class TestEnumerateOptions:
         with pytest.raises(OracleRefusal) as err:
             solve_instance(inst, SearchBudget(max_expansions=50), force_oracle=True)
         assert err.value.limit == 50 and err.value.required > 50
+        assert str(err.value) == (
+            "exact search needs more than 50 expansions "
+            f"(stopped at {err.value.required})"
+        )
 
 
 class TestOracleSolve:

@@ -8,7 +8,8 @@ import pytest
 from coalition_bribery.core import (
     ProblemInstance,
     ScoringRule,
-    seat_fractions,
+    grand_total,
+    seat_fractions_from_scores,
     tally,
 )
 from coalition_bribery.costs import DollarCost, UnitCost, apply_plan
@@ -133,16 +134,20 @@ class TestGValue:
         assert all(cost <= 7 for cost in cells.values())
 
 
+def seats_after(inst, plan):
+    election = inst.election
+    scores = tally(apply_plan(election, plan), election.parties, inst.rule)
+    total = grand_total(election.num_voters, election.num_parties, inst.rule)
+    return seat_fractions_from_scores(scores, total, inst.threshold)
+
+
 class TestWorkedExamples:
     def test_unit_budget_five(self):
         plan = solve_at_budget(PLURALITY_DP, three_party_unit_cb(5))
         assert plan is not None
         assert_verifies(three_party_unit_cb(5), plan)
         inst = three_party_unit_cb(5)
-        seats = seat_fractions(
-            apply_plan(inst.election, plan), inst.election.parties,
-            inst.rule, inst.threshold,
-        )
+        seats = seats_after(inst, plan)
         assert seats["X"] + seats["Y"] == Fraction(55, 100)
 
     def test_unit_budget_four_fails(self):
@@ -155,10 +160,7 @@ class TestWorkedExamples:
         bought = set(plan.replacements)
         assert len(bought) == 5
         assert all(inst.election.orders[i].top() == "X" for i in bought)
-        seats = seat_fractions(
-            apply_plan(inst.election, plan), inst.election.parties,
-            inst.rule, inst.threshold,
-        )
+        seats = seats_after(inst, plan)
         assert seats["X"] + seats["Y"] == Fraction(1, 2)
 
     def test_cbp_budget_seven(self):
