@@ -1,14 +1,19 @@
 """Zero-threshold Borda under unit, dollar and shift bribery.
 
-Per voter we tabulate the cheapest replacement realizing each pair
-(points for the coalition minus its leader, points for the leader).  Under
-unit/dollar pricing any permutation is available, so a pair is priced 0
-(already realized), p_i (attainable) or infinity; attainability reduces to
-slot-counting around the leader's forced rank.  Under shift bribery the
-coalition members split into a group kept below the leader and a group moved
-above it; both groups trade exactly one inversion per extra point, so the
-reachable pairs per split form an interval whose cheapest realizations we
-read off three explicitly constructed extreme orders.
+Per voter we tabulate the cheapest replacement realizing each pair (points
+for the coalition minus its leader, points for the leader).  One placement DP
+builds every menu.  It fills an order's slots front to back, each slot worth
+one point less than the one before, and keeps per state (coalition members
+placed, outsiders placed, k_rest, k1) the fewest inversions of the voter's
+order and a backpointer that rebuilds an order attaining them.  Placing a
+party inverts it with every unplaced party it used to be below.  Outsiders
+are placed in their original order, as points do not tell them apart; under
+shift bribery an outsider is placed only when that inverts nothing, so no
+outsider rises.  Unit/dollar pricing allows any permutation, so every pair
+the DP reaches from one canonical order costs the voter's price, and the
+voter's current pair 0.  Under shift bribery a pair costs the voter's table
+at its fewest inversions, which is exact because shift tables never
+decrease.
 
 A voter-by-voter table then accumulates the cheapest bribes per total
 (coalition points ka, leader points k1), and the final scan picks the
@@ -23,6 +28,7 @@ cheapest cell per ka.
 
 from __future__ import annotations
 
+from functools import cache
 from math import inf
 from typing import Optional
 
@@ -35,87 +41,66 @@ from .core import (
     grand_total,
     score,
 )
-from .costs import (
-    BribePlan,
-    DollarCost,
-    ShiftCost,
-    UnitCost,
-    WitnessError,
-    inverted_pairs,
-)
+from .costs import BribePlan, DollarCost, ShiftCost, UnitCost, WitnessError
 
 
-def _side_ranges(m: int, k1: int, l_down: int, l_up: int):
-    """Point intervals for the below/above groups, or None if they don't fit."""
-    if l_down > k1 or l_up > m - k1 - 1:
-        return None
-    down_lo = l_down * (l_down - 1) // 2
-    down_hi = l_down * k1 - l_down * (l_down + 1) // 2
-    up_lo = l_up * k1 + l_up * (l_up + 1) // 2
-    up_hi = l_up * m - l_up * (l_up + 1) // 2
-    return (down_lo, down_hi), (up_lo, up_hi)
+def _placements(
+    order: PreferenceOrder, leader: str, rest: tuple[str, ...], outsiders_rise: bool
+):
+    """Fewest inversions of `order` per (k_rest, k1) pair that a reordering
+    realizes, and `realize(pair)`, a reordering attaining it.  Without
+    `outsiders_rise`, no outsider may move above a party it was below."""
+    m = len(order)
+    bit = {p: 1 << i for i, p in enumerate((leader, *rest))}
+    outsiders = [p for p in order.ranking if p not in bit]
+    # Per party: the coalition members (a mask) and the number of outsiders
+    # ranked above it in `order`.
+    members_above, outsiders_above = {}, {}
+    mask = count = 0
+    for p in order.ranking:
+        members_above[p], outsiders_above[p] = mask, count
+        if p in bit:
+            mask |= bit[p]
+        else:
+            count += 1
+    # layers[t]: (members placed, outsiders placed, k_rest, k1) after t slots
+    # -> (fewest inversions, previous state, party placed last).
+    layers = [{(0, 0, 0, 0): (0, None, None)}]
+    for t in range(m):
+        points = m - 1 - t
+        nxt: dict = {}
+        for state, (inv, _, _) in layers[-1].items():
+            placed, j, k_rest, k1 = state
+            steps = []
+            for p, b in bit.items():
+                if not placed & b:
+                    added = (members_above[p] & ~placed).bit_count() + max(
+                        0, outsiders_above[p] - j
+                    )
+                    if p == leader:
+                        steps.append((p, (placed | b, j, k_rest, k1 + points), added))
+                    else:
+                        steps.append((p, (placed | b, j, k_rest + points, k1), added))
+            if j < len(outsiders):
+                p = outsiders[j]
+                added = (members_above[p] & ~placed).bit_count()
+                if outsiders_rise or not added:
+                    steps.append((p, (placed, j + 1, k_rest, k1), added))
+            for p, key, added in steps:
+                if key not in nxt or inv + added < nxt[key][0]:
+                    nxt[key] = (inv + added, state, p)
+        layers.append(nxt)
+    final = {key[2:]: key for key in layers[-1]}
 
+    def realize(pair: tuple[int, int]) -> PreferenceOrder:
+        ranking = []
+        state = final[pair]
+        for layer in reversed(layers[1:]):
+            _, state, party = layer[state]
+            ranking.append(party)
+        return PreferenceOrder(tuple(reversed(ranking)))
 
-def attainable(k_rest: int, k1: int, m: int, rest_size: int) -> bool:
-    """Whether any order gives the leader k1 points and the rest k_rest."""
-    if not 0 <= k1 <= m - 1:
-        return False
-    for l_down in range(rest_size + 1):
-        l_up = rest_size - l_down
-        ranges = _side_ranges(m, k1, l_down, l_up)
-        if ranges is None:
-            continue
-        (dlo, dhi), (ulo, uhi) = ranges
-        if dlo + ulo <= k_rest <= dhi + uhi:
-            return True
-    return False
-
-
-def _distinct_values_with_sum(lo: int, hi: int, count: int, total: int) -> list[int]:
-    """`count` distinct integers in [lo, hi] summing to `total` (greedy)."""
-    values = list(range(lo, lo + count))
-    surplus = total - sum(values)
-    assert surplus >= 0
-    for j in range(count - 1, -1, -1):
-        ceiling = hi - (count - 1 - j)
-        bump = min(surplus, ceiling - values[j])
-        values[j] += bump
-        surplus -= bump
-    assert surplus == 0, "target sum out of range"
-    return values
-
-
-def realize_pair(
-    m: int,
-    leader: str,
-    rest: tuple[str, ...],
-    outsiders: tuple[str, ...],
-    k_rest: int,
-    k1: int,
-) -> PreferenceOrder:
-    """Some order realizing (k_rest, k1); caller guarantees attainability."""
-    for l_down in range(len(rest) + 1):
-        l_up = len(rest) - l_down
-        ranges = _side_ranges(m, k1, l_down, l_up)
-        if ranges is None:
-            continue
-        (dlo, dhi), (ulo, uhi) = ranges
-        if not dlo + ulo <= k_rest <= dhi + uhi:
-            continue
-        down_sum = min(dhi, max(dlo, k_rest - uhi))
-        up_sum = k_rest - down_sum
-        down_values = _distinct_values_with_sum(0, k1 - 1, l_down, down_sum)
-        up_values = _distinct_values_with_sum(k1 + 1, m - 1, l_up, up_sum)
-        value_of = {leader: k1}
-        for party, v in zip(rest, up_values + down_values):
-            value_of[party] = v
-        taken = set(value_of.values())
-        free = [v for v in range(m - 1, -1, -1) if v not in taken]
-        for party, v in zip(outsiders, free):
-            value_of[party] = v
-        ranking = sorted(value_of, key=lambda p: -value_of[p])
-        return PreferenceOrder(tuple(ranking))
-    raise DomainError(f"pair ({k_rest}, {k1}) is not attainable")
+    return {pair: layers[-1][key][0] for pair, key in final.items()}, realize
 
 
 def price_menu(
@@ -124,156 +109,21 @@ def price_menu(
     rest: tuple[str, ...],
     outsiders: tuple[str, ...],
     price: int,
-) -> dict[tuple[int, int], int]:
-    """Unit/dollar menu: cost per attainable (k_rest, k1) pair for one voter."""
-    m = len(order)
-    current = (
-        sum(m - order.position(p) for p in rest),
-        m - order.position(leader),
-    )
-    menu = {}
-    for k1 in range(m):
-        for k_rest in range(len(rest) * (m - 1) + 1):
-            if attainable(k_rest, k1, m, len(rest)):
-                menu[(k_rest, k1)] = price
-    menu[current] = 0
-    return menu
-
-
-class _ShiftGeometry:
-    """Extreme placements for one (split, leader rank) under shift bribery."""
-
-    def __init__(self, order: PreferenceOrder, leader: str, rest: tuple[str, ...],
-                 k1: int, l_up: int):
-        self.order = order
-        self.leader = leader
-        m = len(order)
-        self.m = m
-        self.q = m - k1
-        self.rest_sorted = sorted(rest, key=order.position)
-        self.up = self.rest_sorted[:l_up]
-        self.down = self.rest_sorted[l_up:]
-        self.feasible = self._check()
-
-    def _check(self) -> bool:
-        order, q = self.order, self.q
-        if order.position(self.leader) < q:
-            # The leader never sinks on its own; pairs demanding that are
-            # dominated by pairs where it keeps its rank.
-            return False
-        if len(self.up) > q - 1 or len(self.down) > self.m - q:
-            return False
-        self.up_slots = self._up_slots()
-        base = self._build(self.up_slots, self._baseline_down_slots(self.up_slots))
-        if base is None:
-            return False
-        self.base_order = base
-        return True
-
-    def _up_slots(self) -> list[int]:
-        """Lowest admissible slots above the leader, one per upper member."""
-        slots = []
-        next_slot = self.q - 1
-        for party in reversed(self.up):
-            s = min(next_slot, self.order.position(party))
-            slots.append(s)
-            next_slot = s - 1
-        slots.reverse()
-        return slots
-
-    def _baseline_down_slots(self, up_slots: list[int]) -> Optional[list[int]]:
-        """Slots of the lower members when nothing below the leader moves."""
-        taken = set(up_slots) | {self.q}
-        remainder = [
-            p for p in self.order.ranking
-            if p != self.leader and p not in self.up
-        ]
-        free = [s for s in range(1, self.m + 1) if s not in taken]
-        slot_of = dict(zip(remainder, free))
-        slots = [slot_of[p] for p in self.down]
-        if any(s <= self.q for s in slots):
-            return None
-        return slots
-
-    def _build(self, up_slots: list[int], down_slots: Optional[list[int]]):
-        if down_slots is None:
-            return None
-        slot_of = {self.leader: self.q}
-        for party, s in zip(self.up, up_slots):
-            slot_of[party] = s
-        for party, s in zip(self.down, down_slots):
-            slot_of[party] = s
-        taken = set(slot_of.values())
-        free = iter(s for s in range(1, self.m + 1) if s not in taken)
-        for party in self.order.ranking:
-            if party not in slot_of:
-                slot_of[party] = next(free)
-        ranking = sorted(slot_of, key=slot_of.get)
-        return PreferenceOrder(tuple(ranking))
-
-    def order_for(self, lift_down: int, lift_up: int) -> PreferenceOrder:
-        """Spend the given number of inversions raising each group."""
-        down_slots = [self.base_order.position(p) for p in self.down]
-        remaining = lift_down
-        for j in range(len(down_slots)):
-            floor = self.q + j + 1 if j == 0 else max(self.q + j + 1, down_slots[j - 1] + 1)
-            new = max(floor, down_slots[j] - remaining)
-            remaining -= down_slots[j] - new
-            down_slots[j] = new
-        assert remaining == 0, "lower lift exceeds its headroom"
-        up_slots = [self.base_order.position(p) for p in self.up]
-        remaining = lift_up
-        for j in range(len(up_slots)):
-            floor = 1 + j if j == 0 else max(1 + j, up_slots[j - 1] + 1)
-            new = max(floor, up_slots[j] - remaining)
-            remaining -= up_slots[j] - new
-            up_slots[j] = new
-        assert remaining == 0, "upper lift exceeds its headroom"
-        built = self._build(up_slots, down_slots)
-        assert built is not None
-        return built
-
-    def points(self, order: PreferenceOrder, parties) -> int:
-        return sum(self.m - order.position(p) for p in parties)
-
-
-def shift_bounds(
-    order: PreferenceOrder,
-    leader: str,
-    rest: tuple[str, ...],
-    k1: int,
-    l_down: int,
-    l_up: int,
+    placements=_placements,
 ):
-    """Cost/point envelope of one split: (base inversions, low points of each
-    side, inversion headroom of each side), or None when the split cannot be
-    realized."""
-    if l_down + l_up != len(rest):
-        raise DomainError("split sizes must partition the coalition remainder")
-    geo = _ShiftGeometry(order, leader, rest, k1, l_up)
-    if not geo.feasible:
-        return None
-    base_cost = len(inverted_pairs(order, geo.base_order))
-    down_min = geo.points(geo.base_order, geo.down)
-    up_min = geo.points(geo.base_order, geo.up)
-    packed_down = geo.order_for(_down_headroom(geo), 0)
-    packed_up = geo.order_for(0, _up_headroom(geo))
-    down_room = geo.points(packed_down, geo.down) - down_min
-    up_room = geo.points(packed_up, geo.up) - up_min
-    # One extra inversion buys exactly one extra point on either side.
-    assert len(inverted_pairs(order, packed_down)) - base_cost == down_room
-    assert len(inverted_pairs(order, packed_up)) - base_cost == up_room
-    return geo, base_cost, down_min, down_room, up_min, up_room
+    """Unit/dollar menu for one voter: `price` for every pair some order
+    realizes, 0 for the current pair; and `realize(pair)`, an order realizing
+    it."""
+    canonical = PreferenceOrder((leader, *rest, *outsiders))
+    reachable, realize_any = placements(canonical, leader, rest, True)
+    current = leader_and_rest_scores(order, leader, rest)
+    costs = dict.fromkeys(reachable, price)
+    costs[current] = 0
 
+    def realize(pair: tuple[int, int]) -> PreferenceOrder:
+        return order if pair == current else realize_any(pair)
 
-def _down_headroom(geo: _ShiftGeometry) -> int:
-    slots = [geo.base_order.position(p) for p in geo.down]
-    return sum(s - (geo.q + j + 1) for j, s in enumerate(slots))
-
-
-def _up_headroom(geo: _ShiftGeometry) -> int:
-    slots = [geo.base_order.position(p) for p in geo.up]
-    return sum(s - (1 + j) for j, s in enumerate(slots))
+    return costs, realize
 
 
 def shift_menu(
@@ -281,65 +131,35 @@ def shift_menu(
     leader: str,
     rest: tuple[str, ...],
     table: tuple[int, ...],
-) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], PreferenceOrder]]:
-    """Shift menu for one voter: price and realizing order per (k_rest, k1)."""
-    m = len(order)
-    menu: dict[tuple[int, int], int] = {}
-    witness: dict[tuple[int, int], PreferenceOrder] = {}
-    for k1 in range(m):
-        for l_down in range(len(rest) + 1):
-            l_up = len(rest) - l_down
-            bounds = shift_bounds(order, leader, rest, k1, l_down, l_up)
-            if bounds is None:
-                continue
-            geo, base_cost, down_min, down_room, up_min, up_room = bounds
-            for extra in range(down_room + up_room + 1):
-                k_rest = down_min + up_min + extra
-                inversions = base_cost + extra
-                cost = table[inversions]
-                key = (k_rest, k1)
-                if cost < menu.get(key, inf):
-                    lift_down = min(extra, down_room)
-                    menu[key] = cost
-                    witness[key] = geo.order_for(lift_down, extra - lift_down)
-    return menu, witness
+    placements=_placements,
+):
+    """Shift menu for one voter: per pair some admissible order realizes,
+    the table price of its fewest inversions; and `realize(pair)`, an order
+    attaining that price."""
+    fewest, realize = placements(order, leader, rest, False)
+    return {pair: table[inv] for pair, inv in fewest.items()}, realize
 
 
 class _VoterMenu:
     """Cheapest replacement and realizing order per (k_rest, k1) for one voter."""
 
-    def __init__(self, instance: ProblemInstance, voter: int):
-        election = instance.election
-        order = election.orders[voter]
-        self.order = order
-        self.leader = instance.leader
-        self.rest = instance.coalition_rest
+    def __init__(self, instance: ProblemInstance, voter: int, placements=_placements):
+        order = instance.election.orders[voter]
+        leader, rest = instance.leader, instance.coalition_rest
         model = instance.cost_model
         if isinstance(model, (UnitCost, DollarCost)):
-            self.costs = price_menu(
-                order, self.leader, self.rest, instance.outsiders,
-                model.voter_price(voter),
+            self.costs, self.realize = price_menu(
+                order, leader, rest, instance.outsiders, model.voter_price(voter),
+                placements,
             )
-            self._witness = None
-            self._outsiders = instance.outsiders
-            self._current = leader_and_rest_scores(order, self.leader, self.rest)
         elif isinstance(model, ShiftCost):
-            self.costs, self._witness = shift_menu(
-                order, self.leader, self.rest, model.tables[voter]
+            self.costs, self.realize = shift_menu(
+                order, leader, rest, model.tables[voter], placements
             )
         else:
             raise DomainError(
                 "this solver handles unit, dollar and shift bribery only"
             )
-
-    def realize(self, k_rest: int, k1: int) -> PreferenceOrder:
-        if self._witness is not None:
-            return self._witness[(k_rest, k1)]
-        if (k_rest, k1) == self._current:
-            return self.order
-        return realize_pair(
-            len(self.order), self.leader, self.rest, self._outsiders, k_rest, k1
-        )
 
 
 def _pareto(cells: dict, track_leader: bool) -> dict:
@@ -405,7 +225,11 @@ def solve_borda_zero(
     if instance.threshold != 0:
         raise DomainError("this solver requires a zero threshold")
     election = instance.election
-    menus = [_VoterMenu(instance, i) for i in range(election.num_voters)]
+    # One memo per solve: voters sharing an order share one placement DP.
+    placements = cache(_placements)
+    menus = [
+        _VoterMenu(instance, i, placements) for i in range(election.num_voters)
+    ]
     layers, backpointers = accumulate_voter_tables(
         menus, inf if cap is None else cap, instance.rho != 0
     )
@@ -430,7 +254,7 @@ def _reconstruct(instance, menus, backpointers, key, cost) -> BribePlan:
     replacements = {}
     for voter in range(election.num_voters - 1, -1, -1):
         d_ka, d1 = backpointers[voter + 1][key]
-        new_order = menus[voter].realize(d_ka - d1, d1)
+        new_order = menus[voter].realize((d_ka - d1, d1))
         if new_order != election.orders[voter]:
             replacements[voter] = new_order
         key = (key[0] - d_ka, key[1] - d1)

@@ -1,17 +1,16 @@
 """Command-line front end.
 
-Subcommands: solve, oracle, crossval, reduce, bench, gen.  Exit codes for
+Subcommands: solve, oracle, crossval, reduce, gen.  Exit codes for
 solve/oracle: 0 feasible, 1 infeasible, 2 input error, 3 search refusal,
 4 failed witness check (a solver emitted a plan that does not verify).
+`crossval` exits 1 on a disagreement and 3 on a search refusal.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -106,7 +105,7 @@ def _load_instance(path: str) -> ProblemInstance:
 def _cmd_solve(args, force_oracle: bool) -> int:
     try:
         instance = _load_instance(args.instance)
-    except (OSError, InstanceParseError, DomainError) as exc:
+    except (OSError, UnicodeDecodeError, InstanceParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     budget = SearchBudget(max_expansions=args.max_expansions)
@@ -135,8 +134,18 @@ def _cmd_crossval(args) -> int:
                 max_price=args.max_price,
             )
             solver = solver_for(dispatch(instance), budget)
-            optimum, _plan = oracle_solve(instance, budget)
-            if minimal_feasible_budget(instance, solver) == optimum:
+            try:
+                optimum, _plan = oracle_solve(instance, budget)
+            except OracleRefusal as exc:
+                print(f"refused: {variant.label()} index {index}: {exc}",
+                      file=sys.stderr)
+                return EXIT_REFUSAL
+            why = ""
+            try:
+                agrees = minimal_feasible_budget(instance, solver) == optimum
+            except WitnessError as exc:
+                agrees, why = False, f" ({exc})"
+            if agrees:
                 agree += 1
             else:
                 failures += 1
@@ -146,7 +155,7 @@ def _cmd_crossval(args) -> int:
                 dump.parent.mkdir(parents=True, exist_ok=True)
                 dump.write_text(serialize_instance(instance))
                 print(
-                    f"disagreement on {variant.label()} index {index}; "
+                    f"disagreement on {variant.label()} index {index}{why}; "
                     f"instance written to {dump}",
                     file=sys.stderr,
                 )
@@ -170,7 +179,7 @@ def _cmd_reduce(args) -> int:
         else:
             print(f"error: unknown reduction {args.kind!r}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-    except (OSError, InstanceParseError, DomainError) as exc:
+    except (OSError, UnicodeDecodeError, InstanceParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out_text = serialize_instance(instance)
@@ -178,34 +187,6 @@ def _cmd_reduce(args) -> int:
         Path(args.output).write_text(out_text)
     else:
         sys.stdout.write(out_text)
-    return EXIT_FEASIBLE
-
-
-def _cmd_bench(args) -> int:
-    budget = SearchBudget(max_expansions=args.max_expansions)
-    print("file\tvariant\tsolver\treps\tmedian_seconds\tcells\tsignatures")
-    for path in args.instances:
-        try:
-            instance = _load_instance(path)
-        except (OSError, InstanceParseError, DomainError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        name = dispatch(instance)
-        solver = solver_for(name, budget)
-        times = []
-        stats: dict = {}
-        for _ in range(args.reps):
-            stats = {}
-            start = time.monotonic()
-            solver(instance, instance.budget, stats)
-            times.append(time.monotonic() - start)
-        cells = stats.get("table_cells", stats.get("networks_solved", ""))
-        signatures = stats.get("signatures", "")
-        median = statistics.median(times)
-        print(
-            f"{path}\t{instance.variant_label()}\t{name}\t{args.reps}"
-            f"\t{median:.6f}\t{cells}\t{signatures}"
-        )
     return EXIT_FEASIBLE
 
 
@@ -235,6 +216,16 @@ def _cmd_gen(args) -> int:
     return EXIT_FEASIBLE
 
 
+def _at_least(low: int):
+    """Argparse type: an integer no smaller than `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coalition-bribery",
@@ -245,6 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--max-expansions", type=int, default=10_000_000,
                        help="expansion limit for the exact search")
+
+    def add_sizes(p):
+        p.add_argument("--max-voters", type=_at_least(1), default=5)
+        p.add_argument("--max-parties", type=_at_least(2), default=4)
+        p.add_argument("--max-price", type=_at_least(0), default=3)
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance")
@@ -261,9 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv = sub.add_parser("crossval", help="compare polynomial solvers with the exact search")
     p_cv.add_argument("--seed", type=int, default=1)
     p_cv.add_argument("--count", type=int, default=100)
-    p_cv.add_argument("--max-voters", type=int, default=5)
-    p_cv.add_argument("--max-parties", type=int, default=4)
-    p_cv.add_argument("--max-price", type=int, default=3)
+    add_sizes(p_cv)
     p_cv.add_argument("--artifact-dir", default="crossval-artifacts")
     add_common(p_cv)
 
@@ -273,11 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("source")
     p_red.add_argument("--output")
 
-    p_bench = sub.add_parser("bench", help="time solvers on instance files")
-    p_bench.add_argument("instances", nargs="*")
-    p_bench.add_argument("--reps", type=int, default=5)
-    add_common(p_bench)
-
     p_gen = sub.add_parser("gen", help="emit a seeded random instance")
     p_gen.add_argument("--rule", choices=("plurality", "borda"), default="plurality")
     p_gen.add_argument("--bribery", choices=("unit", "dollar", "swap", "shift"),
@@ -286,10 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--preferred", action="store_true")
     p_gen.add_argument("--seed", type=int, default=1)
     p_gen.add_argument("--index", type=int, default=0)
-    p_gen.add_argument("--max-voters", type=int, default=5)
-    p_gen.add_argument("--max-parties", type=int, default=4)
-    p_gen.add_argument("--max-price", type=int, default=3)
-    p_gen.add_argument("--budget", type=int)
+    add_sizes(p_gen)
+    p_gen.add_argument("--budget", type=_at_least(0))
     p_gen.add_argument("--output")
     return parser
 
@@ -304,8 +291,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _cmd_crossval(args)
     if args.command == "reduce":
         return _cmd_reduce(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "gen":
         return _cmd_gen(args)
     raise AssertionError(args.command)

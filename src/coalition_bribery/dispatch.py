@@ -60,7 +60,6 @@ def solve_capped(
     instance: ProblemInstance,
     cap: Optional[int],
     search_budget: SearchBudget = SearchBudget(),
-    stats: Optional[dict] = None,
 ) -> Optional[BribePlan]:
     """The named solver's cheapest plan costing at most `cap` (None: no
     limit), verified; None when there is none.
@@ -70,9 +69,7 @@ def solve_capped(
     """
     if check_goals(instance.election.orders, instance):
         return BribePlan.empty()
-    kwargs: dict = {"budget": search_budget} if name == ORACLE else {}
-    if stats is not None:
-        kwargs["stats"] = stats
+    kwargs = {"budget": search_budget} if name == ORACLE else {}
     plan = globals()[ENGINES[name]](instance, cap, **kwargs)
     if plan is None:
         return None
@@ -87,10 +84,8 @@ def solve_capped(
 def solver_for(
     name: str, budget: SearchBudget
 ) -> Callable[..., Optional[BribePlan]]:
-    """`solve_capped` bound to one solver: (instance, cap, stats=None)."""
-    return lambda instance, cap, stats=None: solve_capped(
-        name, instance, cap, budget, stats
-    )
+    """`solve_capped` bound to one solver: (instance, cap)."""
+    return lambda instance, cap: solve_capped(name, instance, cap, budget)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from coalition_bribery.borda import attainable, leader_and_rest_scores
+from coalition_bribery.borda import leader_and_rest_scores, price_menu
 from coalition_bribery.core import PreferenceOrder, ScoringRule, check_goals, tally
 from coalition_bribery.costs import apply_plan
 from coalition_bribery.dispatch import (
@@ -176,24 +176,21 @@ def test_criterion_06_oracle_equivalence_suites():
 
 
 def test_criterion_07_attainability_oracle():
-    with criterion(7, "attainable pairs match full permutation enumeration"):
+    with criterion(7, "price_menu's pairs match full permutation enumeration"):
         mismatches = 0
         for m in range(1, 6):
             parties = tuple(f"p{i}" for i in range(m))
+            orders = [PreferenceOrder(perm) for perm in itertools.permutations(parties)]
             leader = parties[0]
             for rest_size in range(m):
                 rest = parties[1 : 1 + rest_size]
-                reachable = set()
-                for perm in itertools.permutations(parties):
-                    reachable.add(
-                        leader_and_rest_scores(PreferenceOrder(perm), leader, rest)
-                    )
-                for k1 in range(m):
-                    for k_rest in range(rest_size * (m - 1) + 1):
-                        if attainable(k_rest, k1, m, rest_size) != (
-                            (k_rest, k1) in reachable
-                        ):
-                            mismatches += 1
+                outsiders = parties[1 + rest_size :]
+                reachable = {
+                    leader_and_rest_scores(order, leader, rest) for order in orders
+                }
+                for order in orders:
+                    menu, _ = price_menu(order, leader, rest, outsiders, price=1)
+                    mismatches += set(menu) != reachable
         assert mismatches == 0
 
 

@@ -1,4 +1,4 @@
-"""Zero-threshold Borda solvers: attainability, per-voter menus, the
+"""Zero-threshold Borda solvers: per-voter menus from the placement DP, the
 voter-by-voter table, and the full decision procedure."""
 
 import itertools
@@ -10,32 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from coalition_bribery.borda import (
     accumulate_voter_tables,
-    attainable,
     leader_and_rest_scores,
     price_menu,
-    realize_pair,
-    shift_bounds,
     shift_menu,
     _VoterMenu,
 )
-
-
-def test_realize_pair_hits_every_attainable_cell():
-    for m in range(2, 6):
-        parties = tuple(f"p{i}" for i in range(m))
-        leader = parties[0]
-        for rest_size in range(m):
-            rest = parties[1 : 1 + rest_size]
-            outsiders = parties[1 + rest_size :]
-            for k1 in range(m):
-                for k_rest in range(rest_size * (m - 1) + 1):
-                    if not attainable(k_rest, k1, m, rest_size):
-                        continue
-                    order = realize_pair(m, leader, rest, outsiders, k_rest, k1)
-                    assert leader_and_rest_scores(order, leader, rest) == (
-                        k_rest,
-                        k1,
-                    )
 from coalition_bribery.core import PreferenceOrder, ProblemInstance, ScoringRule
 from coalition_bribery.costs import UnitCost, inverted_pairs, iter_shift_orders
 from coalition_bribery.dispatch import BORDA_DP
@@ -46,79 +25,106 @@ from coalition_bribery.sample_instances import unanimous_four_party_borda_cb
 from conftest import assert_verifies, random_problem, solve_at_budget
 
 
+def every_coalition(max_parties):
+    """(order, leader, rest, outsiders) for every order of up to
+    `max_parties` parties and every coalition size."""
+    for m in range(1, max_parties + 1):
+        parties = tuple(f"p{i}" for i in range(m))
+        for perm in itertools.permutations(parties):
+            for size in range(1, m + 1):
+                yield (PreferenceOrder(perm), parties[0], parties[1:size],
+                       parties[size:])
+
+
+def test_realize_pair_hits_every_attainable_cell():
+    for order, leader, rest, outsiders in every_coalition(5):
+        costs, realize = price_menu(order, leader, rest, outsiders, price=1)
+        for pair in costs:
+            assert leader_and_rest_scores(realize(pair), leader, rest) == pair
+
+
+def menu_pairs(m, rest_size):
+    """The (k_rest, k1) pairs of a unit menu for `rest_size` members besides
+    the leader among `m` parties."""
+    parties = tuple(f"p{i}" for i in range(m))
+    rest, outsiders = parties[1 : 1 + rest_size], parties[1 + rest_size :]
+    costs, _ = price_menu(PreferenceOrder(parties), parties[0], rest, outsiders, 1)
+    return set(costs)
+
+
 class TestAttainable:
     def test_three_party_singleton_rest(self):
-        assert attainable(1, 2, m=3, rest_size=1)
-        assert not attainable(2, 2, m=3, rest_size=1)
+        assert (1, 2) in menu_pairs(3, 1)
+        assert (2, 2) not in menu_pairs(3, 1)
 
     def test_empty_rest(self):
-        for k1 in range(4):
-            assert attainable(0, k1, m=4, rest_size=0)
+        assert menu_pairs(4, 0) == {(0, k1) for k1 in range(4)}
 
     def test_above_maximum(self):
-        assert not attainable(2 * 3 + 1, 0, m=4, rest_size=2)
+        assert max(k_rest for k_rest, _k1 in menu_pairs(4, 2)) == 3 + 2
 
     def test_exhaustive_against_enumeration(self):
-        for m in range(1, 6):
-            parties = tuple(f"p{i}" for i in range(m))
-            leader = parties[0]
-            for rest_size in range(m):
-                rest = parties[1 : 1 + rest_size]
-                reachable = set()
-                for perm in itertools.permutations(parties):
-                    reachable.add(
-                        leader_and_rest_scores(PreferenceOrder(perm), leader, rest)
-                    )
-                for k1 in range(m):
-                    for k_rest in range(rest_size * (m - 1) + 1):
-                        assert attainable(k_rest, k1, m, rest_size) == (
-                            (k_rest, k1) in reachable
-                        ), (m, rest_size, k_rest, k1)
+        for order, leader, rest, outsiders in every_coalition(5):
+            reachable = {
+                leader_and_rest_scores(PreferenceOrder(perm), leader, rest)
+                for perm in itertools.permutations(order.ranking)
+            }
+            costs, _ = price_menu(order, leader, rest, outsiders, price=4)
+            assert set(costs) == reachable, (order, leader, rest)
+            current = leader_and_rest_scores(order, leader, rest)
+            assert {pair for pair, c in costs.items() if c != 4} == {current}
+            assert costs[current] == 0
 
 
 class TestPriceMenu:
     def test_attainable_pair_costs_price(self):
         order = PreferenceOrder(("c3", "c2", "c1"))
-        menu = price_menu(order, "c1", ("c2",), ("c3",), price=4)
+        menu, _ = price_menu(order, "c1", ("c2",), ("c3",), price=4)
         assert menu[(1, 2)] == 4
 
     def test_current_pair_is_free(self):
         order = PreferenceOrder(("c3", "c2", "c1"))
-        menu = price_menu(order, "c1", ("c2",), ("c3",), price=4)
+        menu, realize = price_menu(order, "c1", ("c2",), ("c3",), price=4)
         assert menu[(1, 0)] == 0
+        assert realize((1, 0)) == order
 
     def test_impossible_pair_absent(self):
         order = PreferenceOrder(("c3", "c2", "c1"))
-        menu = price_menu(order, "c1", ("c2",), ("c3",), price=4)
+        menu, _ = price_menu(order, "c1", ("c2",), ("c3",), price=4)
         assert (0, 0) not in menu
 
 
 class TestShiftBounds:
     def test_lower_side_envelope(self):
         order = PreferenceOrder(("c2", "c3", "c1"))
-        bounds = shift_bounds(order, "c1", ("c2",), k1=2, l_down=1, l_up=0)
-        assert bounds is not None
-        _geo, base_cost, down_min, down_room, up_min, up_room = bounds
-        assert (down_min, down_room) == (1, 0)
-        assert (up_min, up_room) == (0, 0)
-        assert base_cost == 2  # the leader climbs two ranks
+        menu, realize = shift_menu(order, "c1", ("c2",), (0, 1, 2, 3))
+        # The leader climbs two ranks and c2 keeps the point of rank 2.
+        assert menu[(1, 2)] == 2
+        assert realize((1, 2)) == PreferenceOrder(("c1", "c2", "c3"))
 
     def test_no_room_above(self):
         order = PreferenceOrder(("c2", "c3", "c1"))
-        assert shift_bounds(order, "c1", ("c2",), k1=2, l_down=0, l_up=1) is None
+        menu, _ = shift_menu(order, "c1", ("c2",), (0, 1, 2, 3))
+        # With the leader on top no slot is left above it for c2, and c3
+        # may not rise over c2.
+        assert [pair for pair in menu if pair[1] == 2] == [(1, 2)]
 
-    def test_leader_cannot_sink(self):
+    def test_leader_sinking_pair_is_offered(self):
         order = PreferenceOrder(("c1", "c2", "c3"))
-        assert shift_bounds(order, "c1", ("c2",), k1=0, l_down=1, l_up=0) is None
+        menu, realize = shift_menu(order, "c1", ("c2",), (0, 5, 9, 9))
+        # c2 overtakes the leader: one inversion, and c3 stays last.
+        assert menu[(2, 1)] == 5
+        assert realize((2, 1)) == PreferenceOrder(("c2", "c1", "c3"))
+        assert (2, 0) not in menu
 
 
 class TestShiftMenu:
     def test_two_rank_lift(self):
         order = PreferenceOrder(("c2", "c3", "c1"))
         table = (0, 1, 2, 3)
-        menu, witness = shift_menu(order, "c1", ("c2",), table)
+        menu, realize = shift_menu(order, "c1", ("c2",), table)
         assert menu[(1, 2)] == 2
-        assert leader_and_rest_scores(witness[(1, 2)], "c1", ("c2",)) == (1, 2)
+        assert leader_and_rest_scores(realize((1, 2)), "c1", ("c2",)) == (1, 2)
 
     def test_current_pair_is_free(self):
         order = PreferenceOrder(("c2", "c3", "c1"))
@@ -139,30 +145,18 @@ class TestShiftMenu:
                     coalition = parties[:size]
                     leader, rest = coalition[0], coalition[1:]
                     brute = {}
+                    admissible = set()
                     for cand, inv in iter_shift_orders(order, coalition):
+                        admissible.add(cand)
                         key = leader_and_rest_scores(cand, leader, rest)
                         brute[key] = min(brute.get(key, 10**9), table[inv])
-                    menu, witness = shift_menu(order, leader, rest, table)
-                    cur = leader_and_rest_scores(order, leader, rest)
+                    menu, realize = shift_menu(order, leader, rest, table)
+                    assert menu == brute, (order, coalition)
                     for key, cost in menu.items():
-                        assert brute[key] == cost, (order, coalition, key)
-                        w = witness[key]
+                        w = realize(key)
+                        assert w in admissible
                         assert leader_and_rest_scores(w, leader, rest) == key
                         assert table[len(inverted_pairs(order, w))] == cost
-                    # skipped pairs all demand the leader to sink, and are
-                    # dominated: same or more coalition points, same or more
-                    # leader points, at most the same cost
-                    for (k_rest, k1), cost in brute.items():
-                        if (k_rest, k1) in menu:
-                            continue
-                        assert k1 < cur[1]
-                        assert any(
-                            k1_kept >= k1
-                            and (k_rest_kept + k1_kept) >= (k_rest + k1)
-                            and (k1_kept - k1) >= (k_rest_kept + k1_kept) - (k_rest + k1)
-                            and kept_cost <= cost
-                            for (k_rest_kept, k1_kept), kept_cost in menu.items()
-                        ), (order, coalition, (k_rest, k1))
 
 
 def _covered(layer, ka, k1, cost, track_leader):

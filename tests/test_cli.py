@@ -156,7 +156,7 @@ def test_crossval_zero_count(tmp_path, capsys):
 
 def test_crossval_detects_corrupted_solver(tmp_path, capsys, monkeypatch):
     def lying_solver_for(name, budget):
-        return lambda instance, cap, stats=None: None
+        return lambda instance, cap: None
 
     monkeypatch.setattr(cli, "solver_for", lying_solver_for)
     code = cli.main(
@@ -168,6 +168,59 @@ def test_crossval_detects_corrupted_solver(tmp_path, capsys, monkeypatch):
     assert dumps, "expected a replayable disagreement artifact"
     err = capsys.readouterr().err
     assert "disagreement" in err
+
+
+def test_crossval_witness_error_is_a_disagreement(tmp_path, capsys, monkeypatch):
+    def failing_solver_for(name, budget):
+        def solve(instance, cap):
+            raise WitnessError("solver emitted a plan that misses the goals")
+        return solve
+
+    monkeypatch.setattr(cli, "solver_for", failing_solver_for)
+    code = cli.main(
+        ["crossval", "--seed", "1", "--count", "1",
+         "--artifact-dir", str(tmp_path / "artifacts")]
+    )
+    assert code == 1
+    assert list((tmp_path / "artifacts").glob("disagreement-*.txt"))
+    err = capsys.readouterr().err
+    assert "disagreement" in err and "misses the goals" in err
+
+
+def test_crossval_refusal_exit_three(tmp_path, capsys):
+    code = cli.main(
+        ["crossval", "--seed", "1", "--count", "2", "--max-expansions", "5",
+         "--artifact-dir", str(tmp_path / "artifacts")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refused: Plurality_t-CB/unit index 1: exact search")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "reduce"])
+def test_non_utf8_file_exit_two(tmp_path, capsys, command):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    argv = [command, str(path)]
+    if command == "reduce":
+        argv.insert(1, "x3c-borda-unit")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, value, commands", [
+    ("--max-voters", "0", ("gen", "crossval")),
+    ("--max-parties", "1", ("gen", "crossval")),
+    ("--max-price", "-1", ("gen", "crossval")),
+    ("--budget", "-1", ("gen",)),
+])
+def test_impossible_generator_size_is_a_usage_error(capsys, flag, value, commands):
+    for command in commands:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
 
 
 def test_reduce_and_solve_pipeline(tmp_path, capsys):
@@ -186,24 +239,6 @@ def test_gen_reproducible(tmp_path):
     assert cli.main(args + ["--output", str(a)]) == 0
     assert cli.main(args + ["--output", str(b)]) == 0
     assert a.read_text() == b.read_text()
-
-
-def test_bench_reports_table(tmp_path, capsys):
-    path = write(tmp_path, "bench.txt", three_party_dollar_cbp(7))
-    assert cli.main(["bench", path, "--reps", "3"]) == 0
-    out = capsys.readouterr().out
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("file")
-    assert len(lines) == 2
-    fields = lines[1].split("\t")
-    assert fields[1] == "Plurality_t-CBP/dollar"
-    assert int(fields[5]) > 0  # table cells counted
-
-
-def test_bench_empty_list(capsys):
-    assert cli.main(["bench", "--reps", "2"]) == 0
-    out = capsys.readouterr().out
-    assert len(out.strip().splitlines()) == 1
 
 
 def test_out_of_range_rho_without_preferred_exit_two(tmp_path, capsys):
