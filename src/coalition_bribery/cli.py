@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--max-expansions", type=int, default=10_000_000,
+        p.add_argument("--max-expansions", type=_at_least(0), default=10_000_000,
                        help="expansion limit for the exact search")
 
     def add_sizes(p):
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cv = sub.add_parser("crossval", help="compare polynomial solvers with the exact search")
     p_cv.add_argument("--seed", type=int, default=1)
-    p_cv.add_argument("--count", type=int, default=100)
+    p_cv.add_argument("--count", type=_at_least(0), default=100)
     add_sizes(p_cv)
     p_cv.add_argument("--artifact-dir", default="crossval-artifacts")
     add_common(p_cv)

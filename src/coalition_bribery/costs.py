@@ -9,12 +9,15 @@ invert only when the rising party belongs to the coalition.  This keeps the
 relative order of non-coalition parties fixed and forbids demoting a coalition
 member below an outsider it used to beat, while still allowing coalition
 members to overtake each other.
+
+`iter_orders` generates the swap and shift replacement orders of one voter,
+front to back and cut at a cost cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import DomainError, Election, PreferenceOrder
 
@@ -226,63 +229,43 @@ def lift_to_top(order: PreferenceOrder, party: str) -> PreferenceOrder:
     return PreferenceOrder((party,) + tuple(p for p in order.ranking if p != party))
 
 
-def iter_shift_orders(
+def iter_orders(
     order: PreferenceOrder,
-    coalition: Sequence[str],
-    max_inversions: Optional[int] = None,
+    may_rise: Collection[str],
+    pair_price: Callable[[str, str], int],
+    cap: Optional[int] = None,
 ) -> Iterator[tuple[PreferenceOrder, int]]:
-    """All shift-admissible replacements of `order`, with inversion counts.
+    """Each reordering of `order` in which only parties in `may_rise` rise
+    above a party they were below, once, with the summed `pair_price(x, y)`
+    of the pairs (x, y) it inverts.
 
-    Builds orders front to back: at each slot either any unplaced coalition
-    member may be taken (it rises), or the next outsider in original order,
-    provided every coalition member originally above it has been placed.
-    Branches whose inversion count already exceeds `max_inversions` are cut.
+    Fills slots front to back: placing y inverts it with every unplaced party
+    that was above it, so a party outside `may_rise` waits until none is
+    left.  A prefix whose total passes `cap` is cut; one within it completes
+    at no extra cost (the rest in their original order), so every branch
+    walked yields an order.
     """
-    coalition = set(coalition)
-    members = [p for p in order.ranking if p in coalition]
-    outsiders = [p for p in order.ranking if p not in coalition]
-    # Coalition members ranked above each outsider must precede it in any
-    # admissible outcome.
-    above = {
-        y: frozenset(
-            p for p in members if order.position(p) < order.position(y)
-        )
-        for y in outsiders
-    }
-    m = len(order)
+    ranking = order.ranking
+    m = len(ranking)
+    rises = [y in may_rise for y in ranking]
+    # prices[j][i]: the price of y = ranking[j] passing x = ranking[i], i < j
+    prices = [[pair_price(x, y) for x in ranking[:j]] for j, y in enumerate(ranking)]
+    prefix: list[str] = []
 
-    def inversions_added(party: str, placed: set) -> int:
-        # Pairs (x, party) created by placing `party` now: parties above it
-        # originally that are still unplaced will end up below it.
-        return sum(
-            1
-            for x in order.ranking
-            if x not in placed and x != party and order.position(x) < order.position(party)
-        )
-
-    def rec(prefix, placed, next_out, inv):
+    def rec(placed: int, total: int):
         if len(prefix) == m:
-            yield PreferenceOrder(tuple(prefix)), inv
+            yield PreferenceOrder(tuple(prefix)), total
             return
-        for p in members:
-            if p in placed:
+        passed: list[int] = []  # unplaced parties originally above ranking[j]
+        for j in range(m):
+            if placed >> j & 1:
                 continue
-            added = inversions_added(p, placed)
-            if max_inversions is not None and inv + added > max_inversions:
-                continue
-            placed.add(p)
-            prefix.append(p)
-            yield from rec(prefix, placed, next_out, inv + added)
-            prefix.pop()
-            placed.remove(p)
-        if next_out < len(outsiders):
-            y = outsiders[next_out]
-            if above[y] <= placed:
-                # Outsiders never rise, so they add no inversions.
-                placed.add(y)
-                prefix.append(y)
-                yield from rec(prefix, placed, next_out + 1, inv)
-                prefix.pop()
-                placed.remove(y)
+            if rises[j] or not passed:
+                added = total + sum(prices[j][i] for i in passed)
+                if cap is None or added <= cap:
+                    prefix.append(ranking[j])
+                    yield from rec(placed | 1 << j, added)
+                    prefix.pop()
+            passed.append(j)
 
-    yield from rec([], set(), 0, 0)
+    yield from rec(0, 0)

@@ -9,8 +9,9 @@ depends on nothing else).  Option lists themselves are deduplicated by score
 effect, which for plurality collapses them to one cheapest replacement per
 achievable top.
 
-With a cost cap, options and partial bribes above it are dropped, and the
-search returns the cheapest bribe under the cap.
+Every voter's orders come from `enumerate_voter_options`.  With a cost cap,
+options and partial bribes above it are dropped, and the search returns the
+cheapest bribe under the cap.
 
 The search refuses instances whose option spaces and sweep states together
 outgrow the configured expansion budget instead of running unboundedly: one
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import inf
 from typing import Optional
@@ -42,7 +44,7 @@ from .costs import (
     SwapCost,
     UnitCost,
     bribe_cost,
-    iter_shift_orders,
+    iter_orders,
     lift_to_top,
 )
 
@@ -80,36 +82,51 @@ class _Meter:
 
 
 def enumerate_voter_options(
-    instance: ProblemInstance, voter: int, meter: Optional[_Meter] = None
+    instance: ProblemInstance, voter: int, meter: Optional[_Meter] = None,
+    cost_cap: Optional[int] = None,
 ) -> list[tuple[PreferenceOrder, int]]:
-    """All admissible replacement orders for one voter, with exact costs.
+    """Admissible replacement orders for one voter costing at most `cost_cap`
+    (None: no limit), with exact costs, cheapest first.
 
-    Unit/dollar and swap bribery admit every permutation; shift bribery only
-    the orders in which nothing but coalition members rise.  Each order is
-    charged to `meter` (a fresh default-budget one when None); the whole
-    permutation space is charged up front, so it refuses before enumerating
-    a space that does not fit.
+    Unit/dollar bribery prices every change alike, so it lists all m!
+    permutations.  Swap and shift orders come from `iter_orders`, cut at the
+    cap; shift admits only orders in which nothing but coalition members rise.
+    Expansions go to `meter` (a fresh default-budget one when None) before
+    the orders are built: all m! up front for unit/dollar and uncapped swap,
+    so a space that does not fit is refused unbuilt, else one per order
+    yielded, which bounds the work because every prefix the generator keeps
+    completes to an order within the cap.
     """
-    election = instance.election
-    order = election.orders[voter]
+    order = instance.election.orders[voter]
     model = instance.cost_model
     if meter is None:
         meter = _Meter(SearchBudget())
-    options: dict[PreferenceOrder, int] = {}
-    if isinstance(model, ShiftCost):
-        for candidate, inversions in iter_shift_orders(order, instance.coalition):
-            meter.charge()
-            cost = model.tables[voter][inversions]
-            if cost < options.get(candidate, inf):
-                options[candidate] = cost
+    if isinstance(model, SwapCost):
+        prices = model.pair_prices[voter]
+        orders = iter_orders(order, order.ranking, lambda x, y: prices[x, y], cost_cap)
+        up_front = cost_cap is None
+    elif isinstance(model, ShiftCost):
+        table = model.tables[voter]
+        most = None if cost_cap is None else bisect_right(table, cost_cap) - 1
+        shifts = iter_orders(order, instance.coalition, lambda x, y: 1, most)
+        orders = ((candidate, table[inversions]) for candidate, inversions in shifts)
+        up_front = False
     else:
-        meter.charge(math.factorial(election.num_parties))
-        for perm in itertools.permutations(election.parties):
-            candidate = PreferenceOrder(perm)
-            cost = bribe_cost(model, voter, order, candidate, instance.coalition)
-            if cost is not None and cost < options.get(candidate, inf):
-                options[candidate] = cost
-    return sorted(options.items(), key=lambda item: (item[1], item[0].ranking))
+        price = model.voter_price(voter)
+        orders = (
+            (candidate, 0 if candidate == order else price)
+            for candidate in map(PreferenceOrder, itertools.permutations(order.ranking))
+        )
+        up_front = True
+    if up_front:
+        meter.charge(math.factorial(len(order)))
+    options = []
+    for candidate, cost in orders:
+        if not up_front:
+            meter.charge()
+        if cost_cap is None or cost <= cost_cap:
+            options.append((candidate, cost))
+    return sorted(options, key=lambda item: (item[1], item[0].ranking))
 
 
 def _score_delta(
@@ -128,19 +145,13 @@ def _plurality_top_options(
     order = election.orders[voter]
     model = instance.cost_model
     options = [(order, 0)]
-    if isinstance(model, (UnitCost, DollarCost)):
-        price = model.voter_price(voter)
-        for party in election.parties:
-            if party != order.top():
-                options.append((lift_to_top(order, party), price))
-    else:
-        for party in election.parties:
-            if party == order.top():
-                continue
-            lifted = lift_to_top(order, party)
-            cost = bribe_cost(model, voter, order, lifted, instance.coalition)
-            if cost is not None:
-                options.append((lifted, cost))
+    for party in election.parties:
+        if party == order.top():
+            continue
+        lifted = lift_to_top(order, party)
+        cost = bribe_cost(model, voter, order, lifted, instance.coalition)
+        if cost is not None:
+            options.append((lifted, cost))
     return options
 
 
@@ -150,24 +161,10 @@ def _voter_effect_options(
 ) -> list[tuple[tuple[int, ...], int, PreferenceOrder]]:
     """(score delta, cost, representative order), deduplicated by delta."""
     election = instance.election
-    model = instance.cost_model
     if instance.rule is ScoringRule.PLURALITY:
         raw = _plurality_top_options(instance, voter)
-    elif isinstance(model, ShiftCost):
-        raw = []
-        max_inv = None
-        if cost_cap is not None:
-            table = model.tables[voter]
-            max_inv = max(
-                (k for k in range(len(table)) if table[k] <= cost_cap), default=0
-            )
-        for candidate, inversions in iter_shift_orders(
-            election.orders[voter], instance.coalition, max_inversions=max_inv
-        ):
-            meter.charge()
-            raw.append((candidate, model.tables[voter][inversions]))
     else:
-        raw = enumerate_voter_options(instance, voter, meter)
+        raw = enumerate_voter_options(instance, voter, meter, cost_cap)
     order = election.orders[voter]
     best: dict[tuple[int, ...], tuple[int, PreferenceOrder]] = {}
     for candidate, cost in raw:

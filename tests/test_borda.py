@@ -16,7 +16,7 @@ from coalition_bribery.borda import (
     _VoterMenu,
 )
 from coalition_bribery.core import PreferenceOrder, ProblemInstance, ScoringRule
-from coalition_bribery.costs import UnitCost, inverted_pairs, iter_shift_orders
+from coalition_bribery.costs import UnitCost, inverted_pairs, iter_orders
 from coalition_bribery.dispatch import BORDA_DP
 from coalition_bribery.generators import with_budget
 from coalition_bribery.oracle import oracle_solve
@@ -146,7 +146,7 @@ class TestShiftMenu:
                     leader, rest = coalition[0], coalition[1:]
                     brute = {}
                     admissible = set()
-                    for cand, inv in iter_shift_orders(order, coalition):
+                    for cand, inv in iter_orders(order, coalition, lambda x, y: 1):
                         admissible.add(cand)
                         key = leader_and_rest_scores(cand, leader, rest)
                         brute[key] = min(brute.get(key, 10**9), table[inv])

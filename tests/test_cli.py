@@ -223,6 +223,17 @@ def test_impossible_generator_size_is_a_usage_error(capsys, flag, value, command
         assert f"argument {flag}: must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["crossval", "--count", "-2"],
+    ["solve", "instance.txt", "--max-expansions", "-1"],
+])
+def test_negative_count_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {argv[-2]}: must be at least 0" in capsys.readouterr().err
+
+
 def test_reduce_and_solve_pipeline(tmp_path, capsys):
     source = tmp_path / "cover.txt"
     source.write_text("universe: 4\nsubset: 1 2 3 4\nsubset: 1 2 3 4\nsubset: 1 2 3 4\n")

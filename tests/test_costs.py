@@ -15,7 +15,7 @@ from coalition_bribery.costs import (
     UnitCost,
     bribe_cost,
     inverted_pairs,
-    iter_shift_orders,
+    iter_orders,
     lift_to_top,
     plan_cost,
 )
@@ -192,13 +192,45 @@ def test_shift_orders_match_admissibility_filter():
         order = PreferenceOrder(tuple(rng.sample(parties, m)))
         coalition = tuple(rng.sample(parties, rng.randint(1, m)))
         model = ShiftCost.multiplicative([1] * 1, m)
-        generated = dict(iter_shift_orders(order, coalition))
+        generated = dict(iter_orders(order, coalition, lambda x, y: 1))
         filtered = {}
         for perm in itertools.permutations(parties):
             candidate = PreferenceOrder(perm)
             if admissible(model, coalition, order, candidate):
                 filtered[candidate] = len(inverted_pairs(order, candidate))
         assert generated == filtered
+
+
+def test_orders_match_brute_force_within_the_cap():
+    """Swap and shift orders within a cap: exactly the admissible ones, each
+    once, each at its `bribe_cost`."""
+    rng = random.Random(8)
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        parties = tuple(f"p{i}" for i in range(m))
+        order = PreferenceOrder(tuple(rng.sample(parties, m)))
+        pairs = [(x, y) for x in parties for y in parties if x != y]
+        if rng.random() < 0.5:
+            prices = {pair: rng.randint(0, 4) for pair in pairs}
+            model, may_rise = SwapCost((prices,)), parties
+            cap = rng.choice([None, rng.randint(0, 4 * m)])
+        else:
+            # slope 1: the shift price is the number of inverted pairs
+            prices = dict.fromkeys(pairs, 1)
+            model = ShiftCost.multiplicative([1], m)
+            may_rise = tuple(rng.sample(parties, rng.randint(0, m)))
+            cap = rng.choice([None, rng.randint(0, m * (m - 1) // 2)])
+        generated = list(
+            iter_orders(order, may_rise, lambda x, y: prices[x, y], cap)
+        )
+        expected = {}
+        for perm in itertools.permutations(parties):
+            candidate = PreferenceOrder(perm)
+            cost = bribe_cost(model, 0, order, candidate, may_rise)
+            if cost is not None and (cap is None or cost <= cap):
+                expected[candidate] = cost
+        assert len(generated) == len(expected)
+        assert dict(generated) == expected
 
 
 def test_shift_cost_monotone_in_extra_lifts():
@@ -213,7 +245,7 @@ def test_shift_cost_monotone_in_extra_lifts():
         for _ in range(m * (m - 1) // 2):
             table.append(table[-1] + rng.randint(0, 3))
         model = ShiftCost((tuple(table),))
-        for candidate, inv in iter_shift_orders(order, coalition):
+        for candidate, inv in iter_orders(order, coalition, lambda x, y: 1):
             base = bribe_cost(model, 0, order, candidate, coalition)
             for member in coalition:
                 pos = candidate.position(member)

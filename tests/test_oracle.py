@@ -32,6 +32,10 @@ from coalition_bribery.oracle import (
     oracle_solve,
     solve_np_hard,
 )
+from coalition_bribery.reductions import (
+    MinBisectionInstance,
+    reduce_minbisection_to_borda_swap_cb,
+)
 from coalition_bribery.sample_instances import (
     sixteen_voter_shift_cbp,
     unanimous_four_party_borda_cb,
@@ -105,6 +109,29 @@ class TestEnumerateOptions:
         with pytest.raises(OracleRefusal) as err:
             enumerate_voter_options(inst, 0, _Meter(SearchBudget(max_expansions=10_000)))
         assert err.value.required == math.factorial(11)
+
+    @staticmethod
+    def eleven_party_swap_voter():
+        parties = tuple(f"p{i}" for i in range(11))
+        prices = {(x, y): 1 for x in parties for y in parties if x != y}
+        return ProblemInstance(
+            election=make_election(parties, [list(parties)]), rule=ScoringRule.BORDA,
+            threshold=Fraction(0), coalition=parties[:1], phi=Fraction(0),
+            rho=Fraction(0), budget=0, cost_model=SwapCost((prices,)),
+        )
+
+    def test_uncapped_swap_refuses_up_front(self):
+        inst = self.eleven_party_swap_voter()
+        with pytest.raises(OracleRefusal) as err:
+            enumerate_voter_options(inst, 0, _Meter(SearchBudget(max_expansions=10_000)))
+        assert err.value.required == math.factorial(11)
+
+    def test_swap_at_cap_zero_keeps_the_current_order(self):
+        inst = self.eleven_party_swap_voter()
+        meter = _Meter(SearchBudget(max_expansions=10_000))
+        options = enumerate_voter_options(inst, 0, meter, cost_cap=0)
+        assert options == [(inst.election.orders[0], 0)]
+        assert meter.count == 1
 
     def test_one_meter_per_solve(self):
         # Three voter classes, each enumerating 4! = 24 orders; the budget of
@@ -185,6 +212,15 @@ class TestSolveNpHard:
 
     def test_zero_budget_unsatisfied(self):
         assert solve_at_budget(ORACLE, unanimous_four_party_borda_cb(0)) is None
+
+    def test_capped_bisection_image_fits_a_small_budget(self):
+        # One 9-party swap voter: its 9! orders exceed the limit, but the
+        # orders within the budget do not.
+        path = MinBisectionInstance(4, frozenset({(1, 2), (2, 3), (3, 4)}), 1)
+        image = reduce_minbisection_to_borda_swap_cb(path)
+        budget = SearchBudget(max_expansions=100_000)
+        assert math.factorial(image.election.num_parties) > budget.max_expansions
+        assert solve_np_hard(image, image.budget, budget) is not None
 
     def test_pruning_matches_unpruned(self):
         rng = random.Random("prune")

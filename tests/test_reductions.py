@@ -13,7 +13,7 @@ from coalition_bribery.core import (
     grand_total,
     tally,
 )
-from coalition_bribery.costs import apply_plan, bribe_cost, iter_shift_orders
+from coalition_bribery.costs import apply_plan, bribe_cost, iter_orders
 from coalition_bribery.dispatch import ORACLE
 from coalition_bribery.oracle import oracle_solve
 from coalition_bribery.reductions import (
@@ -203,7 +203,7 @@ class TestShiftToSwap:
         image = shift_to_swap(inst)
         for voter in range(inst.election.num_voters):
             order = inst.election.orders[voter]
-            for candidate, _ in iter_shift_orders(order, inst.coalition):
+            for candidate, _ in iter_orders(order, inst.coalition, lambda x, y: 1):
                 shift_price = bribe_cost(
                     inst.cost_model, voter, order, candidate, inst.coalition
                 )
