@@ -3,7 +3,8 @@
 Subcommands: solve, oracle, crossval, reduce, gen.  Exit codes for
 solve/oracle: 0 feasible, 1 infeasible, 2 input error, 3 search refusal,
 4 failed witness check (a solver emitted a plan that does not verify).
-`crossval` exits 1 on a disagreement and 3 on a search refusal.
+`crossval` exits 1 on a disagreement and 3 on a search refusal.  `gen`,
+`reduce` and `crossval` exit 2 when they cannot write a file.
 """
 
 from __future__ import annotations
@@ -152,8 +153,13 @@ def _cmd_crossval(args) -> int:
                 dump = Path(args.artifact_dir) / (
                     f"disagreement-{variant.label().replace('/', '-')}-{index}.txt"
                 )
-                dump.parent.mkdir(parents=True, exist_ok=True)
-                dump.write_text(serialize_instance(instance))
+                try:
+                    dump.parent.mkdir(parents=True, exist_ok=True)
+                    dump.write_text(serialize_instance(instance))
+                except OSError as exc:
+                    print(f"error: disagreement on {variant.label()} index {index}"
+                          f" not written: {exc}", file=sys.stderr)
+                    return EXIT_INPUT_ERROR
                 print(
                     f"disagreement on {variant.label()} index {index}{why}; "
                     f"instance written to {dump}",
@@ -182,12 +188,7 @@ def _cmd_reduce(args) -> int:
     except (OSError, UnicodeDecodeError, InstanceParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    out_text = serialize_instance(instance)
-    if args.output:
-        Path(args.output).write_text(out_text)
-    else:
-        sys.stdout.write(out_text)
-    return EXIT_FEASIBLE
+    return _emit(serialize_instance(instance), args.output)
 
 
 def _cmd_gen(args) -> int:
@@ -208,11 +209,19 @@ def _cmd_gen(args) -> int:
     )
     if args.budget is not None:
         instance = with_budget(instance, args.budget)
-    text = serialize_instance(instance)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
+    return _emit(serialize_instance(instance), args.output)
+
+
+def _emit(text: str, output: Optional[str]) -> int:
+    """Write `text` to the file `output`, or to stdout when there is none."""
+    if not output:
         sys.stdout.write(text)
+        return EXIT_FEASIBLE
+    try:
+        Path(output).write_text(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     return EXIT_FEASIBLE
 
 

@@ -2,13 +2,14 @@
 
 Only the top of each order matters here, so a voter has three interesting
 replacements: the cheapest orders putting the leader, some other coalition
-member, or an outsider on top.  A transport network wires k1 leader-tops and
-k2 other-coalition-tops through the voters; its cheapest flow of value n is
-exactly the cheapest bribe realizing that top signature.  With a zero
-threshold every party is seated, so a signature meets the support and ratio
-targets iff `core.goals_met(k1 + k2, k1, n)`.  Scanning the O(n^2) signatures
-that meet them, with the cost cap tightened below the best flow found so far,
-yields the cheapest bribe under the cap.
+member, or an outsider on top.  For k1 leader-tops and k2 other-coalition
+tops, a bipartite transport network feeds one hub per class from the source
+and each voter from the hubs; its cheapest flow of value n is exactly the
+cheapest bribe realizing that top signature.  With a zero threshold every
+party is seated, so a signature meets the support and ratio targets iff
+`core.goals_met(k1 + k2, k1, n)`.  Scanning the O(n^2) signatures that meet
+them, with the cost cap tightened below the best flow found so far, yields
+the cheapest bribe under the cap.
 """
 
 from __future__ import annotations
@@ -68,43 +69,24 @@ def build_top_signature_network(
 ) -> FlowNetwork:
     """The transport network for one (k_leader, k_rest) top signature.
 
-    Nodes: source, sink, one hub per class, and per voter one collector plus
-    one relay per class.  Inadmissible replacements simply have no relay
-    edge.
+    Nodes: source 0, sink 1, the hub of class c at 2 + c, and voter i at
+    5 + i.  The source gives each hub its class's share of the n tops, each
+    admissible replacement is one hub -> voter edge (capacity 1, its price),
+    and each voter sends one unit to the sink.
     """
     n = len(options)
-    source, sink = 0, 1
-    hubs = (2, 3, 4)
-
-    def relay(i: int, which: int) -> int:
-        return 5 + 4 * i + which
-
-    def collector(i: int) -> int:
-        return 5 + 4 * i + 3
-
-    edges = [
-        FlowEdge(source, hubs[LEADER], k_leader, 0),
-        FlowEdge(source, hubs[REST], k_rest, 0),
-        FlowEdge(source, hubs[OUTSIDE], n - k_leader - k_rest, 0),
-    ]
-    for i in range(n):
-        for which in (LEADER, REST, OUTSIDE):
-            if options[i][which] is None:
-                continue
-            edges.append(FlowEdge(hubs[which], relay(i, which), 1, 0))
-            edges.append(FlowEdge(relay(i, which), collector(i), 1, options[i][which][1]))
-        edges.append(FlowEdge(collector(i), sink, 1, 0))
-    return FlowNetwork(
-        num_nodes=5 + 4 * n,
-        source=source,
-        sink=sink,
-        demand=n,
-        edges=tuple(edges),
-    )
+    shares = (k_leader, k_rest, n - k_leader - k_rest)
+    edges = [FlowEdge(0, 2 + which, share, 0) for which, share in enumerate(shares)]
+    for i, row in enumerate(options):
+        for which, option in enumerate(row):
+            if option is not None:
+                edges.append(FlowEdge(2 + which, 5 + i, 1, option[1]))
+        edges.append(FlowEdge(5 + i, 1, 1, 0))
+    return FlowNetwork(num_nodes=5 + n, source=0, sink=1, demand=n, edges=tuple(edges))
 
 
 def solve_plurality_zero(
-    instance: ProblemInstance, cap: Optional[int], stats: Optional[dict] = None
+    instance: ProblemInstance, cap: Optional[int]
 ) -> Optional[BribePlan]:
     """Cheapest bribe costing at most `cap` (None: no limit) for a
     zero-threshold plurality instance under swap/shift bribery, or None."""
@@ -120,31 +102,24 @@ def solve_plurality_zero(
         for i in range(n)
     ]
     best = None
-    solved = 0
     for k_leader in range(n, -1, -1):
         for k_rest in range(n - k_leader, -1, -1):
             if not goals_met(k_leader + k_rest, k_leader, n, instance):
                 continue
             network = build_top_signature_network(k_leader, k_rest, options)
             flow = min_cost_flow(network, cap)
-            solved += 1
             if flow is not None:
                 best, cap = (network, flow), flow.cost - 1
-    if stats is not None:
-        stats["networks_solved"] = solved
     return None if best is None else _decode(instance, options, *best)
 
 
 def _decode(instance, options, network, flow) -> BribePlan:
-    """Read the chosen replacement class off each voter's saturated relay edge."""
+    """Read each voter's replacement class off its hub -> voter edge with flow."""
     election = instance.election
     chosen: dict[int, int] = {}
     for value, edge in zip(flow.values, network.edges):
-        if value <= 0:
-            continue
-        offset = edge.tail - 5
-        if offset >= 0 and offset % 4 in (0, 1, 2):
-            voter, which = divmod(offset, 4)
+        if value > 0 and 2 <= edge.tail <= 4:
+            voter, which = edge.head - 5, edge.tail - 2
             if chosen.setdefault(voter, which) != which:
                 raise WitnessError("two replacement classes saturated for one voter")
     if len(chosen) != len(options):

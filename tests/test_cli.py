@@ -265,3 +265,37 @@ def test_reduce_reports_the_offending_subset_line(tmp_path, capsys):
     source.write_text("universe: 4\nsubset: 1 2 3 4\nsubset: 1 2 3 9\nsubset: 1 2 3 4\n")
     assert cli.main(["reduce", "x3c-borda-unit", str(source)]) == 2
     assert "line 3: element 9 outside the universe" in capsys.readouterr().err
+
+
+def _unwritable(tmp_path, name):
+    """A path whose parent is a regular file, so nothing can be written there."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return str(blocker / name)
+
+
+def test_gen_unwritable_output_exit_two(tmp_path, capsys):
+    assert cli.main(["gen", "--output", _unwritable(tmp_path, "x.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "blocker" in captured.err
+
+
+def test_reduce_unwritable_output_exit_two(tmp_path, capsys):
+    source = tmp_path / "cover.txt"
+    source.write_text("universe: 4\nsubset: 1 2 3 4\nsubset: 1 2 3 4\nsubset: 1 2 3 4\n")
+    argv = ["reduce", "x3c-borda-unit", str(source),
+            "--output", _unwritable(tmp_path, "y.txt")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "blocker" in captured.err
+
+
+def test_crossval_unwritable_artifact_dir_exit_two(tmp_path, capsys, monkeypatch):
+    _break_engines(monkeypatch)
+    code = cli.main(
+        ["crossval", "--seed", "1", "--count", "1",
+         "--artifact-dir", _unwritable(tmp_path, "artifacts")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: disagreement on ") and "blocker" in err

@@ -1,18 +1,21 @@
 """Flow-based solver for zero-threshold plurality under swap/shift bribery."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import coalition_bribery.plurality_flow as plurality_flow
 from coalition_bribery.core import (
     PreferenceOrder,
     ProblemInstance,
     ScoringRule,
+    goals_met,
     tally,
 )
 from coalition_bribery.costs import ShiftCost, SwapCost, apply_plan
-from coalition_bribery.dispatch import PLURALITY_FLOW
+from coalition_bribery.dispatch import PLURALITY_FLOW, solve_capped
 from coalition_bribery.generators import with_budget
 from coalition_bribery.oracle import enumerate_voter_options, oracle_solve
 from coalition_bribery.plurality_flow import (
@@ -120,7 +123,7 @@ class TestNetworkShape:
 
     def test_node_count(self):
         net = build_top_signature_network(1, 0, self._options(2))
-        assert net.num_nodes == 13
+        assert net.num_nodes == 5 + 2
 
     def test_source_capacities(self):
         net = build_top_signature_network(1, 0, self._options(3))
@@ -132,6 +135,17 @@ class TestNetworkShape:
         # hub 4 is the outsider hub; nothing may leave it
         assert not [e for e in net.edges if e.tail == 4]
         assert net.demand == 1
+
+    def test_each_voter_joins_its_admissible_hubs_and_the_sink(self):
+        options = self._options(3)
+        options[1] = [None, options[1][1], options[1][0]]
+        net = build_top_signature_network(1, 1, options)
+        assert len(net.edges) <= 4 * 3 + 3
+        for i, row in enumerate(options):
+            into = sorted((e.tail, e.capacity, e.cost) for e in net.edges if e.head == 5 + i)
+            assert into == [(2 + which, 1, opt[1]) for which, opt in enumerate(row) if opt]
+            out = [(e.head, e.capacity) for e in net.edges if e.tail == 5 + i]
+            assert out == [(net.sink, 1)]
 
 
 class TestSolver:
@@ -163,15 +177,22 @@ class TestSolver:
         plan = solve_at_budget(PLURALITY_FLOW, inst)
         assert plan is not None and len(plan) == 0
 
-    def test_signature_scan_is_quadratic(self):
+    def test_signature_scan_is_quadratic(self, monkeypatch):
+        built = []
+
+        def counting_build(*args):
+            built.append(args)
+            return build_top_signature_network(*args)
+
+        monkeypatch.setattr(plurality_flow, "build_top_signature_network", counting_build)
         rng = random.Random("scan-count")
         for _ in range(20):
             inst = random_problem(rng, ScoringRule.PLURALITY, False, "swap", True,
                                   max_voters=5, max_parties=4)
-            stats = {}
-            solve_plurality_zero(inst, inst.budget, stats=stats)
+            built.clear()
+            solve_plurality_zero(inst, inst.budget)
             n = inst.election.num_voters
-            assert stats["networks_solved"] <= (n + 1) * (n + 2) // 2
+            assert len(built) <= (n + 1) * (n + 2) // 2
 
     def test_unreachable_support_is_infeasible(self):
         rankings = [["z", "a", "b"]]
@@ -218,3 +239,44 @@ def test_oracle_equivalence_small(kind, cbp):
                 apply_plan(inst.election, plan), inst.election.parties, inst.rule
             )
             assert sum(counts.values()) == inst.election.num_voters
+
+
+def brute_force_optimum(inst):
+    """Cheapest per-voter choice of top class whose (leader, rest) tops meet
+    the goals, over every admissible combination; None when none does."""
+    n = inst.election.num_voters
+    choices = [
+        [(which, found[1]) for which in (LEADER, REST, OUTSIDE)
+         if (found := min_bribe_to_top(inst, i, which)) is not None]
+        for i in range(n)
+    ]
+    best = None
+    for combo in itertools.product(*choices):
+        k_leader = sum(which == LEADER for which, _ in combo)
+        k_rest = sum(which == REST for which, _ in combo)
+        if goals_met(k_leader + k_rest, k_leader, n, inst):
+            cost = sum(price for _, price in combo)
+            best = cost if best is None else min(best, cost)
+    return best
+
+
+@pytest.mark.parametrize("kind", ["swap", "shift"])
+@pytest.mark.parametrize("cbp", [False, True])
+def test_brute_force_over_top_classes(kind, cbp):
+    rng = random.Random(f"flow-brute:{kind}:{cbp}")
+    paid = 0
+    for _ in range(80):
+        inst = random_problem(
+            rng, ScoringRule.PLURALITY, False, kind, cbp, max_voters=6, max_parties=4
+        )
+        opt = brute_force_optimum(inst)
+        plan = solve_capped(PLURALITY_FLOW, inst, None)
+        assert (None if plan is None else plan.cost) == opt
+        if opt is None:
+            continue
+        at_opt = solve_capped(PLURALITY_FLOW, inst, opt)
+        assert at_opt is not None and at_opt.cost == opt
+        if opt > 0:
+            paid += 1
+            assert solve_capped(PLURALITY_FLOW, inst, opt - 1) is None
+    assert paid >= 15
