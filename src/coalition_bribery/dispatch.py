@@ -67,6 +67,8 @@ def solve_capped(
     Raises WitnessError when the engine's plan is inadmissible, misstates or
     exceeds its cost, or misses the goals.
     """
+    if cap is not None and cap < 0:
+        return None
     if check_goals(instance.election.orders, instance):
         return BribePlan.empty()
     kwargs = {"budget": search_budget} if name == ORACLE else {}

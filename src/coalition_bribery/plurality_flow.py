@@ -2,14 +2,15 @@
 
 Only the top of each order matters here, so a voter has three interesting
 replacements: the cheapest orders putting the leader, some other coalition
-member, or an outsider on top.  For k1 leader-tops and k2 other-coalition
-tops, a bipartite transport network feeds one hub per class from the source
-and each voter from the hubs; its cheapest flow of value n is exactly the
-cheapest bribe realizing that top signature.  With a zero threshold every
-party is seated, so a signature meets the support and ratio targets iff
-`core.goals_met(k1 + k2, k1, n)`.  Scanning the O(n^2) signatures that meet
-them, with the cost cap tightened below the best flow found so far, yields
-the cheapest bribe under the cap.
+member, or an outsider on top.  With a zero threshold all parties are seated,
+and a plan with C coalition tops, R of them not the leader's, meets the targets
+iff `core.goals_met(C, C - R, n)`.  A leader top in place of any other keeps
+them met, so a plan meets them iff, for some size s, it has at most n - s
+outsider tops and at most r(s) rest tops, r(s) being the largest r with
+`goals_met(s, s - r, n)`.  Per s, a bipartite network feeds one hub per class
+from the source within those bounds and each voter from the hubs; its cheapest
+flow of value n is the cheapest bribe in that box.  Scanning the n + 1 sizes,
+with the cap tightened below the best flow so far, yields the cheapest bribe.
 """
 
 from __future__ import annotations
@@ -63,19 +64,19 @@ def min_bribe_to_top(
 
 
 def build_top_signature_network(
-    k_leader: int,
-    k_rest: int,
+    max_rest: int,
+    max_outside: int,
     options: list[list[Optional[tuple]]],
 ) -> FlowNetwork:
-    """The transport network for one (k_leader, k_rest) top signature.
+    """The network for at most `max_rest` rest and `max_outside` outsider tops.
 
     Nodes: source 0, sink 1, the hub of class c at 2 + c, and voter i at
-    5 + i.  The source gives each hub its class's share of the n tops, each
+    5 + i.  The source gives each hub its class's bound on the n tops, each
     admissible replacement is one hub -> voter edge (capacity 1, its price),
     and each voter sends one unit to the sink.
     """
     n = len(options)
-    shares = (k_leader, k_rest, n - k_leader - k_rest)
+    shares = (n, max_rest, max_outside)
     edges = [FlowEdge(0, 2 + which, share, 0) for which, share in enumerate(shares)]
     for i, row in enumerate(options):
         for which, option in enumerate(row):
@@ -102,11 +103,10 @@ def solve_plurality_zero(
         for i in range(n)
     ]
     best = None
-    for k_leader in range(n, -1, -1):
-        for k_rest in range(n - k_leader, -1, -1):
-            if not goals_met(k_leader + k_rest, k_leader, n, instance):
-                continue
-            network = build_top_signature_network(k_leader, k_rest, options)
+    for size in range(n, -1, -1):
+        fits = [r for r in range(size + 1) if goals_met(size, size - r, n, instance)]
+        if fits:
+            network = build_top_signature_network(fits[-1], n - size, options)
             flow = min_cost_flow(network, cap)
             if flow is not None:
                 best, cap = (network, flow), flow.cost - 1

@@ -6,7 +6,7 @@ import pytest
 
 import coalition_bribery.cli as cli
 import coalition_bribery.dispatch as dispatch_module
-from coalition_bribery.core import ScoringRule
+from coalition_bribery.core import ScoringRule, check_goals
 from coalition_bribery.costs import BribePlan, WitnessError, lift_to_top
 from coalition_bribery.dispatch import (
     BORDA_DP,
@@ -14,6 +14,7 @@ from coalition_bribery.dispatch import (
     PLURALITY_DP,
     PLURALITY_FLOW,
     dispatch,
+    solve_capped,
     solve_instance,
 )
 from coalition_bribery.generators import Variant, random_instance
@@ -113,6 +114,14 @@ def _over_budget_engine(instance, cap, budget=None, stats=None):
 def _break_engines(monkeypatch):
     for engine in dispatch_module.ENGINES.values():
         monkeypatch.setattr(dispatch_module, engine, _over_budget_engine)
+
+
+def test_met_goals_answer_only_within_a_non_negative_cap():
+    inst = random_instance(Variant(ScoringRule.PLURALITY, True, "unit", False), 1, 0)
+    assert check_goals(inst.election.orders, inst)
+    for name in dispatch_module.ENGINES:
+        assert solve_capped(name, inst, -1) is None
+        assert solve_capped(name, inst, 0) == BribePlan.empty()
 
 
 def test_failed_witness_raises_witness_error(monkeypatch):

@@ -28,7 +28,13 @@ from coalition_bribery.plurality_flow import (
 )
 from coalition_bribery.sample_instances import sixteen_voter_shift_cbp
 
-from conftest import assert_verifies, make_election, random_problem, solve_at_budget
+from conftest import (
+    assert_verifies,
+    make_election,
+    random_model,
+    random_problem,
+    solve_at_budget,
+)
 
 
 def swap_instance(rankings, coalition, preferred, phi, rho, budget, pair_price):
@@ -126,12 +132,13 @@ class TestNetworkShape:
         assert net.num_nodes == 5 + 2
 
     def test_source_capacities(self):
-        net = build_top_signature_network(1, 0, self._options(3))
+        # the leader hub takes any number of tops; the others their bounds
+        net = build_top_signature_network(1, 2, self._options(3))
         caps = [e.capacity for e in net.edges[:3]]
-        assert caps == [1, 0, 2]
+        assert caps == [3, 1, 2]
 
     def test_inadmissible_candidate_has_no_edges(self):
-        net = build_top_signature_network(1, 0, self._options(1))
+        net = build_top_signature_network(1, 1, self._options(1))
         # hub 4 is the outsider hub; nothing may leave it
         assert not [e for e in net.edges if e.tail == 4]
         assert net.demand == 1
@@ -177,7 +184,7 @@ class TestSolver:
         plan = solve_at_budget(PLURALITY_FLOW, inst)
         assert plan is not None and len(plan) == 0
 
-    def test_signature_scan_is_quadratic(self, monkeypatch):
+    def test_one_network_per_coalition_size(self, monkeypatch):
         built = []
 
         def counting_build(*args):
@@ -192,7 +199,7 @@ class TestSolver:
             built.clear()
             solve_plurality_zero(inst, inst.budget)
             n = inst.election.num_voters
-            assert len(built) <= (n + 1) * (n + 2) // 2
+            assert len(built) <= n + 1
 
     def test_unreachable_support_is_infeasible(self):
         rankings = [["z", "a", "b"]]
@@ -260,6 +267,19 @@ def brute_force_optimum(inst):
     return best
 
 
+def assert_matches_brute_force(inst):
+    """The flow route's answers uncapped, at cap opt and at cap opt - 1
+    against `brute_force_optimum`; returns that optimum."""
+    opt = brute_force_optimum(inst)
+    plan = solve_capped(PLURALITY_FLOW, inst, None)
+    assert (None if plan is None else plan.cost) == opt
+    if opt is not None:
+        at_opt = solve_capped(PLURALITY_FLOW, inst, opt)
+        assert at_opt is not None and at_opt.cost == opt
+        assert solve_capped(PLURALITY_FLOW, inst, opt - 1) is None
+    return opt
+
+
 @pytest.mark.parametrize("kind", ["swap", "shift"])
 @pytest.mark.parametrize("cbp", [False, True])
 def test_brute_force_over_top_classes(kind, cbp):
@@ -269,14 +289,34 @@ def test_brute_force_over_top_classes(kind, cbp):
         inst = random_problem(
             rng, ScoringRule.PLURALITY, False, kind, cbp, max_voters=6, max_parties=4
         )
-        opt = brute_force_optimum(inst)
-        plan = solve_capped(PLURALITY_FLOW, inst, None)
-        assert (None if plan is None else plan.cost) == opt
-        if opt is None:
-            continue
-        at_opt = solve_capped(PLURALITY_FLOW, inst, opt)
-        assert at_opt is not None and at_opt.cost == opt
-        if opt > 0:
-            paid += 1
-            assert solve_capped(PLURALITY_FLOW, inst, opt - 1) is None
+        paid += bool(assert_matches_brute_force(inst))
     assert paid >= 15
+
+
+@pytest.mark.parametrize("kind", ["swap", "shift"])
+@pytest.mark.parametrize("cbp", [False, True])
+def test_brute_force_at_edge_targets(kind, cbp):
+    # phi and rho at 0, 1/2 and 1 put the coalition-size boxes at their edges
+    rng = random.Random(f"flow-edges:{kind}:{cbp}")
+    edges = (Fraction(0), Fraction(1, 2), Fraction(1))
+    targets = list(itertools.product(edges, edges if cbp else edges[:1]))
+    paid = 0
+    for n in range(1, 7):
+        for phi, rho in targets * (18 // len(targets)):
+            parties = tuple(f"p{i}" for i in range(rng.randint(2, 4)))
+            coalition = tuple(rng.sample(parties, rng.randint(1, len(parties))))
+            inst = ProblemInstance(
+                election=make_election(
+                    parties, [rng.sample(parties, len(parties)) for _ in range(n)]
+                ),
+                rule=ScoringRule.PLURALITY,
+                threshold=Fraction(0),
+                coalition=coalition,
+                preferred=coalition[0] if cbp else None,
+                phi=phi,
+                rho=rho,
+                budget=0,
+                cost_model=random_model(rng, kind, n, len(parties), parties),
+            )
+            paid += bool(assert_matches_brute_force(inst))
+    assert paid >= 20
