@@ -32,14 +32,14 @@ def inverted_pairs(
     """Ordered pairs (x, y) where y is below x in `old` and above x in `new`."""
     if frozenset(old.ranking) != frozenset(new.ranking):
         raise DomainError("orders range over different party sets")
-    pairs = set()
-    for x in old.ranking:
-        for y in old.ranking:
-            if x == y:
-                continue
-            if old.position(y) > old.position(x) and new.position(y) < new.position(x):
-                pairs.add((x, y))
-    return pairs
+    ranking = old.ranking
+    rank = [new.position(p) for p in ranking]
+    return {
+        (ranking[i], ranking[j])
+        for i in range(len(ranking))
+        for j in range(i + 1, len(ranking))
+        if rank[j] < rank[i]
+    }
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,15 @@ depends on nothing else).  Option lists themselves are deduplicated by score
 effect, which for plurality collapses them to one cheapest replacement per
 achievable top.
 
+A state's key is its score vector packed into one integer, sum(s_p * R**p)
+with R = n * top + 1, where top is the points of a first place (1 for
+plurality, m - 1 for Borda).  Every state is the score vector of a partly
+bribed profile, so each s_p lies in [0, n * top] and the packing is
+injective: no digit carries.  Each option's score delta is packed once, so a
+sweep step is one integer addition; only the final states are unpacked for
+the goal test.  Packed deltas are signed and not unique, so options are
+deduplicated by their delta tuples, never by packed deltas.
+
 Every voter's orders come from `enumerate_voter_options`.  With a cost cap,
 options and partial bribes above it are dropped, and the search returns the
 cheapest bribe under the cap.
@@ -16,7 +25,9 @@ cheapest bribe under the cap.
 The search refuses instances whose option spaces and sweep states together
 outgrow the configured expansion budget instead of running unboundedly: one
 meter per solve counts option enumeration and sweep steps alike, and the
-refusal carries the expansion count reached.
+refusal carries the expansion count reached.  The sweep charges once per
+option multiset within the cap, one expansion per state it is combined with,
+before combining them.
 """
 
 from __future__ import annotations
@@ -69,11 +80,13 @@ class OracleRefusal(RuntimeError):
 
 
 class _Meter:
-    """Expansions charged by one solve, against the budget's limit."""
+    """Work of one solve: expansions charged against the budget's limit, and
+    the sweep states kept, summed over the class layers."""
 
     def __init__(self, budget: SearchBudget):
         self.limit = budget.max_expansions
         self.count = 0
+        self.states = 0
 
     def charge(self, amount: int = 1):
         self.count += amount
@@ -200,55 +213,82 @@ def _voter_classes(instance: ProblemInstance) -> list[list[int]]:
     return list(groups.values())
 
 
+def _score_radix(instance: ProblemInstance) -> int:
+    """One more than the most points any party can hold: n times the points
+    of a top place."""
+    election = instance.election
+    top = 1 if instance.rule is ScoringRule.PLURALITY else election.num_parties - 1
+    return election.num_voters * top + 1
+
+
+def _pack(vector, radix: int) -> int:
+    """sum(vector[p] * radix**p); for signed deltas too, though only vectors
+    with every entry in [0, radix) pack injectively."""
+    key = 0
+    for value in reversed(vector):
+        key = key * radix + value
+    return key
+
+
+def _unpack(key: int, radix: int, length: int) -> tuple[int, ...]:
+    """The vector of `length` entries in [0, radix) that `_pack` maps to `key`."""
+    digits = []
+    for _ in range(length):
+        key, digit = divmod(key, radix)
+        digits.append(digit)
+    return tuple(digits)
+
+
 def _search(
     instance: ProblemInstance, meter: _Meter, cost_cap: Optional[int]
 ) -> Optional[BribePlan]:
     """Cheapest goal-reaching bribe costing at most `cost_cap`, or None."""
     election = instance.election
     classes = _voter_classes(instance)
+    limit = inf if cost_cap is None else cost_cap
 
     parties = election.parties
-    base = tuple(
-        sum(score(o, p, instance.rule) for o in election.orders) for p in parties
+    radix = _score_radix(instance)
+    base = _pack(
+        [sum(score(o, p, instance.rule) for o in election.orders) for p in parties],
+        radix,
     )
-    zero = tuple(0 for _ in parties)
-    states: dict[tuple[int, ...], int] = {zero: 0}
-    trail: list[dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]] = []
+    states: dict[int, int] = {base: 0}
+    trail: list[dict[int, tuple[int, tuple[int, ...]]]] = []
     class_options = []
     for members in classes:
         options = _voter_effect_options(instance, members[0], meter, cost_cap)
         class_options.append(options)
-        nxt: dict[tuple[int, ...], int] = {}
-        bp: dict[tuple[int, ...], tuple] = {}
+        deltas = [_pack(delta, radix) for delta, _, _ in options]
+        costs = [cost for _, cost, _ in options]
+        nxt: dict[int, int] = {}
+        bp: dict[int, tuple[int, tuple[int, ...]]] = {}
         # one multiset of options per class: members are interchangeable
         for combo in itertools.combinations_with_replacement(
             range(len(options)), len(members)
         ):
-            delta = zero
-            cost = 0
-            for idx in combo:
-                d, c, _rep = options[idx]
-                delta = tuple(a + b for a, b in zip(delta, d))
-                cost += c
-            if cost_cap is not None and cost > cost_cap:
+            cost = sum(costs[idx] for idx in combo)
+            if cost > limit:
                 continue
+            meter.charge(len(states))
+            delta = sum(deltas[idx] for idx in combo)
             for state, state_cost in states.items():
-                meter.charge()
                 total = state_cost + cost
-                if cost_cap is not None and total > cost_cap:
+                if total > limit:
                     continue
-                key = tuple(a + b for a, b in zip(state, delta))
+                key = state + delta
                 if total < nxt.get(key, inf):
                     nxt[key] = total
                     bp[key] = (state, combo)
         states = nxt
+        meter.states += len(states)
         trail.append(bp)
 
     best_key, best_cost = None, inf
     for state, cost in states.items():
         if cost >= best_cost:
             continue
-        scores = dict(zip(parties, (a + b for a, b in zip(base, state))))
+        scores = dict(zip(parties, _unpack(state, radix, len(parties))))
         if check_goals_from_scores(scores, instance):
             best_key, best_cost = state, cost
     if best_key is None:
@@ -294,4 +334,5 @@ def solve_np_hard(
     plan = _search(instance, meter, cap)
     if stats is not None:
         stats["expansions"] = meter.count
+        stats["states"] = meter.states
     return plan

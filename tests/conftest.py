@@ -1,5 +1,6 @@
 """Shared builders and reference implementations for the test suite."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from coalition_bribery.costs import (
     apply_plan,
 )
 from coalition_bribery.dispatch import solver_for
-from coalition_bribery.oracle import SearchBudget
+from coalition_bribery.oracle import SearchBudget, enumerate_voter_options
 
 
 def make_election(parties, rankings):
@@ -77,6 +78,21 @@ def random_problem(rng, rule, thresholded, kind, cbp, max_voters=5, max_parties=
         budget=budget,
         cost_model=model,
     )
+
+
+def naive_optimum(instance):
+    """Unpruned product search over full per-voter option lists."""
+    election = instance.election
+    per_voter = [
+        enumerate_voter_options(instance, i) for i in range(election.num_voters)
+    ]
+    best = None
+    for combo in itertools.product(*per_voter):
+        orders = tuple(order for order, _ in combo)
+        cost = sum(c for _, c in combo)
+        if check_goals(orders, instance):
+            best = cost if best is None else min(best, cost)
+    return best
 
 
 def assert_verifies(instance, plan):

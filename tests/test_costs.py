@@ -56,6 +56,23 @@ class TestInvertedPairs:
         with pytest.raises(DomainError):
             inverted_pairs(ABC, PreferenceOrder(("a", "b")))
 
+    def test_matches_definition_on_random_orders(self):
+        rng = random.Random("inverted-pairs")
+        for m in range(1, 8):
+            parties = tuple(f"p{i}" for i in range(m))
+            for _ in range(40):
+                old = PreferenceOrder(tuple(rng.sample(parties, m)))
+                new = PreferenceOrder(tuple(rng.sample(parties, m)))
+                expected = {
+                    (x, y)
+                    for x in parties
+                    for y in parties
+                    if x != y
+                    and old.position(y) > old.position(x)
+                    and new.position(y) < new.position(x)
+                }
+                assert inverted_pairs(old, new) == expected
+
 
 def admissible(model, coalition, old, new):
     return bribe_cost(model, 0, old, new, coalition) is not None

@@ -28,13 +28,19 @@ from coalition_bribery.oracle import (
     OracleRefusal,
     SearchBudget,
     _Meter,
+    _pack,
+    _score_radix,
+    _unpack,
     enumerate_voter_options,
     oracle_solve,
     solve_np_hard,
 )
 from coalition_bribery.reductions import (
+    ExactCover34Instance,
     MinBisectionInstance,
     reduce_minbisection_to_borda_swap_cb,
+    reduce_x3c_to_plurality_shift_cb,
+    shift_to_swap,
 )
 from coalition_bribery.sample_instances import (
     sixteen_voter_shift_cbp,
@@ -42,22 +48,13 @@ from coalition_bribery.sample_instances import (
     unanimous_four_party_plurality_cb,
 )
 
-from conftest import make_election, random_problem, solve_at_budget
-
-
-def naive_optimum(instance):
-    """Unpruned product search over full per-voter option lists."""
-    election = instance.election
-    per_voter = [
-        enumerate_voter_options(instance, i) for i in range(election.num_voters)
-    ]
-    best = None
-    for combo in itertools.product(*per_voter):
-        orders = tuple(order for order, _ in combo)
-        cost = sum(c for _, c in combo)
-        if check_goals(orders, instance):
-            best = cost if best is None else min(best, cost)
-    return best
+from conftest import (
+    make_election,
+    naive_optimum,
+    random_model,
+    random_problem,
+    solve_at_budget,
+)
 
 
 class TestEnumerateOptions:
@@ -235,3 +232,88 @@ class TestSolveNpHard:
                 assert pruned is None
             else:
                 assert pruned is not None and pruned.cost == unpruned.cost
+
+
+# Expansion counts and optima of the exact search, pinned per (instance, cap)
+# as (cap, expansions, sweep states, optimum or None).  How states are keyed
+# and when the meter is charged must not move the expansions or the optima.
+METER_PINS = {
+    "x3c-covered4": (
+        lambda: reduce_x3c_to_plurality_shift_cb(
+            ExactCover34Instance(4, ((1, 2, 3, 4),) * 3)),
+        [(4, 22, 22, 4), (3, 14, 14, None)],
+    ),
+    "bisection-v2-no": (
+        lambda: reduce_minbisection_to_borda_swap_cb(
+            MinBisectionInstance(2, frozenset({(1, 2)}), 0)),
+        [(2, 56, 28, 2), (1, 20, 10, None)],
+    ),
+    "bisection-v2-yes": (
+        lambda: reduce_minbisection_to_borda_swap_cb(
+            MinBisectionInstance(2, frozenset(), 0)),
+        [(1, 28, 14, 1)],
+    ),
+    "sixteen-voter-shift": (
+        lambda: sixteen_voter_shift_cbp(3),
+        [(3, 18, 18, 3), (2, 17, 16, None)],
+    ),
+    "sixteen-voter-swap-image": (
+        lambda: shift_to_swap(sixteen_voter_shift_cbp(3, multiplicative=True)),
+        [(3, 23, 20, 3), (2, 19, 16, None)],
+    ),
+}
+
+
+class TestSearchWork:
+    @pytest.mark.parametrize("name", sorted(METER_PINS))
+    def test_pinned_expansions_and_optima(self, name):
+        build, pins = METER_PINS[name]
+        inst = build()
+        for cap, expansions, states, optimum in pins:
+            stats = {}
+            plan = solve_np_hard(inst, cap, stats=stats)
+            assert (None if plan is None else plan.cost) == optimum, (name, cap)
+            assert stats == {"expansions": expansions, "states": states}, (name, cap)
+
+    @pytest.mark.parametrize("rule", [ScoringRule.PLURALITY, ScoringRule.BORDA])
+    def test_state_key_round_trips_every_score_vector(self, rule):
+        # Plurality and Borda fix the total points, so an optimum can hide a
+        # radix one too small; the round trip over the whole score range
+        # cannot.
+        for n in range(1, 4):
+            for m in range(2, 5):
+                parties = tuple(f"p{i}" for i in range(m))
+                inst = ProblemInstance(
+                    election=make_election(parties, [parties] * n), rule=rule,
+                    threshold=Fraction(0), coalition=parties[:1], phi=Fraction(0),
+                    rho=Fraction(0), budget=0, cost_model=UnitCost(),
+                )
+                radix = _score_radix(inst)
+                top = 1 if rule is ScoringRule.PLURALITY else m - 1
+                vectors = list(itertools.product(range(n * top + 1), repeat=m))
+                for vector in vectors:
+                    assert _unpack(_pack(vector, radix), radix, m) == vector
+                # a signed delta's key moves one state key to the other's
+                rng = random.Random(f"{rule}-{n}-{m}")
+                for _ in range(50):
+                    a, b = rng.sample(vectors, 2)
+                    delta = tuple(y - x for x, y in zip(a, b))
+                    assert _pack(a, radix) + _pack(delta, radix) == _pack(b, radix)
+
+    @pytest.mark.parametrize("rule", [ScoringRule.PLURALITY, ScoringRule.BORDA])
+    @pytest.mark.parametrize("kind", ["unit", "dollar", "swap", "shift"])
+    def test_unanimous_top_at_a_threshold(self, rule, kind):
+        # The first party, the key's lowest digit, starts at n * top points.
+        rng = random.Random(f"unanimous-{rule}-{kind}")
+        parties = ("p0", "p1", "p2")
+        election = make_election(parties, [parties] * 3)
+        for preferred in (None, "p2"):
+            inst = ProblemInstance(
+                election=election, rule=rule, threshold=Fraction(1, 4),
+                coalition=("p1", "p2"), preferred=preferred, phi=Fraction(1, 2),
+                rho=Fraction(1, 2) if preferred else Fraction(0), budget=0,
+                cost_model=random_model(rng, kind, 3, 3, parties),
+            )
+            assert not check_goals(election.orders, inst)
+            cost, _ = oracle_solve(inst)
+            assert cost == naive_optimum(inst)
