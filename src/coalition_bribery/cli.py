@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: solve, oracle, crossval, reduce, gen.  Exit codes for
+Subcommands: solve, oracle, crossval, reduce, gen.  The parser is built
+once, at import; each subcommand names its handler through
+`set_defaults(run=...)`, and `main` calls it.  Exit codes for
 solve/oracle: 0 feasible, 1 infeasible, 2 input error, 3 search refusal,
 4 failed witness check (a solver emitted a plan that does not verify).
 `crossval` exits 1 on a disagreement and 3 on a search refusal.  `gen`,
@@ -15,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .core import DomainError, ProblemInstance
+from .core import DomainError, ProblemInstance, ScoringRule
 from .costs import WitnessError
 from .dispatch import (
     SolveReport,
@@ -24,7 +26,7 @@ from .dispatch import (
     solve_instance,
     solver_for,
 )
-from .generators import POLYNOMIAL_VARIANTS, random_instance, with_budget
+from .generators import POLYNOMIAL_VARIANTS, Variant, random_instance, with_budget
 from .instance_io import (
     InstanceParseError,
     format_rational,
@@ -46,10 +48,16 @@ EXIT_INPUT_ERROR = 2
 EXIT_REFUSAL = 3
 EXIT_WITNESS_ERROR = 4
 
+# Each `reduce` kind: the parser of its source format, then the reduction.
+REDUCTIONS = {
+    "x3c-plurality-shift": (parse_exact_cover, reduce_x3c_to_plurality_shift_cb),
+    "x3c-borda-unit": (parse_exact_cover, reduce_x3c_to_borda_unit_cb),
+    "bisection-borda-swap": (parse_min_bisection, reduce_minbisection_to_borda_swap_cb),
+}
+
 
 def _print_report(report: SolveReport, emit_witness: bool, fmt: str,
-                  instance: ProblemInstance, out=None) -> None:
-    out = out if out is not None else sys.stdout
+                  instance: ProblemInstance) -> None:
     if fmt == "json":
         payload = {
             "variant": report.variant,
@@ -71,22 +79,22 @@ def _print_report(report: SolveReport, emit_witness: bool, fmt: str,
                 instance.election.voters[i]: " ".join(order.ranking)
                 for i, order in sorted(report.plan.replacements.items())
             }
-        print(json.dumps(payload, indent=2), file=out)
+        print(json.dumps(payload, indent=2))
         return
-    print(f"variant: {report.variant}", file=out)
-    print(f"solver: {report.solver}", file=out)
-    print(f"feasible: {'yes' if report.feasible else 'no'}", file=out)
+    print(f"variant: {report.variant}")
+    print(f"solver: {report.solver}")
+    print(f"feasible: {'yes' if report.feasible else 'no'}")
     if report.cost is not None:
-        print(f"cost: {report.cost}", file=out)
-    print(f"time: {report.elapsed:.4f}s", file=out)
+        print(f"cost: {report.cost}")
+    print(f"time: {report.elapsed:.4f}s")
 
     def score_line(label, scores):
         body = " ".join(f"{p}={v}" for p, v in scores.items())
-        print(f"{label}: {body}", file=out)
+        print(f"{label}: {body}")
 
     def seat_line(label, seats):
         body = " ".join(f"{p}={format_rational(v)}" for p, v in seats.items())
-        print(f"{label}: {body}", file=out)
+        print(f"{label}: {body}")
 
     score_line("scores-before", report.scores_before)
     seat_line("seats-before", report.seats_before)
@@ -96,22 +104,19 @@ def _print_report(report: SolveReport, emit_witness: bool, fmt: str,
     if emit_witness and report.plan is not None:
         for i, order in sorted(report.plan.replacements.items()):
             voter = instance.election.voters[i]
-            print(f"witness: {voter} -> {' '.join(order.ranking)}", file=out)
+            print(f"witness: {voter} -> {' '.join(order.ranking)}")
 
 
-def _load_instance(path: str) -> ProblemInstance:
-    return parse_instance(Path(path).read_text())
-
-
-def _cmd_solve(args, force_oracle: bool) -> int:
+def _cmd_solve(args) -> int:
+    """`solve`, or `oracle` when the exact search must answer."""
     try:
-        instance = _load_instance(args.instance)
+        instance = parse_instance(Path(args.instance).read_text())
     except (OSError, UnicodeDecodeError, InstanceParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     budget = SearchBudget(max_expansions=args.max_expansions)
     try:
-        report = solve_instance(instance, budget, force_oracle=force_oracle)
+        report = solve_instance(instance, budget, force_oracle=args.command == "oracle")
     except OracleRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
@@ -169,22 +174,10 @@ def _cmd_crossval(args) -> int:
     return EXIT_INFEASIBLE if failures else EXIT_FEASIBLE
 
 
-def _cmd_oracle(args) -> int:
-    return _cmd_solve(args, force_oracle=True)
-
-
 def _cmd_reduce(args) -> int:
+    parse_source, reduce = REDUCTIONS[args.kind]
     try:
-        text = Path(args.source).read_text()
-        if args.kind == "x3c-plurality-shift":
-            instance = reduce_x3c_to_plurality_shift_cb(parse_exact_cover(text))
-        elif args.kind == "x3c-borda-unit":
-            instance = reduce_x3c_to_borda_unit_cb(parse_exact_cover(text))
-        elif args.kind == "bisection-borda-swap":
-            instance = reduce_minbisection_to_borda_swap_cb(parse_min_bisection(text))
-        else:
-            print(f"error: unknown reduction {args.kind!r}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+        instance = reduce(parse_source(Path(args.source).read_text()))
     except (OSError, UnicodeDecodeError, InstanceParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -192,16 +185,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from .generators import Variant
-    from .core import ScoringRule
-
-    rule = ScoringRule(args.rule)
-    variant = Variant(
-        rule=rule,
-        thresholded=args.thresholded,
-        bribery=args.bribery,
-        with_preferred=args.preferred,
-    )
+    variant = Variant(ScoringRule(args.rule), args.thresholded, args.bribery, args.preferred)
     instance = random_instance(
         variant, args.seed, args.index,
         max_voters=args.max_voters, max_parties=args.max_parties,
@@ -235,7 +219,7 @@ def _at_least(low: int):
     return integer
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coalition-bribery",
         description="Exact solvers for coalition bribery in parliamentary elections.",
@@ -251,19 +235,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-parties", type=_at_least(2), default=4)
         p.add_argument("--max-price", type=_at_least(0), default=3)
 
-    p_solve = sub.add_parser("solve", help="solve an instance file")
-    p_solve.add_argument("instance")
-    p_solve.add_argument("--emit-witness", action="store_true")
-    p_solve.add_argument("--format", choices=("text", "json"), default="text")
-    add_common(p_solve)
-
-    p_oracle = sub.add_parser("oracle", help="solve with the exact search only")
-    p_oracle.add_argument("instance")
-    p_oracle.add_argument("--emit-witness", action="store_true")
-    p_oracle.add_argument("--format", choices=("text", "json"), default="text")
-    add_common(p_oracle)
+    for name, help_text in (("solve", "solve an instance file"),
+                            ("oracle", "solve with the exact search only")):
+        p_solve = sub.add_parser(name, help=help_text)
+        p_solve.set_defaults(run=_cmd_solve)
+        p_solve.add_argument("instance")
+        p_solve.add_argument("--emit-witness", action="store_true")
+        p_solve.add_argument("--format", choices=("text", "json"), default="text")
+        add_common(p_solve)
 
     p_cv = sub.add_parser("crossval", help="compare polynomial solvers with the exact search")
+    p_cv.set_defaults(run=_cmd_crossval)
     p_cv.add_argument("--seed", type=int, default=1)
     p_cv.add_argument("--count", type=_at_least(0), default=100)
     add_sizes(p_cv)
@@ -271,12 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cv)
 
     p_red = sub.add_parser("reduce", help="emit a hardness-construction instance")
-    p_red.add_argument("kind", choices=(
-        "x3c-plurality-shift", "x3c-borda-unit", "bisection-borda-swap"))
+    p_red.set_defaults(run=_cmd_reduce)
+    p_red.add_argument("kind", choices=REDUCTIONS)
     p_red.add_argument("source")
     p_red.add_argument("--output")
 
     p_gen = sub.add_parser("gen", help="emit a seeded random instance")
+    p_gen.set_defaults(run=_cmd_gen)
     p_gen.add_argument("--rule", choices=("plurality", "borda"), default="plurality")
     p_gen.add_argument("--bribery", choices=("unit", "dollar", "swap", "shift"),
                        default="unit")
@@ -290,19 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = _build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "solve":
-        return _cmd_solve(args, force_oracle=False)
-    if args.command == "oracle":
-        return _cmd_oracle(args)
-    if args.command == "crossval":
-        return _cmd_crossval(args)
-    if args.command == "reduce":
-        return _cmd_reduce(args)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    raise AssertionError(args.command)
+    args = PARSER.parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ class DomainError(ValueError):
     """Raised when inputs violate the election model (unknown party, etc.).
 
     `key` names the offending field (e.g. "threshold") or item (e.g.
-    "subset 2"), if any.
+    "subset 2" or "voter v1"), if any.
     """
 
     def __init__(self, message: str, key: Optional[str] = None):

@@ -70,8 +70,9 @@ class DollarCost:
     def validate_for(self, election: Election) -> None:
         if len(self.prices) != election.num_voters:
             raise DomainError("one price per voter required")
-        if any(p < 0 for p in self.prices):
-            raise DomainError("prices must be non-negative")
+        for voter, p in zip(election.voters, self.prices):
+            if p < 0:
+                raise DomainError("prices must be non-negative", f"voter {voter}")
 
     def voter_price(self, i: int) -> int:
         """What voter i charges for any change."""
@@ -139,17 +140,18 @@ class ShiftCost:
             raise DomainError("one shift table per voter required")
         m = election.num_parties
         needed = m * (m - 1) // 2 + 1
-        for i, table in enumerate(self.tables):
+        for voter, table in zip(election.voters, self.tables):
+            key = f"voter {voter}"
             if len(table) < needed:
                 raise DomainError(
-                    f"shift table of voter {election.voters[i]} must cover 0..{needed - 1} inversions"
+                    f"shift table of voter {voter} must cover 0..{needed - 1} inversions", key
                 )
             if table[0] != 0:
-                raise DomainError("shift tables must start at 0")
+                raise DomainError("shift tables must start at 0", key)
             if any(a > b for a, b in zip(table, table[1:])):
-                raise DomainError("shift tables must be non-decreasing")
+                raise DomainError("shift tables must be non-decreasing", key)
             if any(v < 0 for v in table):
-                raise DomainError("shift prices must be non-negative")
+                raise DomainError("shift prices must be non-negative", key)
 
     def slope(self, i: int) -> Optional[int]:
         """The per-inversion price if tables[i] is multiplicative, else None."""

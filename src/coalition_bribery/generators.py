@@ -8,7 +8,7 @@ of generation order or platform.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
@@ -129,14 +129,4 @@ def random_instance(
 
 def with_budget(instance: ProblemInstance, budget: int) -> ProblemInstance:
     """The same instance with a different budget."""
-    return ProblemInstance(
-        election=instance.election,
-        rule=instance.rule,
-        threshold=instance.threshold,
-        coalition=instance.coalition,
-        preferred=instance.preferred,
-        phi=instance.phi,
-        rho=instance.rho,
-        budget=budget,
-        cost_model=instance.cost_model,
-    )
+    return replace(instance, budget=budget)

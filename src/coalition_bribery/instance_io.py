@@ -149,6 +149,7 @@ def parse_instance(text: str) -> ProblemInstance:
     swap_tables: list[dict[tuple[str, str], int]] = []
     shift_tables: list[tuple[int, ...]] = []
     max_pairs = len(parties) * (len(parties) - 1) // 2
+    cost_label = "price" if cost_kind == "dollar" else cost_kind
     while lines.peek() is not None:
         lineno, text = lines.next()
         match = re.match(r"^voter\s+(\S+):\s*(.*)$", text)
@@ -166,14 +167,15 @@ def parse_instance(text: str) -> ProblemInstance:
             )
         voters.append(voter_id)
         orders.append(PreferenceOrder(ranking))
+        if cost_kind != "unit":
+            lineno, text = _expect(lines, f"{cost_label} {voter_id}")
+            key_lines[f"voter {voter_id}"] = lineno
         if cost_kind == "dollar":
-            lineno, text = _expect(lines, f"price {voter_id}")
             try:
                 prices.append(int(text))
             except ValueError:
                 raise InstanceParseError(lineno, f"bad price {text!r}") from None
         elif cost_kind == "swap":
-            lineno, text = _expect(lines, f"swap {voter_id}")
             table: dict[tuple[str, str], int] = {}
             for token in text.split():
                 pair_match = re.match(r"^([^>=\s]+)>([^>=\s]+)=(\d+)$", token)
@@ -182,6 +184,8 @@ def parse_instance(text: str) -> ProblemInstance:
                 upper, riser, price = pair_match.groups()
                 if upper not in parties or riser not in parties or upper == riser:
                     raise InstanceParseError(lineno, f"bad swap pair {token!r}")
+                if (upper, riser) in table:
+                    raise InstanceParseError(lineno, f"duplicate swap pair {token!r}")
                 table[(upper, riser)] = int(price)
             missing = [
                 (a, b) for a in parties for b in parties if a != b and (a, b) not in table
@@ -192,7 +196,6 @@ def parse_instance(text: str) -> ProblemInstance:
                 )
             swap_tables.append(table)
         elif cost_kind == "shift":
-            lineno, text = _expect(lines, f"shift {voter_id}")
             tokens = text.split()
             try:
                 if tokens and tokens[0] == "slope":
@@ -231,7 +234,7 @@ def parse_instance(text: str) -> ProblemInstance:
             cost_model=model,
         )
     except DomainError as exc:
-        # Errors without a key come from the cost model's per-voter checks.
+        # Per-voter cost errors are keyed by voter; the rest blame the cost line.
         line = key_lines.get(exc.key, cost_line)
         raise InstanceParseError(line, str(exc)) from None
 

@@ -9,7 +9,7 @@ rather than trusted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -266,17 +266,7 @@ def shift_to_swap(instance: ProblemInstance) -> ProblemInstance:
                 if x != y:
                     prices[(x, y)] = slope if y in coalition else blocked
         tables.append(prices)
-    return ProblemInstance(
-        election=election,
-        rule=instance.rule,
-        threshold=instance.threshold,
-        coalition=instance.coalition,
-        preferred=instance.preferred,
-        phi=instance.phi,
-        rho=instance.rho,
-        budget=instance.budget,
-        cost_model=SwapCost(tuple(tables)),
-    )
+    return replace(instance, cost_model=SwapCost(tuple(tables)))
 
 
 def map_cover_to_bribe(

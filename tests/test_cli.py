@@ -1,5 +1,6 @@
 """CLI subcommands, exit statuses, and dispatch routing."""
 
+import argparse
 import json
 
 import pytest
@@ -18,8 +19,18 @@ from coalition_bribery.dispatch import (
     solve_instance,
 )
 from coalition_bribery.generators import Variant, random_instance
-from coalition_bribery.instance_io import serialize_instance
-from coalition_bribery.reductions import ExactCover34Instance, reduce_x3c_to_borda_unit_cb
+from coalition_bribery.instance_io import (
+    parse_exact_cover,
+    parse_instance,
+    parse_min_bisection,
+    serialize_instance,
+)
+from coalition_bribery.reductions import (
+    ExactCover34Instance,
+    reduce_minbisection_to_borda_swap_cb,
+    reduce_x3c_to_borda_unit_cb,
+    reduce_x3c_to_plurality_shift_cb,
+)
 from coalition_bribery.sample_instances import (
     three_party_dollar_cbp,
     three_party_unit_cb,
@@ -250,6 +261,49 @@ def test_reduce_and_solve_pipeline(tmp_path, capsys):
     assert cli.main(["reduce", "x3c-plurality-shift", str(source),
                      "--output", str(out_path)]) == 0
     assert cli.main(["solve", str(out_path)]) == 0
+
+
+X3C_SOURCE = "universe: 4\nsubset: 1 2 3 4\nsubset: 1 2 3 4\nsubset: 1 2 3 4\n"
+BISECTION_SOURCE = "vertices: 4\nbound: 1\nedge: 1 2\nedge: 3 4\nedge: 2 3\n"
+REDUCE_KINDS = {
+    "x3c-plurality-shift": (X3C_SOURCE, parse_exact_cover, reduce_x3c_to_plurality_shift_cb),
+    "x3c-borda-unit": (X3C_SOURCE, parse_exact_cover, reduce_x3c_to_borda_unit_cb),
+    "bisection-borda-swap": (BISECTION_SOURCE, parse_min_bisection,
+                             reduce_minbisection_to_borda_swap_cb),
+}
+
+
+@pytest.mark.parametrize("kind", REDUCE_KINDS)
+def test_reduce_writes_the_direct_image(tmp_path, kind):
+    source, parse_source, reduce = REDUCE_KINDS[kind]
+    source_path, out_path = tmp_path / "source.txt", tmp_path / "image.txt"
+    source_path.write_text(source)
+    assert cli.main(["reduce", kind, str(source_path), "--output", str(out_path)]) == 0
+    assert out_path.read_text() == serialize_instance(reduce(parse_source(source)))
+
+
+def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = write(tmp_path, "a.txt", three_party_dollar_cbp(7))
+    assert cli.main(["solve", path]) == 0
+    assert cli.main(["oracle", path]) == 0
+    assert cli.main(["gen"]) == 0
+    assert built == []
+
+
+def test_gen_options_do_not_leak_into_the_next_call(capsys):
+    assert cli.main(["gen", "--budget", "3"]) == 0
+    assert "budget: 3\n" in capsys.readouterr().out
+    assert cli.main(["gen"]) == 0
+    worst_case = random_instance(Variant(ScoringRule.PLURALITY, False, "unit", False), 1, 0)
+    assert parse_instance(capsys.readouterr().out).budget == worst_case.budget != 3
 
 
 def test_gen_reproducible(tmp_path):

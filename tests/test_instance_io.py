@@ -110,7 +110,21 @@ def test_cost_model_errors_point_at_the_cost_line():
     )
     with pytest.raises(InstanceParseError) as err:
         parse_instance(text)
-    assert err.value.line == 8 and "non-negative" in str(err.value)
+    assert err.value.line == 12 and "non-negative" in str(err.value)
+
+
+@pytest.mark.parametrize("kind, v1, v2, message", [
+    ("dollar", "price v1: 1", "price v2: -3", "line 12: prices must be non-negative"),
+    ("shift", "shift v1: 0 1 2 3", "shift v2: 0 5 2 3",
+     "line 12: shift tables must be non-decreasing"),
+], ids=["price", "shift"])
+def test_per_voter_cost_errors_name_the_voters_line(kind, v1, v2, message):
+    text = BASIC.replace("cost: unit", f"cost: {kind}").replace(
+        "voter v2: Z Y X", f"{v1}\nvoter v2: Z Y X\n{v2}"
+    )
+    with pytest.raises(InstanceParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == message
 
 
 _KEY_PREFIXES = [
@@ -185,6 +199,16 @@ swap v1: a>b=1
     with pytest.raises(InstanceParseError) as err:
         parse_instance(text)
     assert "b" in str(err.value)
+
+
+def test_duplicate_swap_pair_rejected():
+    text = BASIC.replace("cost: unit", "cost: swap").replace(
+        "voter v2: Z Y X",
+        "swap v1: X>Y=1 Y>X=2 X>Y=5 X>Z=1 Z>X=1 Y>Z=1 Z>Y=1\nvoter v2: Z Y X",
+    )
+    with pytest.raises(InstanceParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == "line 10: duplicate swap pair 'X>Y=5'"
 
 
 def test_preferred_outside_coalition_rejected():
