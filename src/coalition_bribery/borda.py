@@ -15,15 +15,14 @@ voter's current pair 0.  Under shift bribery a pair costs the voter's table
 at its fewest inversions, which is exact because shift tables never
 decrease.
 
-A voter-by-voter table then accumulates the cheapest bribes per total
-(coalition points ka, leader points k1), and the final scan picks the
-cheapest total meeting the support and ratio targets: with a zero threshold
-every party is seated, so the test is `core.goals_met(ka, k1, total)`.
-Cells above the cost cap are dropped, as costs only grow.  Per ka a layer
-keeps only its Pareto front of (lower cost, more leader points); this is
-exact because every later voter adds the same gain to any cell and the ratio
-test k1 >= rho * ka is monotone in k1.  When rho = 0 the front is the single
-cheapest cell per ka.
+The table kernel (`table.combine`) then runs one layer per voter over
+cells (coalition points ka, leader points k1), or (ka, 0) when rho = 0, and
+the final scan picks the cheapest cell meeting the support and ratio
+targets: with a zero threshold every party is seated, so the test is
+`core.goals_met(ka, k1, total)`.  The kernel's front per ka is exact because
+every later voter adds the same gain to any cell and the ratio test
+k1 >= rho * ka is monotone in k1.  Each step keeps the menu pair it came
+from, so the plan rebuild can ask the voter's menu for a realizing order.
 """
 
 from __future__ import annotations
@@ -41,7 +40,8 @@ from .core import (
     grand_total,
     score,
 )
-from .costs import BribePlan, DollarCost, ShiftCost, UnitCost, WitnessError
+from .costs import BribePlan, DollarCost, ShiftCost, UnitCost
+from .table import combine, trace
 
 
 def _placements(
@@ -141,7 +141,8 @@ def shift_menu(
 
 
 class _VoterMenu:
-    """Cheapest replacement and realizing order per (k_rest, k1) for one voter."""
+    """Cheapest replacement and realizing order per (k_rest, k1) for one
+    voter, and the kernel steps they offer."""
 
     def __init__(self, instance: ProblemInstance, voter: int, placements=_placements):
         order = instance.election.orders[voter]
@@ -160,58 +161,23 @@ class _VoterMenu:
             raise DomainError(
                 "this solver handles unit, dollar and shift bribery only"
             )
+        # Per kernel step (ka gain, k1 gain or 0 when rho = 0), the cheapest
+        # menu pair taking it, and its cost.
+        self.pairs = {}
+        for (k_rest, k1), _ in sorted(self.costs.items(), key=lambda kv: kv[1]):
+            self.pairs.setdefault((k_rest + k1, k1 if instance.rho else 0), (k_rest, k1))
+        self.steps = {step: self.costs[pair] for step, pair in self.pairs.items()}
 
 
-def _pareto(cells: dict, track_leader: bool) -> dict:
-    """Per coalition-points value, the cells that no cheaper cell beats on
-    leader points; only the cheapest one when leader points don't count."""
-    front: dict[tuple[int, int], int] = {}
-    ka = best = kept = None
-    # Descending order visits each ka's cells from the most leader points.
-    for key in sorted(cells, reverse=True):
-        cost = cells[key]
-        if key[0] == ka:
-            if cost >= best:
-                continue
-            if not track_leader:
-                del front[kept]
-        ka, best, kept = key[0], cost, key
-        front[key] = cost
-    return front
-
-
-def accumulate_voter_tables(
-    menus: list[_VoterMenu], budget: float, track_leader: bool
-) -> tuple[list[dict], list[dict]]:
-    """Cheapest bribes per running (coalition points, leader points) total,
-    within the budget (`math.inf` for none); layers and menu gains are cut
-    to their `_pareto`."""
+def accumulate_voter_tables(gains: list[dict], budget: float) -> tuple[list, list]:
+    """One `table.combine` layer per voter's steps within the budget
+    (`math.inf` for none), and per layer the step each kept cell took."""
     layers = [{(0, 0): 0}]
-    backpointers: list[dict] = [{}]
-    for menu in menus:
-        gains = _pareto(
-            {
-                (d_rest + d1, d1): c
-                for (d_rest, d1), c in menu.costs.items()
-                if c <= budget
-            },
-            track_leader,
-        )
-        steps = sorted((c, d_ka, d1) for (d_ka, d1), c in gains.items())
-        nxt: dict[tuple[int, int], int] = {}
-        bp: dict[tuple[int, int], tuple[int, int]] = {}
-        for (ka, k1), cost in layers[-1].items():
-            for c, d_ka, d1 in steps:
-                total = cost + c
-                if total > budget:
-                    break
-                key = (ka + d_ka, k1 + d1)
-                if total < nxt.get(key, inf):
-                    nxt[key] = total
-                    bp[key] = (d_ka, d1)
-        front = _pareto(nxt, track_leader)
-        layers.append(front)
-        backpointers.append({key: bp[key] for key in front})
+    backpointers = []
+    for steps in gains:
+        layer, reached = combine(layers[-1], steps, budget)
+        layers.append(layer)
+        backpointers.append(reached)
     return layers, backpointers
 
 
@@ -231,36 +197,24 @@ def solve_borda_zero(
         _VoterMenu(instance, i, placements) for i in range(election.num_voters)
     ]
     layers, backpointers = accumulate_voter_tables(
-        menus, inf if cap is None else cap, instance.rho != 0
+        [menu.steps for menu in menus], inf if cap is None else cap
     )
     if stats is not None:
-        stats["table_cells"] = sum(len(layer) for layer in layers)
+        stats["table_cells"] = sum(len(layer) for layer in layers[1:])
 
     total = grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA)
     best_key, best_cost = None, inf
-    final = layers[-1]
-    for key in sorted(final, reverse=True):
-        ka, k1 = key
-        cost = final[key]
+    for (ka, k1), cost in layers[-1].items():
         if cost < best_cost and goals_met(ka, k1, total, instance):
-            best_key, best_cost = key, cost
+            best_key, best_cost = (ka, k1), cost
     if best_key is None:
         return None
-    return _reconstruct(instance, menus, backpointers, best_key, best_cost)
-
-
-def _reconstruct(instance, menus, backpointers, key, cost) -> BribePlan:
-    election = instance.election
     replacements = {}
-    for voter in range(election.num_voters - 1, -1, -1):
-        d_ka, d1 = backpointers[voter + 1][key]
-        new_order = menus[voter].realize((d_ka - d1, d1))
+    for voter, step in enumerate(trace(backpointers, best_key)):
+        new_order = menus[voter].realize(menus[voter].pairs[step])
         if new_order != election.orders[voter]:
             replacements[voter] = new_order
-        key = (key[0] - d_ka, key[1] - d1)
-    if key != (0, 0):
-        raise WitnessError("table trace did not return to the origin")
-    return BribePlan(replacements, cost)
+    return BribePlan(replacements, best_cost)
 
 
 def leader_and_rest_scores(

@@ -26,7 +26,7 @@ from .dispatch import (
     solve_instance,
     solver_for,
 )
-from .generators import POLYNOMIAL_VARIANTS, Variant, random_instance, with_budget
+from .generators import CROSSVAL_VARIANTS, Variant, random_instance, with_budget
 from .instance_io import (
     InstanceParseError,
     format_rational,
@@ -131,7 +131,7 @@ def _cmd_crossval(args) -> int:
     budget = SearchBudget(max_expansions=args.max_expansions)
     failures = 0
     print("variant agree total")
-    for variant in POLYNOMIAL_VARIANTS:
+    for variant in CROSSVAL_VARIANTS:
         agree = 0
         for index in range(args.count):
             instance = random_instance(

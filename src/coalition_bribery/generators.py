@@ -43,6 +43,13 @@ POLYNOMIAL_VARIANTS: tuple[Variant, ...] = tuple(
     for with_preferred in (False, True)
 )
 
+# Crossval also covers Plurality_0 under unit/dollar bribery, which the
+# plurality DP serves too; perfbench builds from the 14 cells above alone.
+CROSSVAL_VARIANTS: tuple[Variant, ...] = POLYNOMIAL_VARIANTS + tuple(
+    Variant(ScoringRule.PLURALITY, False, bribery, with_preferred)
+    for bribery in ("unit", "dollar") for with_preferred in (False, True)
+)
+
 
 def _random_cost_model(
     rng: random.Random, bribery: str, num_voters: int, num_parties: int,

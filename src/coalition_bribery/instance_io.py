@@ -199,7 +199,7 @@ def parse_instance(text: str) -> ProblemInstance:
             tokens = text.split()
             try:
                 if tokens and tokens[0] == "slope":
-                    slope = int(tokens[1])
+                    (slope,) = map(int, tokens[1:])
                     shift_tables.append(
                         tuple(slope * k for k in range(max_pairs + 1))
                     )

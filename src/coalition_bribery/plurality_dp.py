@@ -7,21 +7,20 @@ never receive votes, so there ``g_p`` is the number bought; for a member of
 the coalition rest, ``g_p`` fixes the count, and its cheapest realization
 buys ``max(0, g_p)`` supporters (the cheapest ones) and adds the rest.
 
-One left-to-right combine over the non-leader parties keeps the least cost
-per signature ``(g, a_out, a_rest)``: the leader's net gain ``g = sum g_p``,
-and the active (threshold-cleared) vote totals of the outsiders and of the
-coalition rest.  The leader's count is ``base + g``; when ``g < 0`` more
-votes went to the rest than were freed, and the difference is topped up by
-buying the leader's own cheapest ``-g`` supporters.
+The table kernel (`table.combine`) runs one layer per non-leader party over
+cells ``(g * R + a_rest, -a_out)``: the leader's net gain ``g = sum g_p``,
+and the active (threshold-cleared) vote totals of the coalition rest and of
+the outsiders.  ``R = n * |rest| + 1`` exceeds every partial ``a_rest``, so
+the packing never carries into g.  The leader's count is ``base + g``; when
+``g < 0`` more votes went to the rest than were freed, and the difference is
+topped up by buying the leader's own cheapest ``-g`` supporters.
 
-The goal test (`core.goals_met` on the seated coalition, leader and total
-vote counts) reads nothing but the leader's count and the two active totals,
-which a signature fixes, and costs add across parties; so the cheapest cell
-per signature is the cheapest bribe realizing it.  Cells above the cost cap
-are dropped as they appear (costs only grow), and so are cells whose gain
-can no longer reach ``-base`` (the leader's count must stay non-negative).
-The scan picks, among the signatures that meet the targets, the one whose
-cell plus leader top-up is cheapest under the cap, and reconstructs its plan.
+The goal test (`core.goals_met`) reads only the leader's count and the two
+active totals, and costs add across parties.  With g and a_rest fixed, fewer
+outsider votes never hurt the support target and the ratio target ignores
+them, so the kernel's front is exact.  Between layers the DP drops cells
+whose gain can no longer reach ``-base``.  The scan picks the cheapest cell
+plus top-up that meets the targets under the cap, and rebuilds its plan.
 """
 
 from __future__ import annotations
@@ -32,34 +31,52 @@ from typing import Optional
 
 from .core import DomainError, ProblemInstance, ScoringRule, goals_met
 from .costs import BribePlan, DollarCost, UnitCost, WitnessError, lift_to_top
+from .table import combine, trace
 
 
 class _Table:
-    """Least cost per (g, a_out, a_rest) signature, with backpointers."""
+    """Kernel layers over the non-leader parties, with backpointers."""
 
     def __init__(self, instance: ProblemInstance, cap: Optional[int]):
         election = instance.election
         self.n = election.num_voters
         self.threshold_count = instance.plurality_activity_count()
-        self.leader = instance.leader
         self.parties = list(instance.outsiders) + list(instance.coalition_rest)
         self.is_rest = set(instance.coalition_rest)
+        self.radix = self.n * len(self.is_rest) + 1
         model = instance.cost_model
         if not isinstance(model, (UnitCost, DollarCost)):
             raise DomainError("this solver handles unit and dollar bribery only")
-        self.supporters: dict[str, list[tuple[int, int]]] = {
-            p: [] for p in election.parties
-        }
-        for i, order in enumerate(election.orders):
-            self.supporters[order.top()].append((model.voter_price(i), i))
-        for lst in self.supporters.values():
-            lst.sort()
+        # Each party's (price, voter) supporters, cheapest first.
+        self.supporters: dict[str, list[tuple[int, int]]] = {p: [] for p in election.parties}
+        for price, i in sorted((model.voter_price(i), i) for i in range(self.n)):
+            self.supporters[election.orders[i].top()].append((price, i))
         self.prefix = {
             p: list(accumulate((price for price, _ in lst), initial=0))
             for p, lst in self.supporters.items()
         }
-        self.cells_built = 0
-        self._combine(inf if cap is None else cap)
+        # The parties after the current one can still raise g by at most
+        # their supporter count, and the final g must reach -base.
+        floor = -self.n
+        cells = {(0, 0): 0}
+        self.backpointers = []
+        self.kept = 0
+        for party in self.parties:
+            floor += len(self.supporters[party])
+            steps = {self.pack(*key): c for key, c in self.single(party).items()}
+            cells, reached = combine(cells, steps, inf if cap is None else cap)
+            cells = {key: c for key, c in cells.items() if key[0] >= floor * self.radix}
+            self.backpointers.append(reached)
+            self.kept += len(cells)
+        self.cells = cells
+
+    def pack(self, g: int, a_out: int, a_rest: int) -> tuple[int, int]:
+        return g * self.radix + a_rest, -a_out
+
+    def unpack(self, key: tuple[int, int]) -> tuple[int, int, int]:
+        """The (g, a_out, a_rest) signature of a packed cell."""
+        g, a_rest = divmod(key[0], self.radix)
+        return g, -key[1], a_rest
 
     def mincost(self, party: str, count: int) -> int:
         """Sum of the `count` smallest prices among the party's supporters."""
@@ -68,45 +85,13 @@ class _Table:
     def single(self, party: str) -> dict[tuple[int, int, int], int]:
         """One party's cells: (g_p, active outsider votes, active rest votes)."""
         size = len(self.supporters[party])
-        t = self.threshold_count
         rest = party in self.is_rest
         table = {}
         for g in range(size - self.n if rest else 0, size + 1):
-            count = size - g
-            active = count if count >= t else 0
+            active = size - g if size - g >= self.threshold_count else 0
             key = (g, 0, active) if rest else (g, active, 0)
             table[key] = self.mincost(party, max(0, g))
         return table
-
-    def _combine(self, cap: float) -> None:
-        # The parties after the current one can still raise g by at most
-        # their supporter count, and the final g must reach -base.
-        floor = -len(self.supporters[self.leader]) - sum(
-            len(self.supporters[p]) for p in self.parties
-        )
-        cells = {(0, 0, 0): 0}
-        self.backpointers = []
-        for party in self.parties:
-            floor += len(self.supporters[party])
-            single = sorted(self.single(party).items(), key=lambda kv: kv[1])
-            self.cells_built += len(single)
-            merged: dict[tuple[int, int, int], int] = {}
-            bp: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-            for (g, a_out, a_rest), cost in cells.items():
-                for step, c in single:
-                    total = cost + c
-                    if total > cap:
-                        break
-                    key = (g + step[0], a_out + step[1], a_rest + step[2])
-                    if key[0] < floor:
-                        continue
-                    if total < merged.get(key, inf):
-                        merged[key] = total
-                        bp[key] = step
-            self.cells_built += len(merged)
-            cells = merged
-            self.backpointers.append(bp)
-        self.cells = cells
 
 
 def solve_plurality_t_dollar(
@@ -120,22 +105,19 @@ def solve_plurality_t_dollar(
         raise DomainError("plurality instances only")
     table = _Table(instance, cap)
     if stats is not None:
-        stats["table_cells"] = table.cells_built
+        stats["table_cells"] = table.kept
         stats["signatures"] = len(table.cells)
 
     base_leader = len(table.supporters[instance.leader])
     t_count = table.threshold_count
     best_key, best_cost = None, inf if cap is None else cap + 1
-    for key in sorted(table.cells, reverse=True):
-        g, a_out, a_rest = key
-        cell = table.cells[key]
+    for key, cell in table.cells.items():
+        g, a_out, a_rest = table.unpack(key)
         cost = cell + table.mincost(instance.leader, -g) if g < 0 else cell
         if cost >= best_cost:
             continue
-        leader_count = base_leader + g
-        leader_active = leader_count if leader_count >= t_count else 0
-        total_active = a_rest + leader_active + a_out
-        if goals_met(a_rest + leader_active, leader_active, total_active, instance):
+        leader = base_leader + g if base_leader + g >= t_count else 0
+        if goals_met(a_rest + leader, leader, a_rest + leader + a_out, instance):
             best_key, best_cost = key, cost
     if best_key is None:
         return None
@@ -145,27 +127,22 @@ def solve_plurality_t_dollar(
 def _reconstruct(instance: ProblemInstance, table: _Table, key, cost: int) -> BribePlan:
     election = instance.election
     leader = instance.leader
-
-    topups = [idx for _, idx in table.supporters[leader][:max(0, -key[0])]]
+    topups = [idx for _, idx in table.supporters[leader][:max(0, -table.unpack(key)[0])]]
     bought: list[int] = []
     additions: list[tuple[str, int]] = []
-    for party, bp in zip(reversed(table.parties), reversed(table.backpointers)):
-        step = bp[key]
-        key = tuple(a - b for a, b in zip(key, step))
-        count = max(0, step[0])
+    for party, step in zip(table.parties, trace(table.backpointers, key)):
+        g = table.unpack(step)[0]
+        count = max(0, g)
         bought.extend(idx for _, idx in table.supporters[party][:count])
-        if count > step[0]:
-            additions.append((party, count - step[0]))
+        if count > g:
+            additions.append((party, count - g))
 
     # Redirect the added votes into the coalition remainder, the rest to the
     # leader.  Prefer cross-party targets so replacements are real.
-    pool = bought + topups
-    targets: list[str] = []
-    for party, count in additions:
-        targets.extend([party] * count)
-    targets.extend([leader] * (len(pool) - len(targets)))
+    remaining = bought + topups
+    targets = [party for party, count in additions for _ in range(count)]
+    targets.extend([leader] * (len(remaining) - len(targets)))
     replacements = {}
-    remaining = list(pool)
     for target in targets:
         pick = next(
             (i for i in remaining if election.orders[i].top() != target),

@@ -95,6 +95,22 @@ def naive_optimum(instance):
     return best
 
 
+def min_plus(cells, steps, cap=None):
+    """Plain unpruned min-plus combine: the cheapest cell-plus-step cost per
+    summed key, within `cap` (None: no limit).  Keys are int tuples of any
+    length; this is the reference the table kernel is checked against."""
+    out = {}
+    for key, cost in cells.items():
+        for step, c in steps.items():
+            total = cost + c
+            if cap is not None and total > cap:
+                continue
+            summed = tuple(a + b for a, b in zip(key, step))
+            if total < out.get(summed, total + 1):
+                out[summed] = total
+    return out
+
+
 def assert_verifies(instance, plan):
     """A feasible answer must re-verify independently of its solver."""
     cost = plan_cost(instance.cost_model, instance.coalition, instance.election, plan)

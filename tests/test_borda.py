@@ -3,6 +3,7 @@ voter-by-voter table, and the full decision procedure."""
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,9 @@ from coalition_bribery.dispatch import BORDA_DP
 from coalition_bribery.generators import with_budget
 from coalition_bribery.oracle import oracle_solve
 from coalition_bribery.sample_instances import unanimous_four_party_borda_cb
+from coalition_bribery.table import front
 
-from conftest import assert_verifies, random_problem, solve_at_budget
+from conftest import assert_verifies, min_plus, random_problem, solve_at_budget
 
 
 def every_coalition(max_parties):
@@ -167,24 +169,32 @@ def _covered(layer, ka, k1, cost, track_leader):
     )
 
 
+def _menus(inst, voters, track_leader):
+    """The voters' menus, with leader points tracked (rho > 0) or not."""
+    if track_leader:
+        inst = replace(inst, preferred=inst.coalition[0], rho=Fraction(1, 2))
+    return [_VoterMenu(inst, i) for i in voters]
+
+
+def _accumulate(menus, budget):
+    return accumulate_voter_tables([menu.steps for menu in menus], budget)
+
+
 class TestVoterTable:
     def test_single_voter_base_row(self):
         inst = unanimous_four_party_borda_cb(1)
-        menus = [_VoterMenu(inst, 0)]
-        menu_cells = {
-            (k_rest + k1, k1): cost for (k_rest, k1), cost in menus[0].costs.items()
-        }
         for track_leader in (False, True):
-            layers, _ = accumulate_voter_tables(menus, 10, track_leader)
-            assert set(layers[1].items()) <= set(menu_cells.items())
-            for (ka, k1), cost in menu_cells.items():
-                assert _covered(layers[1], ka, k1, cost, track_leader)
+            menus = _menus(inst, [0], track_leader)
+            layers, _ = _accumulate(menus, 10)
+            assert set(layers[1].items()) <= set(menus[0].steps.items())
+            for (k_rest, k1), cost in menus[0].costs.items():
+                assert _covered(layers[1], k_rest + k1, k1, cost, track_leader)
 
     def test_replicated_voters_bound(self):
         inst = unanimous_four_party_borda_cb(1)
-        menus = [_VoterMenu(inst, i) for i in (0, 1)]
         for track_leader in (False, True):
-            layers, _ = accumulate_voter_tables(menus, 10, track_leader)
+            menus = _menus(inst, [0, 1], track_leader)
+            layers, _ = _accumulate(menus, 10)
             for (k_rest, k1), cost in menus[0].costs.items():
                 assert _covered(
                     layers[2], 2 * (k_rest + k1), 2 * k1, 2 * cost, track_leader
@@ -192,8 +202,7 @@ class TestVoterTable:
 
     def test_full_fixture_reaches_eight_points_for_one(self):
         inst = unanimous_four_party_borda_cb(1)
-        menus = [_VoterMenu(inst, i) for i in range(4)]
-        layers, _ = accumulate_voter_tables(menus, inst.budget, False)
+        layers, _ = _accumulate(_menus(inst, range(4), False), inst.budget)
         costs = [c for (ka, _k1), c in layers[4].items() if ka == 8]
         assert min(costs) == 1
 
@@ -207,22 +216,17 @@ class TestVoterTable:
 def test_layers_stay_within_budget_and_front(seed, budget, kind):
     inst = random_problem(random.Random(seed), ScoringRule.BORDA, False, kind,
                           False, max_voters=5, max_parties=5)
-    menus = [_VoterMenu(inst, i) for i in range(inst.election.num_voters)]
     for track_leader in (False, True):
-        layers, _ = accumulate_voter_tables(menus, budget, track_leader)
-        for layer in layers:
+        menus = _menus(inst, range(inst.election.num_voters), track_leader)
+        layers, _ = _accumulate(menus, budget)
+        reference = {(0, 0): 0}
+        for menu, layer in zip(menus, layers[1:]):
+            reference = min_plus(reference, menu.steps, budget)
+            assert layer == front(reference)
             assert all(cost <= budget for cost in layer.values())
-            kas = [ka for ka, _k1 in layer]
             if not track_leader:
                 # rho = 0: one cheapest cell per coalition-points value
-                assert len(kas) == len(set(kas))
-                continue
-            for (ka, k1), cost in layer.items():
-                assert not any(
-                    other != (ka, k1) and other[0] == ka and other[1] >= k1
-                    and c <= cost
-                    for other, c in layer.items()
-                )
+                assert all(k1 == 0 for _ka, k1 in layer)
 
 
 class TestSolver:

@@ -159,7 +159,7 @@ def test_crossval_all_agree(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l and not l.startswith("variant")]
-    assert len(lines) == 14
+    assert len(lines) == 18
     assert all(line.endswith("3 3") for line in lines)
 
 

@@ -1,4 +1,4 @@
-"""The plurality-threshold and Borda-zero tables and the plurality flow
+"""The plurality DP (any threshold), the Borda-zero table and the plurality flow
 engine against the exact search, on seeded tiny instances whose goals are
 unmet at zero cost (no bribe of cost 0 meets them), so every case exercises
 the engine rather than an early exit."""
@@ -16,24 +16,30 @@ from conftest import assert_verifies, random_problem
 
 CASES = 40
 
+# (name in ids and seeds, rule, thresholded, bribery, cbp, solver, max voters);
+# "plurality0" names the zero-threshold unit/dollar cells the DP also serves.
 VARIANTS = [
-    (ScoringRule.PLURALITY, True, kind, cbp, PLURALITY_DP, 8)
+    ("plurality", ScoringRule.PLURALITY, True, kind, cbp, PLURALITY_DP, 8)
     for kind in ("unit", "dollar")
     for cbp in (False, True)
 ] + [
-    (ScoringRule.BORDA, False, kind, cbp, BORDA_DP, 4)
+    ("borda", ScoringRule.BORDA, False, kind, cbp, BORDA_DP, 4)
     for kind in ("unit", "dollar", "shift")
     for cbp in (False, True)
 ] + [
-    (ScoringRule.PLURALITY, False, kind, cbp, PLURALITY_FLOW, 5)
+    ("plurality", ScoringRule.PLURALITY, False, kind, cbp, PLURALITY_FLOW, 5)
     for kind in ("swap", "shift")
+    for cbp in (False, True)
+] + [
+    ("plurality0", ScoringRule.PLURALITY, False, kind, cbp, PLURALITY_DP, 8)
+    for kind in ("unit", "dollar")
     for cbp in (False, True)
 ]
 
 
-def hard_instances(rule, thresholded, kind, cbp, max_voters):
+def hard_instances(name, rule, thresholded, kind, cbp, max_voters):
     """(instance, oracle optimum) pairs whose goals no free bribe meets."""
-    rng = random.Random(f"hard:{rule.value}:{kind}:{cbp}")
+    rng = random.Random(f"hard:{name}:{kind}:{cbp}")
     found = []
     while len(found) < CASES:
         inst = random_problem(
@@ -48,13 +54,15 @@ def hard_instances(rule, thresholded, kind, cbp, max_voters):
 
 
 @pytest.mark.parametrize(
-    "rule, thresholded, kind, cbp, solver, max_voters",
+    "name, rule, thresholded, kind, cbp, solver, max_voters",
     VARIANTS,
-    ids=[f"{v[0].value}-{v[2]}-{'cbp' if v[3] else 'cb'}" for v in VARIANTS],
+    ids=[f"{v[0]}-{v[3]}-{'cbp' if v[4] else 'cb'}" for v in VARIANTS],
 )
-def test_least_budget_matches_oracle(rule, thresholded, kind, cbp, solver, max_voters):
+def test_least_budget_matches_oracle(
+    name, rule, thresholded, kind, cbp, solver, max_voters
+):
     solve = solver_for(solver, SearchBudget())
-    for inst, optimum in hard_instances(rule, thresholded, kind, cbp, max_voters):
+    for inst, optimum in hard_instances(name, rule, thresholded, kind, cbp, max_voters):
         plan = solve(inst, None)
         assert (None if plan is None else plan.cost) == optimum
         if optimum is not None:

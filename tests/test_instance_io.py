@@ -232,6 +232,9 @@ shift v1: slope 2
 """
     inst = parse_instance(text)
     assert inst.cost_model.tables[0] == (0, 2, 4, 6)
+    with pytest.raises(InstanceParseError) as err:
+        parse_instance(text.replace("slope 2", "slope 2 junk 9"))
+    assert str(err.value) == "line 10: bad shift table 'slope 2 junk 9'"
 
 
 def test_exact_cover_source_format():

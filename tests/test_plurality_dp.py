@@ -55,6 +55,12 @@ def _table(instance, budget=None):
     return _Table(instance, budget)
 
 
+def _signatures(instance, budget=None):
+    """The table's final cells, unpacked to (g, a_out, a_rest) signatures."""
+    table = _table(instance, budget)
+    return {table.unpack(key): cost for key, cost in table.cells.items()}
+
+
 class TestMincost:
     def test_two_smallest(self):
         inst = small_instance(
@@ -66,9 +72,9 @@ class TestMincost:
     def test_not_enough_supporters(self):
         # No signature frees more votes than the non-leader parties hold.
         inst = small_instance([("b", 3), ("b", 1), ("b", 2), ("a", 1)], Fraction(0), ("a",))
-        tables = _table(inst)
-        assert max(g for g, _a_out, _a_rest in tables.cells) == 3
-        assert tables.cells[(3, 0, 0)] == 6
+        cells = _signatures(inst)
+        assert max(g for g, _a_out, _a_rest in cells) == 3
+        assert cells[(3, 0, 0)] == 6
 
     def test_dollar_fixture_prices(self):
         inst = three_party_dollar_cb(5)
@@ -111,25 +117,25 @@ class TestSingleTables:
 
 
 class TestGValue:
-    """Cells keyed by g (the leader's net vote gain) and the active outsider
-    and coalition-rest vote totals."""
+    """Cells unpacked to g (the leader's net vote gain) and the active
+    outsider and coalition-rest vote totals."""
 
     def test_empty_requirements(self):
         inst = three_party_dollar_cbp(7)
-        assert _table(inst).cells[(0, 50, 0)] == 0
+        assert _signatures(inst)[(0, 50, 0)] == 0
 
     def test_freeing_five_outsider_votes(self):
         inst = three_party_dollar_cbp(7)
         # buy five Z-supporters at $2 each; their five votes activate Y
-        assert _table(inst).cells[(0, 45, 20)] == 10
+        assert _signatures(inst)[(0, 45, 20)] == 10
 
     def test_more_active_votes_than_supporters(self):
         inst = three_party_dollar_cbp(7)
-        assert (0, 55, 0) not in _table(inst).cells
+        assert (0, 55, 0) not in _signatures(inst)
 
     def test_budget_caps_the_cells(self):
         inst = three_party_dollar_cbp(7)
-        cells = _table(inst, budget=7).cells
+        cells = _signatures(inst, budget=7)
         assert (0, 45, 20) not in cells
         assert all(cost <= 7 for cost in cells.values())
 
@@ -205,9 +211,13 @@ def test_price_increase_never_shrinks_f():
             budget=inst.budget, cost_model=DollarCost(bumped_prices),
         )
         high = _table(bumped)
-        assert high.cells.keys() == low.cells.keys()
-        for key, cost in low.cells.items():
-            assert high.cells[key] >= cost
+        # Every dearer cell is matched by a cheaper one of the same
+        # (g, a_rest) group with no more outsider votes.
+        for (group, level), cost in high.cells.items():
+            assert any(
+                key[0] == group and key[1] >= level and low_cost <= cost
+                for key, low_cost in low.cells.items()
+            )
 
 
 def test_cb_equals_cbp_with_zero_ratio(rng):
