@@ -12,7 +12,6 @@ from .core import (
     Election,
     PreferenceOrder,
     ProblemInstance,
-    Rational,
     ScoringRule,
     check_goals,
     score,
@@ -39,7 +38,6 @@ __all__ = [
     "Election",
     "PreferenceOrder",
     "ProblemInstance",
-    "Rational",
     "ScoringRule",
     "ShiftCost",
     "SwapCost",

@@ -15,8 +15,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-Rational = Fraction
-
 
 class DomainError(ValueError):
     """Raised when inputs violate the election model (unknown party, etc.).
@@ -48,10 +46,6 @@ class PreferenceOrder:
         object.__setattr__(
             self, "_pos", {p: i + 1 for i, p in enumerate(self.ranking)}
         )
-
-    @classmethod
-    def of(cls, *parties: str) -> "PreferenceOrder":
-        return cls(tuple(parties))
 
     def position(self, party: str) -> int:
         """1-based rank of `party`; 1 is the most preferred."""

@@ -198,9 +198,6 @@ class BribePlan:
     def empty(cls) -> "BribePlan":
         return cls({}, 0)
 
-    def __len__(self) -> int:
-        return len(self.replacements)
-
 
 def plan_cost(
     model: CostModel, instance_coalition: Sequence[str], election: Election,

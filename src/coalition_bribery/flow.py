@@ -120,25 +120,3 @@ def min_cost_flow(network: FlowNetwork, cap: Optional[int] = None) -> Flow | Non
     for (tail, slot), e in zip(edge_slots, network.edges):
         values.append(e.capacity - adj[tail][slot][1])
     return Flow(values=values, cost=total_cost)
-
-
-def validate_flow(network: FlowNetwork, flow: Flow) -> bool:
-    """Capacity, conservation and demand checks for an explicit flow."""
-    if len(flow.values) != len(network.edges):
-        return False
-    balance = [0] * network.num_nodes
-    for f, e in zip(flow.values, network.edges):
-        if not 0 <= f <= e.capacity:
-            return False
-        balance[e.tail] -= f
-        balance[e.head] += f
-    for v in range(network.num_nodes):
-        if v in (network.source, network.sink):
-            continue
-        if balance[v] != 0:
-            return False
-    if balance[network.source] != -network.demand:
-        return False
-    if balance[network.sink] != network.demand:
-        return False
-    return flow.cost == sum(f * e.cost for f, e in zip(flow.values, network.edges))

@@ -95,7 +95,7 @@ class _Meter:
 
 
 def enumerate_voter_options(
-    instance: ProblemInstance, voter: int, meter: Optional[_Meter] = None,
+    instance: ProblemInstance, voter: int, meter: _Meter,
     cost_cap: Optional[int] = None,
 ) -> list[tuple[PreferenceOrder, int]]:
     """Admissible replacement orders for one voter costing at most `cost_cap`
@@ -104,16 +104,14 @@ def enumerate_voter_options(
     Unit/dollar bribery prices every change alike, so it lists all m!
     permutations.  Swap and shift orders come from `iter_orders`, cut at the
     cap; shift admits only orders in which nothing but coalition members rise.
-    Expansions go to `meter` (a fresh default-budget one when None) before
-    the orders are built: all m! up front for unit/dollar and uncapped swap,
-    so a space that does not fit is refused unbuilt, else one per order
-    yielded, which bounds the work because every prefix the generator keeps
-    completes to an order within the cap.
+    Expansions go to `meter` before the orders are built: all m! up front
+    for unit/dollar and uncapped swap, so a space that does not fit is
+    refused unbuilt, else one per order yielded, which bounds the work
+    because every prefix the generator keeps completes to an order within
+    the cap.
     """
     order = instance.election.orders[voter]
     model = instance.cost_model
-    if meter is None:
-        meter = _Meter(SearchBudget())
     if isinstance(model, SwapCost):
         prices = model.pair_prices[voter]
         orders = iter_orders(order, order.ranking, lambda x, y: prices[x, y], cost_cap)

@@ -1,27 +1,18 @@
 """Generators that embed set-cover and graph-bisection inputs as bribery
-instances, with forward witness mapping.
+instances.
 
 These construct the instances only; deciding them is left to the exact
-search, and mapped witnesses are verified by the ordinary plan machinery
+search, and any plan for an image is verified by the ordinary plan machinery
 rather than trusted.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .core import DomainError, Election, PreferenceOrder, ProblemInstance, ScoringRule
-from .costs import (
-    BribePlan,
-    ShiftCost,
-    SwapCost,
-    UnitCost,
-    lift_to_top,
-    plan_cost,
-)
+from .costs import ShiftCost, SwapCost, UnitCost
 
 
 @dataclass(frozen=True)
@@ -51,22 +42,6 @@ class ExactCover34Instance:
         if any(c != 3 for c in occurrences.values()):
             raise DomainError("every element must occur in exactly 3 subsets", "universe")
 
-    def covers(self, chosen: Sequence[int]) -> bool:
-        """Whether the chosen subset indices partition the universe."""
-        seen: set[int] = set()
-        size = 0
-        for j in chosen:
-            seen.update(self.subsets[j])
-            size += 4
-        return size == self.universe_size and len(seen) == self.universe_size
-
-    def exact_covers(self) -> Iterator[tuple[int, ...]]:
-        """Brute-force enumeration of exact covers; desk scale only."""
-        want = self.universe_size // 4
-        for chosen in itertools.combinations(range(len(self.subsets)), want):
-            if self.covers(chosen):
-                yield chosen
-
 
 @dataclass(frozen=True)
 class MinBisectionInstance:
@@ -87,19 +62,6 @@ class MinBisectionInstance:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
-
-    def has_bisection(self) -> bool:
-        """Brute-force check for an equal split with at most `bound` crossings."""
-        half = self.num_vertices // 2
-        vertices = range(1, self.num_vertices + 1)
-        for side in itertools.combinations(vertices, half):
-            inside = set(side)
-            crossing = sum(
-                1 for u, v in self.edges if (u in inside) != (v in inside)
-            )
-            if crossing <= self.bound:
-                return True
-        return False
 
 
 def _subset_party(j: int) -> str:
@@ -244,8 +206,10 @@ def shift_to_swap(instance: ProblemInstance) -> ProblemInstance:
     """Rewrite a multiplicative shift instance as a swap instance.
 
     Raising a coalition member past anyone costs the voter's slope; raising
-    anything else is priced just over the budget, so affordable swap plans
-    are exactly the admissible shift plans, at identical cost.
+    anything else is priced at budget + 1, so the swap plans within the
+    budget are exactly the admissible shift plans within it, at identical
+    cost.  The equivalence holds only within the budget: uncapped, the image
+    admits plans that use the pairs priced at budget + 1.
     """
     model = instance.cost_model
     if not isinstance(model, ShiftCost):
@@ -267,45 +231,3 @@ def shift_to_swap(instance: ProblemInstance) -> ProblemInstance:
                     prices[(x, y)] = slope if y in coalition else blocked
         tables.append(prices)
     return replace(instance, cost_model=SwapCost(tuple(tables)))
-
-
-def map_cover_to_bribe(
-    cover: Sequence[int],
-    instance: ProblemInstance,
-    which: str,
-    x: ExactCover34Instance,
-) -> BribePlan:
-    """The plan a cover induces on a reduced instance.
-
-    `which` selects the construction: "plurality-shift" bribes each element
-    voter to top the covering subset's party; "borda-unit" moves the whole
-    coalition block ahead of the subset block for each covering subset's
-    first voter.  The result is NOT verified here; a non-cover simply yields
-    a plan that fails verification downstream.
-    """
-    election = instance.election
-    replacements = {}
-    if which == "plurality-shift":
-        for z in range(1, x.universe_size + 1):
-            j = next((j for j in cover if z in x.subsets[j]), None)
-            if j is None:
-                continue
-            voter = election.voter_index(f"e{z}")
-            replacements[voter] = lift_to_top(
-                election.orders[voter], _subset_party(j)
-            )
-    elif which == "borda-unit":
-        for j in cover:
-            voter = election.voter_index(f"v{j + 1}")
-            old = election.orders[voter]
-            mine = old.ranking[:4]
-            rest = old.ranking[4:]
-            coalition_block = tuple(p for p in rest if p in set(instance.coalition))
-            tail = tuple(p for p in rest if p not in set(instance.coalition))
-            replacements[voter] = PreferenceOrder(coalition_block + mine + tail)
-    else:
-        raise DomainError(f"unknown reduction {which!r}")
-    cost = plan_cost(
-        instance.cost_model, instance.coalition, election, BribePlan(replacements, 0)
-    )
-    return BribePlan(replacements, cost if cost is not None else -1)

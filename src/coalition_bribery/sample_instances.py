@@ -76,22 +76,6 @@ def three_party_dollar_cbp(budget: int) -> ProblemInstance:
     )
 
 
-def three_party_dollar_cbp_replica(budget: int) -> ProblemInstance:
-    """One-fifth scale replica of the dollar CBP fixture: 7/3/10 voters."""
-    election = _plurality_election([("X", 7), ("Y", 3), ("Z", 10)], ("X", "Y", "Z"))
-    return ProblemInstance(
-        election=election,
-        rule=ScoringRule.PLURALITY,
-        threshold=Fraction(1, 5),
-        coalition=("X", "Y"),
-        preferred="X",
-        phi=Fraction(1, 2),
-        rho=Fraction(61, 100),
-        budget=budget,
-        cost_model=_three_party_dollar_model(election),
-    )
-
-
 def unanimous_four_party_borda_cb(budget: int) -> ProblemInstance:
     """Four voters all ranking c4 > c3 > c2 > c1; coalition {c1, c2}; Borda."""
     parties = ("c1", "c2", "c3", "c4")
@@ -108,21 +92,6 @@ def unanimous_four_party_borda_cb(budget: int) -> ProblemInstance:
         coalition=("c1", "c2"),
         phi=Fraction(1, 4),
         rho=Fraction(0),
-        budget=budget,
-        cost_model=UnitCost(),
-    )
-
-
-def unanimous_four_party_plurality_cb(budget: int) -> ProblemInstance:
-    """Same profile as the Borda fixture but scored by plurality."""
-    base = unanimous_four_party_borda_cb(budget)
-    return ProblemInstance(
-        election=base.election,
-        rule=ScoringRule.PLURALITY,
-        threshold=Fraction(0),
-        coalition=base.coalition,
-        phi=base.phi,
-        rho=base.rho,
         budget=budget,
         cost_model=UnitCost(),
     )

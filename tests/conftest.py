@@ -1,7 +1,9 @@
 """Shared builders and reference implementations for the test suite."""
 
+import functools
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,18 +12,20 @@ from coalition_bribery.core import (
     Election,
     PreferenceOrder,
     ProblemInstance,
+    ScoringRule,
     check_goals,
 )
-from coalition_bribery.costs import (
-    DollarCost,
-    ShiftCost,
-    SwapCost,
-    UnitCost,
-    plan_cost,
-    apply_plan,
-)
+from coalition_bribery.costs import BribePlan, apply_plan, lift_to_top, plan_cost
 from coalition_bribery.dispatch import solver_for
-from coalition_bribery.oracle import SearchBudget, enumerate_voter_options
+from coalition_bribery.generators import _random_cost_model
+from coalition_bribery.oracle import SearchBudget, _Meter, enumerate_voter_options
+from coalition_bribery.reductions import _subset_party
+from coalition_bribery.sample_instances import (
+    _plurality_election,
+    _three_party_dollar_model,
+    three_party_dollar_cbp,
+    unanimous_four_party_borda_cb,
+)
 
 
 def make_election(parties, rankings):
@@ -30,25 +34,7 @@ def make_election(parties, rankings):
     return Election(tuple(parties), voters, orders)
 
 
-def random_model(rng, kind, num_voters, num_parties, parties, max_price=3):
-    if kind == "unit":
-        return UnitCost()
-    if kind == "dollar":
-        return DollarCost(tuple(rng.randint(0, max_price) for _ in range(num_voters)))
-    if kind == "swap":
-        return SwapCost(
-            tuple(
-                {(x, y): rng.randint(0, max_price) for x in parties for y in parties if x != y}
-                for _ in range(num_voters)
-            )
-        )
-    tables = []
-    for _ in range(num_voters):
-        table = [0]
-        for _ in range(num_parties * (num_parties - 1) // 2):
-            table.append(table[-1] + rng.randint(0, max_price))
-        tables.append(tuple(table))
-    return ShiftCost(tuple(tables))
+random_model = functools.partial(_random_cost_model, max_price=3)
 
 
 def random_problem(rng, rule, thresholded, kind, cbp, max_voters=5, max_parties=4,
@@ -84,7 +70,8 @@ def naive_optimum(instance):
     """Unpruned product search over full per-voter option lists."""
     election = instance.election
     per_voter = [
-        enumerate_voter_options(instance, i) for i in range(election.num_voters)
+        enumerate_voter_options(instance, i, _Meter(SearchBudget()))
+        for i in range(election.num_voters)
     ]
     best = None
     for combo in itertools.product(*per_voter):
@@ -124,6 +111,83 @@ def solve_at_budget(name, instance):
     """The named solver's verified plan within the instance's own budget
     (dispatch's zero-cost exit and witness check included), or None."""
     return solver_for(name, SearchBudget())(instance, instance.budget)
+
+
+def validate_flow(network, flow):
+    """Capacity, conservation and demand checks for an explicit flow."""
+    if len(flow.values) != len(network.edges):
+        return False
+    balance = [0] * network.num_nodes
+    for f, e in zip(flow.values, network.edges):
+        if not 0 <= f <= e.capacity:
+            return False
+        balance[e.tail] -= f
+        balance[e.head] += f
+    ends = {network.source: -network.demand, network.sink: network.demand}
+    if any(b != ends.get(v, 0) for v, b in enumerate(balance)):
+        return False
+    return flow.cost == sum(f * e.cost for f, e in zip(flow.values, network.edges))
+
+
+def exact_covers(x):
+    """Brute-force enumeration of an X3C source's exact covers, as tuples of
+    subset indices; desk scale only."""
+    for chosen in itertools.combinations(range(len(x.subsets)), x.universe_size // 4):
+        if len({z for j in chosen for z in x.subsets[j]}) == x.universe_size:
+            yield chosen
+
+
+def has_bisection(x):
+    """Brute-force check for an equal split with at most `bound` crossings."""
+    for side in itertools.combinations(range(1, x.num_vertices + 1), x.num_vertices // 2):
+        inside = set(side)
+        if sum((u in inside) != (v in inside) for u, v in x.edges) <= x.bound:
+            return True
+    return False
+
+
+def map_cover_to_bribe(cover, instance, which, x):
+    """The plan a cover induces on a reduced instance, unverified: a
+    non-cover simply yields a plan that fails verification.
+
+    "plurality-shift" bribes each element voter to top the covering subset's
+    party; "borda-unit" moves the whole coalition block ahead of the subset
+    block for each covering subset's first voter.
+    """
+    election = instance.election
+    coalition = set(instance.coalition)
+    replacements = {}
+    if which == "plurality-shift":
+        for z in range(1, x.universe_size + 1):
+            j = next((j for j in cover if z in x.subsets[j]), None)
+            if j is not None:
+                voter = election.voter_index(f"e{z}")
+                replacements[voter] = lift_to_top(election.orders[voter], _subset_party(j))
+    else:
+        assert which == "borda-unit", which
+        for j in cover:
+            voter = election.voter_index(f"v{j + 1}")
+            ranking = election.orders[voter].ranking
+            mine, rest = ranking[:4], ranking[4:]
+            replacements[voter] = PreferenceOrder(
+                tuple(p for p in rest if p in coalition) + mine
+                + tuple(p for p in rest if p not in coalition)
+            )
+    cost = plan_cost(instance.cost_model, instance.coalition, election,
+                     BribePlan(replacements, 0))
+    return BribePlan(replacements, -1 if cost is None else cost)
+
+
+def three_party_dollar_cbp_replica(budget):
+    """One-fifth scale replica of the dollar CBP fixture: 7/3/10 voters."""
+    election = _plurality_election([("X", 7), ("Y", 3), ("Z", 10)], ("X", "Y", "Z"))
+    return replace(three_party_dollar_cbp(budget), election=election,
+                   cost_model=_three_party_dollar_model(election))
+
+
+def unanimous_four_party_plurality_cb(budget):
+    """Same profile as the Borda fixture but scored by plurality."""
+    return replace(unanimous_four_party_borda_cb(budget), rule=ScoringRule.PLURALITY)
 
 
 @pytest.fixture

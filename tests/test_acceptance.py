@@ -28,7 +28,7 @@ from coalition_bribery.dispatch import (
     minimal_feasible_budget,
     solver_for,
 )
-from coalition_bribery.flow import min_cost_flow, validate_flow
+from coalition_bribery.flow import min_cost_flow
 from coalition_bribery.generators import (
     POLYNOMIAL_VARIANTS,
     random_instance,
@@ -38,7 +38,6 @@ from coalition_bribery.oracle import OracleRefusal, SearchBudget, oracle_solve
 from coalition_bribery.reductions import (
     ExactCover34Instance,
     MinBisectionInstance,
-    map_cover_to_bribe,
     reduce_minbisection_to_borda_swap_cb,
     reduce_x3c_to_borda_unit_cb,
     reduce_x3c_to_plurality_shift_cb,
@@ -48,12 +47,20 @@ from coalition_bribery.sample_instances import (
     sixteen_voter_shift_cbp,
     three_party_dollar_cb,
     three_party_dollar_cbp,
-    three_party_dollar_cbp_replica,
     three_party_unit_cb,
     unanimous_four_party_borda_cb,
 )
 
-from conftest import assert_verifies, random_problem, solve_at_budget
+from conftest import (
+    assert_verifies,
+    exact_covers,
+    has_bisection,
+    map_cover_to_bribe,
+    random_problem,
+    solve_at_budget,
+    three_party_dollar_cbp_replica,
+    validate_flow,
+)
 from test_flow import brute_force_min_cost, random_network
 
 
@@ -217,7 +224,7 @@ def _charge_criterion8(elapsed):
 def test_criterion_08a_cover_round_trip():
     with criterion(8, "(a) covered source: reduced instances feasible"):
         start = time.monotonic()
-        cover = next(COVERED4.exact_covers())
+        cover = next(exact_covers(COVERED4))
         shift_inst = reduce_x3c_to_plurality_shift_cb(COVERED4)
         assert solve_at_budget(ORACLE, shift_inst) is not None
         plan = map_cover_to_bribe(cover, shift_inst, "plurality-shift", COVERED4)
@@ -244,7 +251,7 @@ def test_criterion_08a_borda_reduction_via_search():
 def test_criterion_08b_coverless_round_trip():
     with criterion(8, "(b) exhaustively certified coverless source: infeasible"):
         start = time.monotonic()
-        assert list(COVERLESS8.exact_covers()) == []
+        assert list(exact_covers(COVERLESS8)) == []
         coverless = reduce_x3c_to_plurality_shift_cb(COVERLESS8)
         assert solve_at_budget(ORACLE, coverless) is None
         _charge_criterion8(time.monotonic() - start)
@@ -264,11 +271,11 @@ def test_criterion_08c_bisection_round_trip():
     with criterion(8, "(c) bisection cases decide the reduced instances"):
         start = time.monotonic()
         yes = MinBisectionInstance(2, frozenset(), 0)
-        assert yes.has_bisection()
+        assert has_bisection(yes)
         image = reduce_minbisection_to_borda_swap_cb(yes)
         assert solve_at_budget(ORACLE, image) is not None
         no = MinBisectionInstance(2, frozenset({(1, 2)}), 0)
-        assert not no.has_bisection()
+        assert not has_bisection(no)
         assert solve_at_budget(ORACLE, reduce_minbisection_to_borda_swap_cb(no)) is None
         _charge_criterion8(time.monotonic() - start)
 

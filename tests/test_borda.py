@@ -247,7 +247,7 @@ class TestSolver:
             budget=0, cost_model=UnitCost(),
         )
         plan = solve_at_budget(BORDA_DP, inst)
-        assert plan is not None and len(plan) == 0
+        assert plan is not None and len(plan.replacements) == 0
 
 
 def test_cb_equals_cbp_with_zero_ratio():

@@ -5,7 +5,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from coalition_bribery.flow import Flow, FlowEdge, FlowNetwork, min_cost_flow, validate_flow
+from coalition_bribery.flow import Flow, FlowEdge, FlowNetwork, min_cost_flow
+
+from conftest import validate_flow
 
 
 def brute_force_min_cost(network):

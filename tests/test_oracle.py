@@ -45,7 +45,6 @@ from coalition_bribery.reductions import (
 from coalition_bribery.sample_instances import (
     sixteen_voter_shift_cbp,
     unanimous_four_party_borda_cb,
-    unanimous_four_party_plurality_cb,
 )
 
 from conftest import (
@@ -54,6 +53,7 @@ from conftest import (
     random_model,
     random_problem,
     solve_at_budget,
+    unanimous_four_party_plurality_cb,
 )
 
 
@@ -62,7 +62,7 @@ class TestEnumerateOptions:
         inst = random_problem(random.Random(0), ScoringRule.PLURALITY, False, "unit", False,
                               max_voters=1, max_parties=2)
         assert inst.election.num_parties == 2
-        options = enumerate_voter_options(inst, 0)
+        options = enumerate_voter_options(inst, 0, _Meter(SearchBudget()))
         assert sorted(c for _, c in options) == [0, 1]
 
     def test_swap_lists_all_permutations_with_inversion_sums(self):
@@ -74,7 +74,7 @@ class TestEnumerateOptions:
             coalition=("a",), phi=Fraction(0), rho=Fraction(0), budget=0,
             cost_model=SwapCost((prices,)),
         )
-        options = dict(enumerate_voter_options(inst, 0))
+        options = dict(enumerate_voter_options(inst, 0, _Meter(SearchBudget())))
         assert len(options) == 6
         for order, cost in options.items():
             assert cost == 2 * len(inverted_pairs(election.orders[0], order))
@@ -87,7 +87,7 @@ class TestEnumerateOptions:
             coalition=("c1",), phi=Fraction(0), rho=Fraction(0), budget=0,
             cost_model=ShiftCost.multiplicative([1], 3),
         )
-        options = dict(enumerate_voter_options(inst, 0))
+        options = dict(enumerate_voter_options(inst, 0, _Meter(SearchBudget())))
         # exactly the orders that only raise c1, keeping c3 above c2
         assert options == {
             PreferenceOrder(("c3", "c2", "c1")): 0,
@@ -161,7 +161,7 @@ class TestEnumerateOptions:
 class TestOracleSolve:
     def test_unanimous_borda_costs_one(self):
         cost, plan = oracle_solve(unanimous_four_party_borda_cb(1))
-        assert cost == 1 and len(plan) == 1
+        assert cost == 1 and len(plan.replacements) == 1
 
     def test_unanimous_plurality_costs_one(self):
         cost, _ = oracle_solve(unanimous_four_party_plurality_cb(1))
@@ -175,7 +175,7 @@ class TestOracleSolve:
             cost_model=UnitCost(),
         )
         cost, plan = oracle_solve(relaxed)
-        assert cost == 0 and len(plan) == 0
+        assert cost == 0 and len(plan.replacements) == 0
 
     def test_completeness_against_naive_product_search(self):
         rng = random.Random("naive")

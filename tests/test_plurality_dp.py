@@ -21,10 +21,15 @@ from coalition_bribery.sample_instances import (
     three_party_dollar_cb,
     three_party_dollar_cbp,
     three_party_unit_cb,
-    unanimous_four_party_plurality_cb,
 )
 
-from conftest import assert_verifies, make_election, random_problem, solve_at_budget
+from conftest import (
+    assert_verifies,
+    make_election,
+    random_problem,
+    solve_at_budget,
+    unanimous_four_party_plurality_cb,
+)
 
 
 def small_instance(prices, threshold, coalition=("a", "b"), preferred=None,
@@ -190,7 +195,7 @@ class TestWorkedExamples:
             budget=0, cost_model=UnitCost(),
         )
         plan = solve_at_budget(PLURALITY_DP, relaxed)
-        assert plan is not None and len(plan) == 0
+        assert plan is not None and len(plan.replacements) == 0
 
 
 def test_zero_threshold_special_case():

@@ -17,7 +17,12 @@ from coalition_bribery.core import (
 from coalition_bribery.costs import ShiftCost, SwapCost, apply_plan
 from coalition_bribery.dispatch import PLURALITY_FLOW, solve_capped
 from coalition_bribery.generators import with_budget
-from coalition_bribery.oracle import enumerate_voter_options, oracle_solve
+from coalition_bribery.oracle import (
+    SearchBudget,
+    _Meter,
+    enumerate_voter_options,
+    oracle_solve,
+)
 from coalition_bribery.plurality_flow import (
     LEADER,
     OUTSIDE,
@@ -106,7 +111,7 @@ class TestMinBribeToTop:
         for _ in range(30):
             inst = random_problem(rng, ScoringRule.PLURALITY, False, "swap", True,
                                   max_voters=1, max_parties=4)
-            options = enumerate_voter_options(inst, 0)
+            options = enumerate_voter_options(inst, 0, _Meter(SearchBudget()))
             for which, targets in (
                 (LEADER, {inst.leader}),
                 (REST, set(inst.coalition_rest)),
@@ -182,7 +187,7 @@ class TestSolver:
             lambda x, y: 3,
         )
         plan = solve_at_budget(PLURALITY_FLOW, inst)
-        assert plan is not None and len(plan) == 0
+        assert plan is not None and len(plan.replacements) == 0
 
     def test_one_network_per_coalition_size(self, monkeypatch):
         built = []

@@ -1,6 +1,7 @@
 """Hardness-construction generators and their witness mappings."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,12 @@ from coalition_bribery.core import (
     grand_total,
     tally,
 )
-from coalition_bribery.costs import apply_plan, bribe_cost, iter_orders
-from coalition_bribery.dispatch import ORACLE
+from coalition_bribery.costs import ShiftCost, apply_plan, bribe_cost, iter_orders
+from coalition_bribery.dispatch import ORACLE, dispatch
 from coalition_bribery.oracle import oracle_solve
 from coalition_bribery.reductions import (
     ExactCover34Instance,
     MinBisectionInstance,
-    map_cover_to_bribe,
     reduce_minbisection_to_borda_swap_cb,
     reduce_x3c_to_borda_unit_cb,
     reduce_x3c_to_plurality_shift_cb,
@@ -27,7 +27,13 @@ from coalition_bribery.reductions import (
 )
 from coalition_bribery.sample_instances import sixteen_voter_shift_cbp
 
-from conftest import solve_at_budget
+from conftest import (
+    exact_covers,
+    has_bisection,
+    map_cover_to_bribe,
+    random_problem,
+    solve_at_budget,
+)
 
 COVERED4 = ExactCover34Instance(4, ((1, 2, 3, 4),) * 3)
 COVERLESS8 = ExactCover34Instance(
@@ -51,6 +57,24 @@ def activity_bar(inst):
     )
 
 
+def random_x3c8(rng):
+    """A random X3C source on a universe of 8: six 4-sets, each element in
+    exactly three, drawn by shuffling three copies of each element into
+    blocks of four until no block repeats an element."""
+    slots = [z for z in range(1, 9) for _ in range(3)]
+    while True:
+        rng.shuffle(slots)
+        subsets = tuple(tuple(sorted(slots[i:i + 4])) for i in range(0, 24, 4))
+        if all(len(set(subset)) == 4 for subset in subsets):
+            return ExactCover34Instance(8, subsets)
+
+
+def capped_optimum(instance):
+    """Cost of the routed solver's cheapest plan within the budget, or None."""
+    plan = solve_at_budget(dispatch(instance), instance)
+    return None if plan is None else plan.cost
+
+
 class TestExactCoverInstances:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -61,8 +85,8 @@ class TestExactCoverInstances:
             ExactCover34Instance(4, ((1, 2, 3, 3),) * 3)
 
     def test_cover_enumeration(self):
-        assert list(COVERED4.exact_covers()) == [(0,), (1,), (2,)]
-        assert list(COVERLESS8.exact_covers()) == []
+        assert list(exact_covers(COVERED4)) == [(0,), (1,), (2,)]
+        assert list(exact_covers(COVERLESS8)) == []
 
 
 class TestShiftReduction:
@@ -105,6 +129,17 @@ class TestShiftReduction:
         assert solve_at_budget(ORACLE, covered) is not None
         coverless = reduce_x3c_to_plurality_shift_cb(COVERLESS8)
         assert solve_at_budget(ORACLE, coverless) is None
+
+    def test_feasibility_tracks_cover_existence_on_random_sources(self):
+        rng = random.Random("x3c-plurality-shift")
+        coverable = 0
+        for _ in range(20):
+            x = random_x3c8(rng)
+            has_cover = next(exact_covers(x), None) is not None
+            image = reduce_x3c_to_plurality_shift_cb(x)
+            assert (solve_at_budget(ORACLE, image) is not None) == has_cover, x
+            coverable += has_cover
+        assert 0 < coverable < 20
 
 
 class TestBordaUnitReduction:
@@ -168,22 +203,33 @@ class TestBisectionReduction:
 
     def test_feasibility_tracks_bisection_existence(self):
         yes = MinBisectionInstance(2, frozenset(), 0)
-        assert yes.has_bisection()
+        assert has_bisection(yes)
         assert solve_at_budget(ORACLE, reduce_minbisection_to_borda_swap_cb(yes)) is not None
         no = MinBisectionInstance(2, frozenset({(1, 2)}), 0)
-        assert not no.has_bisection()
+        assert not has_bisection(no)
         assert solve_at_budget(ORACLE, reduce_minbisection_to_borda_swap_cb(no)) is None
 
     def test_four_vertex_cases(self):
         # a path graph splits 2|2 with one crossing edge
         path = MinBisectionInstance(4, frozenset({(1, 2), (2, 3), (3, 4)}), 1)
-        assert path.has_bisection()
+        assert has_bisection(path)
         image = reduce_minbisection_to_borda_swap_cb(path)
         assert solve_at_budget(ORACLE, image) is not None
         strict = MinBisectionInstance(4, frozenset({(1, 2), (2, 3), (3, 4)}), 0)
-        assert not strict.has_bisection()
+        assert not has_bisection(strict)
         image = reduce_minbisection_to_borda_swap_cb(strict)
         assert solve_at_budget(ORACLE, image) is None
+
+    @pytest.mark.parametrize("edges, bound, expected", [
+        ({(1, 2), (3, 4)}, 0, True),  # two disjoint edges split cleanly
+        ({(1, 2), (2, 3), (3, 4), (4, 1)}, 1, False),  # a 4-cycle crosses twice
+        ({(1, 2), (1, 3), (1, 4)}, 2, True),  # a star's best split crosses twice
+    ])
+    def test_feasibility_tracks_bisection_on_more_graphs(self, edges, bound, expected):
+        x = MinBisectionInstance(4, frozenset(edges), bound)
+        assert has_bisection(x) == expected
+        image = reduce_minbisection_to_borda_swap_cb(x)
+        assert (solve_at_budget(ORACLE, image) is not None) == expected
 
 
 class TestShiftToSwap:
@@ -225,3 +271,27 @@ class TestShiftToSwap:
         inst = sixteen_voter_shift_cbp(3, multiplicative=True)
         image = shift_to_swap(inst)
         assert oracle_solve(inst)[0] == oracle_solve(image)[0] == 3
+
+    def test_capped_optimum_matches_on_random_instances(self):
+        # Each (rule, threshold, goal shape) cell gets 25 multiplicative
+        # shift instances, goals unmet at zero cost, at a random budget;
+        # within it, the source and the image have the same cheapest cost.
+        rng = random.Random("shift-to-swap")
+        feasible = 0
+        for rule in ScoringRule:
+            for thresholded in (False, True):
+                for cbp in (False, True):
+                    for _ in range(25):
+                        inst = random_problem(rng, rule, thresholded, "unit", cbp)
+                        while check_goals(inst.election.orders, inst):
+                            inst = random_problem(rng, rule, thresholded, "unit", cbp)
+                        election = inst.election
+                        model = ShiftCost.multiplicative(
+                            [rng.randint(0, 3) for _ in election.voters],
+                            election.num_parties,
+                        )
+                        inst = replace(inst, cost_model=model, budget=rng.randint(0, 8))
+                        optimum = capped_optimum(inst)
+                        assert capped_optimum(shift_to_swap(inst)) == optimum, inst
+                        feasible += optimum is not None
+        assert 0 < feasible < 200
