@@ -32,15 +32,9 @@ from math import inf
 from typing import Optional
 
 from .core import (
-    DomainError,
-    PreferenceOrder,
-    ProblemInstance,
-    ScoringRule,
-    goals_met,
-    grand_total,
-    score,
+    PreferenceOrder, ProblemInstance, ScoringRule, goals_met, grand_total, score,
 )
-from .costs import BribePlan, DollarCost, ShiftCost, UnitCost
+from .costs import BribePlan, ShiftCost
 from .table import combine, trace
 
 
@@ -148,18 +142,14 @@ class _VoterMenu:
         order = instance.election.orders[voter]
         leader, rest = instance.leader, instance.coalition_rest
         model = instance.cost_model
-        if isinstance(model, (UnitCost, DollarCost)):
-            self.costs, self.realize = price_menu(
-                order, leader, rest, instance.outsiders, model.voter_price(voter),
-                placements,
-            )
-        elif isinstance(model, ShiftCost):
+        if isinstance(model, ShiftCost):
             self.costs, self.realize = shift_menu(
                 order, leader, rest, model.tables[voter], placements
             )
         else:
-            raise DomainError(
-                "this solver handles unit, dollar and shift bribery only"
+            self.costs, self.realize = price_menu(
+                order, leader, rest, instance.outsiders, model.voter_price(voter),
+                placements,
             )
         # Per kernel step (ka gain, k1 gain or 0 when rho = 0), the cheapest
         # menu pair taking it, and its cost.
@@ -186,10 +176,6 @@ def solve_borda_zero(
 ) -> Optional[BribePlan]:
     """Cheapest bribe costing at most `cap` (None: no limit) for a
     zero-threshold Borda instance under unit/dollar/shift bribery, or None."""
-    if instance.rule is not ScoringRule.BORDA:
-        raise DomainError("Borda instances only")
-    if instance.threshold != 0:
-        raise DomainError("this solver requires a zero threshold")
     election = instance.election
     # One memo per solve: voters sharing an order share one placement DP.
     placements = cache(_placements)

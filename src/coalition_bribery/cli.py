@@ -6,27 +6,30 @@ once, at import; each subcommand names its handler through
 solve/oracle: 0 feasible, 1 infeasible, 2 input error, 3 search refusal,
 4 failed witness check (a solver emitted a plan that does not verify).
 `crossval` exits 1 on a disagreement and 3 on a search refusal.  `gen`,
-`reduce` and `crossval` exit 2 when they cannot write a file.
+`reduce` and `crossval` exit 2 when they cannot write a file, and every
+subcommand exits 2 when its stdout is closed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
 
-from .core import DomainError, ProblemInstance, ScoringRule
-from .costs import WitnessError
+from .core import DomainError, ProblemInstance, ScoringRule, Variant
+from .costs import BRIBERY_KINDS, WitnessError
 from .dispatch import (
+    CROSSVAL_VARIANTS,
     SolveReport,
     dispatch,
     minimal_feasible_budget,
     solve_instance,
     solver_for,
 )
-from .generators import CROSSVAL_VARIANTS, Variant, random_instance, with_budget
+from .generators import random_instance, with_budget
 from .instance_io import (
     InstanceParseError,
     format_rational,
@@ -261,8 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="emit a seeded random instance")
     p_gen.set_defaults(run=_cmd_gen)
     p_gen.add_argument("--rule", choices=("plurality", "borda"), default="plurality")
-    p_gen.add_argument("--bribery", choices=("unit", "dollar", "swap", "shift"),
-                       default="unit")
+    p_gen.add_argument("--bribery", choices=BRIBERY_KINDS, default="unit")
     p_gen.add_argument("--thresholded", action="store_true")
     p_gen.add_argument("--preferred", action="store_true")
     p_gen.add_argument("--seed", type=int, default=1)
@@ -278,7 +280,17 @@ PARSER = _build_parser()
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = PARSER.parse_args(argv)
-    return args.run(args)
+    try:
+        status = args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nobody reads stdout any more: point it at devnull, so the flush at
+        # exit cannot fail again, and report that the output was not written.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT_ERROR
+    return status
 
 
 if __name__ == "__main__":

@@ -34,6 +34,23 @@ class ScoringRule(Enum):
 
 
 @dataclass(frozen=True)
+class Variant:
+    """One cell of the rule/threshold/bribery/goal-shape taxonomy."""
+
+    rule: ScoringRule
+    thresholded: bool
+    bribery: str  # unit | dollar | swap | shift
+    with_preferred: bool
+
+    def label(self) -> str:
+        """Taxonomy cell name, e.g. ``Plurality_t-CBP/dollar``."""
+        name = "Plurality" if self.rule is ScoringRule.PLURALITY else "Borda"
+        sub = "t" if self.thresholded else "0"
+        kind = "CBP" if self.with_preferred else "CB"
+        return f"{name}_{sub}-{kind}/{self.bribery}"
+
+
+@dataclass(frozen=True)
 class PreferenceOrder:
     """A strict ranking over all parties, best first."""
 
@@ -226,21 +243,11 @@ class ProblemInstance:
         """Least integral vote count that clears the threshold (plurality only)."""
         return math.ceil(self.threshold * self.election.num_voters)
 
-    def variant_label(self) -> str:
-        return label_variant(
-            self.rule, self.threshold > 0, self.preferred is not None,
-            getattr(self.cost_model, "kind", "?"),
-        )
-
-
-def label_variant(
-    rule: ScoringRule, thresholded: bool, with_preferred: bool, bribery: str
-) -> str:
-    """Taxonomy cell name, e.g. ``Plurality_t-CBP/dollar``."""
-    name = "Plurality" if rule is ScoringRule.PLURALITY else "Borda"
-    sub = "t" if thresholded else "0"
-    kind = "CBP" if with_preferred else "CB"
-    return f"{name}_{sub}-{kind}/{bribery}"
+    @property
+    def variant(self) -> Variant:
+        """The taxonomy cell this instance belongs to."""
+        kind = self.cost_model.kind
+        return Variant(self.rule, self.threshold > 0, kind, self.preferred is not None)
 
 
 def goals_met(coalition: int, leader: int, seated: int, instance: ProblemInstance) -> bool:

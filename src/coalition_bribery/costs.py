@@ -17,7 +17,9 @@ front to back and cut at a cost cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (
+    Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence, get_args,
+)
 
 from .core import DomainError, Election, PreferenceOrder
 
@@ -174,6 +176,7 @@ class ShiftCost:
 
 
 CostModel = UnitCost | DollarCost | SwapCost | ShiftCost
+BRIBERY_KINDS = tuple(model.kind for model in get_args(CostModel))
 
 
 def bribe_cost(

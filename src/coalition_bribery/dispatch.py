@@ -1,9 +1,10 @@
 """Routing of instances to solvers, and solve reports.
 
-Polynomial cells go to their dedicated solvers; everything else goes to the
-exact bounded search.  Every engine returns its cheapest plan under a cost
-cap; `solve_capped` is the one place that calls an engine, and it re-verifies
-every plan it returns against the plan machinery.
+`ROUTES` maps each polynomial cell to its dedicated solver, and crossval
+covers exactly its cells; every other cell goes to the exact bounded search.
+Every engine returns its cheapest plan under a cost cap.  `solve_capped` is
+the one place that calls an engine: it refuses a polynomial solver for a
+cell not routed to it, and re-verifies every plan it returns.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from typing import Callable, Optional
 
 from .borda import solve_borda_zero
 from .core import (
+    DomainError,
     ProblemInstance,
     ScoringRule,
+    Variant,
     check_goals,
     grand_total,
     seat_fractions_from_scores,
@@ -33,16 +36,31 @@ BORDA_DP = "borda-solvers"
 ORACLE = "oracle-exact"
 
 
+# The polynomial cells, (rule, thresholded, bribery) -> solver, in the order
+# crossval reports them.  Each serves both goal shapes (CB and CBP).
+ROUTES = {
+    (ScoringRule.PLURALITY, True, "unit"): PLURALITY_DP,
+    (ScoringRule.PLURALITY, True, "dollar"): PLURALITY_DP,
+    (ScoringRule.PLURALITY, False, "swap"): PLURALITY_FLOW,
+    (ScoringRule.PLURALITY, False, "shift"): PLURALITY_FLOW,
+    (ScoringRule.BORDA, False, "unit"): BORDA_DP,
+    (ScoringRule.BORDA, False, "dollar"): BORDA_DP,
+    (ScoringRule.BORDA, False, "shift"): BORDA_DP,
+    (ScoringRule.PLURALITY, False, "unit"): PLURALITY_DP,
+    (ScoringRule.PLURALITY, False, "dollar"): PLURALITY_DP,
+}
+
+CROSSVAL_VARIANTS: tuple[Variant, ...] = tuple(
+    Variant(rule, thresholded, bribery, with_preferred)
+    for rule, thresholded, bribery in ROUTES
+    for with_preferred in (False, True)
+)
+
+
 def dispatch(instance: ProblemInstance) -> str:
     """Name of the solver responsible for this instance's variant."""
-    bribery = instance.cost_model.kind
-    if instance.rule is ScoringRule.PLURALITY:
-        if bribery in ("unit", "dollar"):
-            return PLURALITY_DP
-        return PLURALITY_FLOW if instance.threshold == 0 else ORACLE
-    if instance.threshold == 0 and bribery in ("unit", "dollar", "shift"):
-        return BORDA_DP
-    return ORACLE
+    variant = instance.variant
+    return ROUTES.get((variant.rule, variant.thresholded, variant.bribery), ORACLE)
 
 
 # Engine entry point per solver, by its name in this module: `solve_capped`
@@ -64,13 +82,16 @@ def solve_capped(
     """The named solver's cheapest plan costing at most `cap` (None: no
     limit), verified; None when there is none.
 
-    Raises WitnessError when the engine's plan is inadmissible, misstates or
-    exceeds its cost, or misses the goals.
+    Raises DomainError when a polynomial solver is named for a cell `ROUTES`
+    does not route to it, and WitnessError when the engine's plan is
+    inadmissible, misstates or exceeds its cost, or misses the goals.
     """
     if cap is not None and cap < 0:
         return None
     if check_goals(instance.election.orders, instance):
         return BribePlan.empty()
+    if name != ORACLE and dispatch(instance) != name:
+        raise DomainError(f"{name} does not serve {instance.variant.label()}")
     kwargs = {"budget": search_budget} if name == ORACLE else {}
     plan = globals()[ENGINES[name]](instance, cap, **kwargs)
     if plan is None:
@@ -130,7 +151,7 @@ def solve_instance(
             scores_after, total, instance.threshold
         )
     return SolveReport(
-        variant=instance.variant_label(),
+        variant=instance.variant.label(),
         solver=name,
         feasible=plan is not None,
         cost=None if plan is None else plan.cost,

@@ -8,30 +8,13 @@ of generation order or platform.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
-from .core import (
-    Election, PreferenceOrder, ProblemInstance, ScoringRule, label_variant,
-)
+from .core import Election, PreferenceOrder, ProblemInstance, ScoringRule, Variant
 from .costs import CostModel, DollarCost, ShiftCost, SwapCost, UnitCost
 
-
-@dataclass(frozen=True)
-class Variant:
-    """One cell of the rule/threshold/bribery/goal-shape taxonomy."""
-
-    rule: ScoringRule
-    thresholded: bool
-    bribery: str  # unit | dollar | swap | shift
-    with_preferred: bool
-
-    def label(self) -> str:
-        return label_variant(
-            self.rule, self.thresholded, self.with_preferred, self.bribery
-        )
-
-
+# The 14 polynomial cells perfbench builds its workloads from.
 POLYNOMIAL_VARIANTS: tuple[Variant, ...] = tuple(
     Variant(rule, thresholded, bribery, with_preferred)
     for rule, thresholded, briberies in (
@@ -41,13 +24,6 @@ POLYNOMIAL_VARIANTS: tuple[Variant, ...] = tuple(
     )
     for bribery in briberies
     for with_preferred in (False, True)
-)
-
-# Crossval also covers Plurality_0 under unit/dollar bribery, which the
-# plurality DP serves too; perfbench builds from the 14 cells above alone.
-CROSSVAL_VARIANTS: tuple[Variant, ...] = POLYNOMIAL_VARIANTS + tuple(
-    Variant(ScoringRule.PLURALITY, False, bribery, with_preferred)
-    for bribery in ("unit", "dollar") for with_preferred in (False, True)
 )
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import DomainError, Election, PreferenceOrder, ProblemInstance, ScoringRule
-from .costs import CostModel, DollarCost, ShiftCost, SwapCost, UnitCost
+from .costs import BRIBERY_KINDS, CostModel, DollarCost, ShiftCost, SwapCost, UnitCost
 from .reductions import ExactCover34Instance, MinBisectionInstance
 
 NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
@@ -140,15 +140,12 @@ def parse_instance(text: str) -> ProblemInstance:
         if preferred not in coalition:
             raise InstanceParseError(lineno, f"preferred party {preferred!r} not in coalition")
     cost_line, cost_kind = _expect(lines, "cost")
-    if cost_kind not in ("unit", "dollar", "swap", "shift"):
+    if cost_kind not in BRIBERY_KINDS:
         raise InstanceParseError(cost_line, f"unknown cost model {cost_kind!r}")
 
     voters: list[str] = []
     orders: list[PreferenceOrder] = []
-    prices: list[int] = []
-    swap_tables: list[dict[tuple[str, str], int]] = []
-    shift_tables: list[tuple[int, ...]] = []
-    max_pairs = len(parties) * (len(parties) - 1) // 2
+    voter_costs: list = []  # per voter: a price, a swap table or a shift table
     cost_label = "price" if cost_kind == "dollar" else cost_kind
     while lines.peek() is not None:
         lineno, text = lines.next()
@@ -172,7 +169,7 @@ def parse_instance(text: str) -> ProblemInstance:
             key_lines[f"voter {voter_id}"] = lineno
         if cost_kind == "dollar":
             try:
-                prices.append(int(text))
+                voter_costs.append(int(text))
             except ValueError:
                 raise InstanceParseError(lineno, f"bad price {text!r}") from None
         elif cost_kind == "swap":
@@ -194,31 +191,27 @@ def parse_instance(text: str) -> ProblemInstance:
                 raise InstanceParseError(
                     lineno, f"missing swap price for pair {missing[0]}"
                 )
-            swap_tables.append(table)
+            voter_costs.append(table)
         elif cost_kind == "shift":
             tokens = text.split()
             try:
                 if tokens and tokens[0] == "slope":
                     (slope,) = map(int, tokens[1:])
-                    shift_tables.append(
-                        tuple(slope * k for k in range(max_pairs + 1))
+                    voter_costs.append(
+                        ShiftCost.multiplicative((slope,), len(parties)).tables[0]
                     )
                 else:
-                    shift_tables.append(tuple(int(v) for v in tokens))
+                    voter_costs.append(tuple(int(v) for v in tokens))
             except (ValueError, IndexError):
                 raise InstanceParseError(lineno, f"bad shift table {text!r}") from None
 
     if not voters:
         raise InstanceParseError(1, "no voters given")
-    model: CostModel
     if cost_kind == "unit":
-        model = UnitCost()
-    elif cost_kind == "dollar":
-        model = DollarCost(tuple(prices))
-    elif cost_kind == "swap":
-        model = SwapCost(tuple(swap_tables))
+        model: CostModel = UnitCost()
     else:
-        model = ShiftCost(tuple(shift_tables))
+        cost_class = {"dollar": DollarCost, "swap": SwapCost, "shift": ShiftCost}[cost_kind]
+        model = cost_class(tuple(voter_costs))
     try:
         election = Election(parties, tuple(voters), tuple(orders))
         return ProblemInstance(

@@ -47,6 +47,7 @@ from .core import (
     check_goals,
     check_goals_from_scores,
     score,
+    tally,
 )
 from .costs import (
     BribePlan,
@@ -247,10 +248,7 @@ def _search(
 
     parties = election.parties
     radix = _score_radix(instance)
-    base = _pack(
-        [sum(score(o, p, instance.rule) for o in election.orders) for p in parties],
-        radix,
-    )
+    base = _pack(tally(election.orders, parties, instance.rule).values(), radix)
     states: dict[int, int] = {base: 0}
     trail: list[dict[int, tuple[int, tuple[int, ...]]]] = []
     class_options = []

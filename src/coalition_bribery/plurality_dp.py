@@ -29,8 +29,8 @@ from itertools import accumulate
 from math import inf
 from typing import Optional
 
-from .core import DomainError, ProblemInstance, ScoringRule, goals_met
-from .costs import BribePlan, DollarCost, UnitCost, WitnessError, lift_to_top
+from .core import ProblemInstance, goals_met
+from .costs import BribePlan, WitnessError, lift_to_top
 from .table import combine, trace
 
 
@@ -45,8 +45,6 @@ class _Table:
         self.is_rest = set(instance.coalition_rest)
         self.radix = self.n * len(self.is_rest) + 1
         model = instance.cost_model
-        if not isinstance(model, (UnitCost, DollarCost)):
-            raise DomainError("this solver handles unit and dollar bribery only")
         # Each party's (price, voter) supporters, cheapest first.
         self.supporters: dict[str, list[tuple[int, int]]] = {p: [] for p in election.parties}
         for price, i in sorted((model.voter_price(i), i) for i in range(self.n)):
@@ -101,8 +99,6 @@ def solve_plurality_t_dollar(
 
     Works for any threshold, including zero, under unit or dollar pricing.
     """
-    if instance.rule is not ScoringRule.PLURALITY:
-        raise DomainError("plurality instances only")
     table = _Table(instance, cap)
     if stats is not None:
         stats["table_cells"] = table.kept

@@ -17,15 +17,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import DomainError, ProblemInstance, ScoringRule, goals_met
-from .costs import (
-    BribePlan,
-    ShiftCost,
-    SwapCost,
-    WitnessError,
-    bribe_cost,
-    lift_to_top,
-)
+from .core import ProblemInstance, goals_met
+from .costs import BribePlan, WitnessError, bribe_cost, lift_to_top
 from .flow import FlowEdge, FlowNetwork, min_cost_flow
 
 LEADER, REST, OUTSIDE = 0, 1, 2
@@ -91,12 +84,6 @@ def solve_plurality_zero(
 ) -> Optional[BribePlan]:
     """Cheapest bribe costing at most `cap` (None: no limit) for a
     zero-threshold plurality instance under swap/shift bribery, or None."""
-    if instance.rule is not ScoringRule.PLURALITY:
-        raise DomainError("plurality instances only")
-    if instance.threshold != 0:
-        raise DomainError("this solver requires a zero threshold")
-    if not isinstance(instance.cost_model, (SwapCost, ShiftCost)):
-        raise DomainError("this solver handles swap and shift bribery only")
     n = instance.election.num_voters
     options = [
         [min_bribe_to_top(instance, i, which) for which in (LEADER, REST, OUTSIDE)]

@@ -1,16 +1,22 @@
 """CLI subcommands, exit statuses, and dispatch routing."""
 
 import argparse
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import coalition_bribery.cli as cli
 import coalition_bribery.dispatch as dispatch_module
-from coalition_bribery.core import ScoringRule, check_goals
+from coalition_bribery.core import DomainError, ScoringRule, check_goals
 from coalition_bribery.costs import BribePlan, WitnessError, lift_to_top
 from coalition_bribery.dispatch import (
     BORDA_DP,
+    CROSSVAL_VARIANTS,
     ORACLE,
     PLURALITY_DP,
     PLURALITY_FLOW,
@@ -18,7 +24,7 @@ from coalition_bribery.dispatch import (
     solve_capped,
     solve_instance,
 )
-from coalition_bribery.generators import Variant, random_instance
+from coalition_bribery.generators import POLYNOMIAL_VARIANTS, Variant, random_instance
 from coalition_bribery.instance_io import (
     parse_exact_cover,
     parse_instance,
@@ -64,6 +70,64 @@ def test_dispatch_covers_every_variant():
             )
             inst = random_instance(variant, seed=5, index=0)
             assert dispatch(inst) == expected, variant.label()
+    # The routing table holds exactly the polynomial cells, and crossval
+    # covers each of them in both goal shapes.
+    routed = {
+        (ScoringRule(rule_name), thresholded, bribery): solver
+        for (rule_name, thresholded, bribery), solver in EXPECTED_ROUTES.items()
+        if solver != ORACLE
+    }
+    assert dispatch_module.ROUTES == routed
+    assert len(CROSSVAL_VARIANTS) == 2 * len(routed)
+    assert set(CROSSVAL_VARIANTS) == {
+        Variant(*cell, with_preferred)
+        for cell in routed for with_preferred in (False, True)
+    }
+    assert set(POLYNOMIAL_VARIANTS) <= set(CROSSVAL_VARIANTS)
+
+
+def _unmet_instance(variant):
+    """The first seeded instance of `variant` whose goals are unmet."""
+    for index in itertools.count():
+        inst = random_instance(variant, seed=5, index=index)
+        if not check_goals(inst.election.orders, inst):
+            return inst
+
+
+def test_solve_capped_refuses_a_solver_for_a_cell_it_does_not_serve():
+    refused = set()
+    for (rule_name, thresholded, bribery), routed in EXPECTED_ROUTES.items():
+        for with_preferred in (False, True):
+            variant = Variant(ScoringRule(rule_name), thresholded, bribery, with_preferred)
+            inst = _unmet_instance(variant)
+            for name in (PLURALITY_DP, PLURALITY_FLOW, BORDA_DP):
+                if name == routed:
+                    continue
+                with pytest.raises(DomainError) as info:
+                    solve_capped(name, inst, None)
+                assert name in str(info.value)
+                assert inst.variant.label() in str(info.value)
+                refused.add((name, rule_name, thresholded, bribery))
+    assert len(refused) == 39
+
+
+@pytest.mark.parametrize("command", [["gen"], ["crossval", "--count", "1"]])
+def test_closed_stdout_exits_two_without_traceback(command, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "coalition_bribery.cli", *command],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+            env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == cli.EXIT_INPUT_ERROR
+    assert result.stderr == ""
 
 
 def write(tmp_path, name, instance):
