@@ -23,10 +23,20 @@ targets: with a zero threshold every party is seated, so the test is
 every later voter adds the same gain to any cell and the ratio test
 k1 >= rho * ka is monotone in k1.  Each step keeps the menu pair it came
 from, so the plan rebuild can ask the voter's menu for a realizing order.
+
+Those goals are two linear constraints on the chosen steps,
+sum ka >= ceil(phi * total) and sum (rho.den * k1 - rho.num * ka) >= 0, so a
+capped solve first bounds every plan from below by their Lagrangian
+relaxation (`table.Relaxation`).  When the bound exceeds the cap the answer
+is "no" and no layer is built; otherwise each layer drops the cells whose
+bound, with the later voters' least reduced costs, exceeds the cap.  The
+kept cells, and so the optimum and its witness, are those of the unpruned
+table.  An uncapped solve builds the unpruned table.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from math import inf
 from typing import Optional
@@ -35,7 +45,7 @@ from .core import (
     PreferenceOrder, ProblemInstance, ScoringRule, goals_met, grand_total, score,
 )
 from .costs import BribePlan, ShiftCost
-from .table import combine, trace
+from .table import Relaxation, combine, trace
 
 
 def _placements(
@@ -159,13 +169,26 @@ class _VoterMenu:
         self.steps = {step: self.costs[pair] for step, pair in self.pairs.items()}
 
 
-def accumulate_voter_tables(gains: list[dict], budget: float) -> tuple[list, list]:
+def accumulate_voter_tables(
+    gains: list[dict], budget: float, share: Fraction, total: int, ratio: Fraction
+) -> tuple[list, list]:
     """One `table.combine` layer per voter's steps within the budget
-    (`math.inf` for none), and per layer the step each kept cell took."""
+    (`math.inf` for none), and per layer the step each kept cell took.
+
+    A finite budget also prunes every layer by the Lagrangian bound
+    (`table.Relaxation`) of the goals ka >= share * total and
+    k1 >= ratio * ka; when the bound alone exceeds the budget, no layer is
+    built and both lists are empty."""
+    weights, limits = (0, 0), [None] * len(gains)
+    if budget != inf:
+        pruning = Relaxation(gains, share, total, ratio).prune(budget)
+        if pruning is None:
+            return [], []
+        weights, limits = pruning
     layers = [{(0, 0): 0}]
     backpointers = []
-    for steps in gains:
-        layer, reached = combine(layers[-1], steps, budget)
+    for steps, limit in zip(gains, limits):
+        layer, reached = combine(layers[-1], steps, budget, weights, limit)
         layers.append(layer)
         backpointers.append(reached)
     return layers, backpointers
@@ -182,13 +205,16 @@ def solve_borda_zero(
     menus = [
         _VoterMenu(instance, i, placements) for i in range(election.num_voters)
     ]
+    total = grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA)
     layers, backpointers = accumulate_voter_tables(
-        [menu.steps for menu in menus], inf if cap is None else cap
+        [menu.steps for menu in menus], inf if cap is None else cap,
+        instance.phi, total, instance.rho,
     )
     if stats is not None:
         stats["table_cells"] = sum(len(layer) for layer in layers[1:])
+    if not layers:
+        return None
 
-    total = grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA)
     best_key, best_cost = None, inf
     for (ka, k1), cost in layers[-1].items():
         if cost < best_cost and goals_met(ka, k1, total, instance):

@@ -130,6 +130,18 @@ def _cmd_solve(args) -> int:
     return EXIT_FEASIBLE if report.feasible else EXIT_INFEASIBLE
 
 
+def _agrees(instance: ProblemInstance, solver, optimum: Optional[int]) -> bool:
+    """Whether `solver` finds the exact search's `optimum` uncapped, a plan
+    costing it when capped there, and none when capped one below."""
+    if minimal_feasible_budget(instance, solver) != optimum:
+        return False
+    if optimum is None:
+        return True
+    capped = solver(instance, optimum)
+    return (capped is not None and capped.cost == optimum
+            and solver(instance, optimum - 1) is None)
+
+
 def _cmd_crossval(args) -> int:
     budget = SearchBudget(max_expansions=args.max_expansions)
     failures = 0
@@ -151,7 +163,7 @@ def _cmd_crossval(args) -> int:
                 return EXIT_REFUSAL
             why = ""
             try:
-                agrees = minimal_feasible_budget(instance, solver) == optimum
+                agrees = _agrees(instance, solver, optimum)
             except WitnessError as exc:
                 agrees, why = False, f" ({exc})"
             if agrees:

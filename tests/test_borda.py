@@ -1,10 +1,12 @@
 """Zero-threshold Borda solvers: per-voter menus from the placement DP, the
 voter-by-voter table, and the full decision procedure."""
 
+import importlib.util
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,15 +16,19 @@ from coalition_bribery.borda import (
     leader_and_rest_scores,
     price_menu,
     shift_menu,
+    solve_borda_zero,
     _VoterMenu,
 )
-from coalition_bribery.core import PreferenceOrder, ProblemInstance, ScoringRule
+from coalition_bribery.core import (
+    PreferenceOrder, ProblemInstance, ScoringRule, Variant, check_goals, goals_met,
+    grand_total,
+)
 from coalition_bribery.costs import UnitCost, inverted_pairs, iter_orders
 from coalition_bribery.dispatch import BORDA_DP
 from coalition_bribery.generators import with_budget
 from coalition_bribery.oracle import oracle_solve
 from coalition_bribery.sample_instances import unanimous_four_party_borda_cb
-from coalition_bribery.table import front
+from coalition_bribery.table import DENOMINATOR, Relaxation, front
 
 from conftest import assert_verifies, min_plus, random_problem, solve_at_budget
 
@@ -176,8 +182,12 @@ def _menus(inst, voters, track_leader):
     return [_VoterMenu(inst, i) for i in voters]
 
 
-def _accumulate(menus, budget):
-    return accumulate_voter_tables([menu.steps for menu in menus], budget)
+def _accumulate(menus, budget, share=Fraction(0), total=0, ratio=Fraction(0)):
+    """The voters' layers; by default under goals every cell meets, so only
+    the budget prunes."""
+    return accumulate_voter_tables(
+        [menu.steps for menu in menus], budget, share, total, ratio
+    )
 
 
 class TestVoterTable:
@@ -214,15 +224,35 @@ class TestVoterTable:
     st.sampled_from(["unit", "dollar", "shift"]),
 )
 def test_layers_stay_within_budget_and_front(seed, budget, kind):
+    """Each pruned layer is the front of the unpruned table restricted to the
+    cells whose Lagrangian bound is within the budget; a certified "no"
+    builds no layer, and the unpruned table then meets no goal either."""
     inst = random_problem(random.Random(seed), ScoringRule.BORDA, False, kind,
                           False, max_voters=5, max_parties=5)
+    election = inst.election
+    total = grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA)
     for track_leader in (False, True):
-        menus = _menus(inst, range(inst.election.num_voters), track_leader)
-        layers, _ = _accumulate(menus, budget)
+        menus = _menus(inst, range(election.num_voters), track_leader)
+        gains = [menu.steps for menu in menus]
+        ratio = Fraction(1, 2) if track_leader else Fraction(0)
+        layers, _ = _accumulate(menus, budget, inst.phi, total, ratio)
+        pruning = Relaxation(gains, inst.phi, total, ratio).prune(budget)
         reference = {(0, 0): 0}
-        for menu, layer in zip(menus, layers[1:]):
-            reference = min_plus(reference, menu.steps, budget)
-            assert layer == front(reference)
+        for steps in gains:
+            reference = min_plus(reference, steps, budget)
+        if pruning is None:
+            assert layers == []
+            goals = replace(inst, preferred=inst.coalition[0], rho=ratio)
+            assert not any(goals_met(ka, k1, total, goals) for ka, k1 in reference)
+            continue
+        (wg, wl), limits = pruning
+        reference = {(0, 0): 0}
+        for steps, layer, limit in zip(gains, layers[1:], limits):
+            reference = min_plus(reference, steps, budget)
+            assert layer == {
+                (ka, k1): cost for (ka, k1), cost in front(reference).items()
+                if DENOMINATOR * cost - wg * ka - wl * k1 <= limit
+            }
             assert all(cost <= budget for cost in layer.values())
             if not track_leader:
                 # rho = 0: one cheapest cell per coalition-points value
@@ -290,3 +320,44 @@ def test_oracle_equivalence_small(kind, cbp):
         if feasible:
             plan = solve_at_budget(BORDA_DP, with_budget(inst, solver_min))
             assert_verifies(with_budget(inst, solver_min), plan)
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py",
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# (bribery, preferred party, m, optimum) at n = 160 and k = 2, out of the
+# exact search's reach.  Each instance is the benchmark's `random_case` with
+# seed 1 and slot 0 at its first attempt whose goals are unmet at zero cost;
+# each optimum was found once by the unpruned, uncapped table.
+SCALE_CASES = [
+    ("unit", True, 4, 82),
+    ("dollar", True, 4, 197),
+    ("shift", True, 4, 351),
+    ("unit", False, 5, 114),
+]
+
+
+@pytest.mark.parametrize("kind, cbp, m, optimum", SCALE_CASES,
+                         ids=[f"{c[0]}-{'cbp' if c[1] else 'cb'}-m{c[2]}" for c in SCALE_CASES])
+def test_pruned_table_at_160_voters(kind, cbp, m, optimum):
+    variant = Variant(ScoringRule.BORDA, False, kind, cbp)
+    random_case = load_workloads().random_case
+    inst = next(
+        case for case in (random_case(variant, 160, m, 2, 1, 0, attempt)
+                          for attempt in itertools.count())
+        if not check_goals(case.election.orders, case)
+    )
+    plan = solve_at_budget(BORDA_DP, with_budget(inst, optimum))
+    assert plan is not None and plan.cost == optimum
+    assert solve_at_budget(BORDA_DP, with_budget(inst, optimum - 1)) is None
+    # The bound alone answers one below the optimum: no layer is built.
+    stats = {}
+    assert solve_borda_zero(inst, optimum - 1, stats) is None
+    assert stats["table_cells"] == 0

@@ -254,6 +254,23 @@ def test_crossval_detects_corrupted_solver(tmp_path, capsys, monkeypatch):
     assert "disagreement" in err
 
 
+def test_crossval_detects_a_solver_that_ignores_its_cap(tmp_path, capsys, monkeypatch):
+    real = cli.solver_for
+
+    def uncapped_solver_for(name, budget):
+        solve = real(name, budget)
+        return lambda instance, cap: solve(instance, None)
+
+    monkeypatch.setattr(cli, "solver_for", uncapped_solver_for)
+    code = cli.main(
+        ["crossval", "--seed", "1", "--count", "2",
+         "--artifact-dir", str(tmp_path / "artifacts")]
+    )
+    assert code == 1
+    assert list((tmp_path / "artifacts").glob("disagreement-*.txt"))
+    assert "disagreement" in capsys.readouterr().err
+
+
 def test_crossval_witness_error_is_a_disagreement(tmp_path, capsys, monkeypatch):
     def failing_solver_for(name, budget):
         def solve(instance, cap):

@@ -1,10 +1,13 @@
 """The min-cost table kernel (front, combine, trace), and both engines built
 on it against a plain unpruned min-plus reference on seeded small instances."""
 
+import itertools
 import random
-from math import inf
+from fractions import Fraction
+from math import ceil, inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coalition_bribery.borda import _VoterMenu
 from coalition_bribery.core import ScoringRule, check_goals, goals_met, grand_total
@@ -12,7 +15,7 @@ from coalition_bribery.costs import WitnessError
 from coalition_bribery.dispatch import BORDA_DP, PLURALITY_DP, solver_for
 from coalition_bribery.oracle import SearchBudget
 from coalition_bribery.plurality_dp import _Table
-from coalition_bribery.table import combine, front, trace
+from coalition_bribery.table import DENOMINATOR, Relaxation, combine, front, trace
 
 from conftest import min_plus, random_problem
 
@@ -63,6 +66,112 @@ class TestTrace:
     def test_missing_the_origin_raises(self):
         with pytest.raises(WitnessError):
             trace([{(2, 1): (1, 1)}], (2, 1))
+
+
+# Up to four layers of one to four steps (group, level) -> cost, a support
+# share of a total, a leader ratio and multipliers p, q >= 0.
+LAYERS = st.lists(
+    st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 4)),
+                    st.integers(0, 6), min_size=1, max_size=4),
+    min_size=1, max_size=4,
+)
+SHARES = st.builds(Fraction, st.integers(0, 6), st.integers(1, 6)).filter(
+    lambda share: share <= 1
+)
+RATIOS = st.one_of(st.just(Fraction(0)), SHARES)
+MULTIPLIERS = st.tuples(st.integers(0, 8 * DENOMINATOR), st.integers(0, 8 * DENOMINATOR))
+
+
+def meets(group, level, share, total, ratio):
+    return (group * share.denominator >= share.numerator * total
+            and level * ratio.denominator >= ratio.numerator * group)
+
+
+def brute_optimum(layers, share, total, ratio):
+    """The cheapest choice of one step per layer whose sums meet the goals."""
+    return min(
+        (sum(c for _, c in combo) for combo in itertools.product(
+            *(steps.items() for steps in layers))
+         if meets(sum(s[0] for s, _ in combo), sum(s[1] for s, _ in combo),
+                  share, total, ratio)),
+        default=None,
+    )
+
+
+def pruned_optimum(layers, share, total, ratio, cap, multipliers=None):
+    """The cheapest final cell meeting the goals in the table pruned at
+    `cap`, with the searched multipliers or the given ones."""
+    relaxation = Relaxation(layers, share, total, ratio)
+    if multipliers is None:
+        pruning = relaxation.prune(cap)
+    else:
+        limits = relaxation.limits(*multipliers, cap)
+        pruning = None if limits is None else (relaxation.weights(*multipliers), limits)
+    if pruning is None:
+        return None
+    weights, limits = pruning
+    cells = {(0, 0): 0}
+    for steps, limit in zip(layers, limits):
+        cells, _ = combine(cells, steps, cap, weights, limit)
+    return min(
+        (c for (g, lv), c in cells.items() if meets(g, lv, share, total, ratio)),
+        default=None,
+    )
+
+
+class TestRelaxation:
+    @settings(max_examples=300, deadline=None)
+    @given(LAYERS, SHARES, st.integers(0, 20), RATIOS, MULTIPLIERS)
+    def test_bound_is_the_lagrangian_and_never_exceeds_the_optimum(
+        self, layers, share, total, ratio, pq
+    ):
+        lam, mu = (Fraction(x, DENOMINATOR) for x in pq)
+        lagrangian = lam * ceil(share * total) + sum(
+            min(c - lam * g - mu * (ratio.denominator * lv - ratio.numerator * g)
+                for (g, lv), c in steps.items())
+            for steps in layers
+        )
+        bound, _ = Relaxation(layers, share, total, ratio).value(*pq)
+        assert bound == DENOMINATOR * lagrangian
+        optimum = brute_optimum(layers, share, total, ratio)
+        if optimum is not None:
+            assert bound <= DENOMINATOR * optimum
+
+    @settings(max_examples=300, deadline=None)
+    @given(LAYERS, SHARES, st.integers(0, 20), RATIOS,
+           st.one_of(st.none(), MULTIPLIERS))
+    def test_pruned_table_keeps_the_optimum(self, layers, share, total, ratio, pq):
+        optimum = brute_optimum(layers, share, total, ratio)
+        for cap in (0, 3, 30) if optimum is None else (optimum, optimum - 1):
+            expected = optimum if optimum is not None and cap >= optimum else None
+            assert pruned_optimum(layers, share, total, ratio, cap, pq) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(LAYERS, SHARES, st.integers(0, 20))
+    def test_searched_lambda_attains_the_lp_bound(self, layers, share, total):
+        """Without a ratio, the searched p is the best lam = p / DENOMINATOR
+        up to rounding: the bound is within half a subgradient of the exact
+        maximum over every slope between two steps of a layer."""
+        relaxation = Relaxation(layers, share, total, Fraction(0))
+        need = ceil(share * total)
+        multipliers = relaxation.search(0)
+        if multipliers is None:
+            assert sum(max(g for g, _ in steps) for steps in layers) < need
+            return
+        candidates = {Fraction(0)} | {
+            Fraction(c2 - c1, g2 - g1)
+            for steps in layers
+            for ((g1, _), c1), ((g2, _), c2) in itertools.permutations(steps.items(), 2)
+            if g2 > g1 and c2 > c1
+        }
+        best = max(
+            lam * need + sum(min(c - lam * g for (g, _), c in steps.items())
+                             for steps in layers)
+            for lam in candidates
+        )
+        slope = need + sum(max(g for g, _ in steps) for steps in layers)
+        bound, _ = relaxation.value(*multipliers)
+        assert bound >= DENOMINATOR * best - Fraction(slope, 2)
 
 
 def dp_reference_cells(instance):
