@@ -203,10 +203,11 @@ class ProblemInstance:
             raise DomainError("coalition must be nonempty", "coalition")
         if len(set(self.coalition)) != len(self.coalition):
             raise DomainError("duplicate parties in coalition", "coalition")
-        if not set(self.coalition) <= universe:
-            raise DomainError("coalition must be a subset of the parties", "coalition")
+        for party in self.coalition:
+            if party not in universe:
+                raise DomainError(f"unknown coalition party {party!r}", "coalition")
         if self.preferred is not None and self.preferred not in self.coalition:
-            raise DomainError("preferred party must belong to the coalition", "preferred")
+            raise DomainError(f"preferred party {self.preferred!r} not in coalition", "preferred")
         for name, value in (
             ("threshold", self.threshold),
             ("phi", self.phi),

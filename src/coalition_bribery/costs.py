@@ -99,17 +99,16 @@ class SwapCost:
         if len(self.pair_prices) != election.num_voters:
             raise DomainError("one pair-price table per voter required")
         parties = election.parties
-        for i, table in enumerate(self.pair_prices):
+        for voter, table in zip(election.voters, self.pair_prices):
+            key = f"voter {voter}"
             for x in parties:
                 for y in parties:
                     if x == y:
                         continue
                     if (x, y) not in table:
-                        raise DomainError(
-                            f"voter {election.voters[i]} lacks a swap price for ({x}, {y})"
-                        )
+                        raise DomainError(f"missing swap price for pair ({x}, {y})", key)
                     if table[(x, y)] < 0:
-                        raise DomainError("swap prices must be non-negative")
+                        raise DomainError("swap prices must be non-negative", key)
 
     def voter_cost(self, i, old, new, coalition) -> Optional[int]:
         table = self.pair_prices[i]

@@ -98,10 +98,12 @@ def solve_capped(
         return None
     cost = plan_cost(instance.cost_model, instance.coalition, instance.election, plan)
     if cost is None or cost != plan.cost or (cap is not None and cost > cap):
-        raise WitnessError("solver emitted a plan that fails verification")
-    if not check_goals(apply_plan(instance.election, plan), instance):
-        raise WitnessError("solver emitted a plan that misses the goals")
-    return plan
+        failure = "fails verification"
+    elif not check_goals(apply_plan(instance.election, plan), instance):
+        failure = "misses the goals"
+    else:
+        return plan
+    raise WitnessError(f"{name} emitted a plan for {instance.variant.label()} that {failure}")
 
 
 def solver_for(

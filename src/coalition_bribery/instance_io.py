@@ -22,19 +22,26 @@ to above X costs 2.  Shift lines carry either the full table `shift v1: 0 1
 5` or `shift v1: slope 2`.  Blank lines and `#` comments are ignored when
 parsing; the serializer emits neither, and serialize(parse(s)) is a fixed
 point of parse/serialize.
+
+The parsers only read, and every error names its line: a value that does
+not convert is `bad <key> '<text>'`.  The models (`ProblemInstance`, its
+cost model, the reduction sources) judge what values mean; their keyed
+errors land on the key's line, a voter's on its cost line, and unkeyed
+ones, such as a file without voters, on the `cost:` line.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from .core import DomainError, Election, PreferenceOrder, ProblemInstance, ScoringRule
 from .costs import BRIBERY_KINDS, CostModel, DollarCost, ShiftCost, SwapCost, UnitCost
 from .reductions import ExactCover34Instance, MinBisectionInstance
 
 NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+T = TypeVar("T")
 
 
 class InstanceParseError(ValueError):
@@ -78,70 +85,57 @@ class _Lines:
         return row
 
 
-def _expect(lines: _Lines, key: str) -> tuple[int, str]:
+def _value(lines: _Lines, key: str, read: Callable[[str], T] = str) -> tuple[int, T]:
+    """The next line's number and `read` of its text after `key:`."""
     lineno, text = lines.next()
     prefix = key + ":"
     if not text.startswith(prefix):
         raise InstanceParseError(lineno, f"expected '{key}:', found {text!r}")
-    return lineno, text[len(prefix):].strip()
+    text = text[len(prefix):].strip()
+    try:
+        return lineno, read(text)
+    except (ValueError, ZeroDivisionError):
+        raise InstanceParseError(lineno, f"bad {key} {text!r}") from None
 
 
-def _names(lineno: int, text: str) -> tuple[str, ...]:
+def _names(text: str) -> tuple[str, ...]:
     names = tuple(text.split())
-    for name in names:
-        if not NAME_RE.match(name):
-            raise InstanceParseError(lineno, f"bad name {name!r}")
+    if not all(NAME_RE.match(name) for name in names):
+        raise ValueError(text)
     return names
+
+
+def _edge(text: str) -> tuple[int, int]:
+    u, v = map(int, text.split())
+    return u, v
 
 
 def parse_instance(text: str) -> ProblemInstance:
     """Parse an instance file; raises InstanceParseError with a line number."""
     lines = _Lines(text)
-    lineno, rule_text = _expect(lines, "rule")
-    try:
-        rule = ScoringRule(rule_text)
-    except ValueError:
-        raise InstanceParseError(lineno, f"unknown rule {rule_text!r}") from None
-
-    def rational(key: str) -> tuple[int, Fraction]:
-        lineno, text = _expect(lines, key)
-        try:
-            return lineno, parse_rational(text)
-        except (ValueError, ZeroDivisionError):
-            raise InstanceParseError(lineno, f"bad rational {text!r}") from None
-
     key_lines: dict[str, int] = {}
-    key_lines["threshold"], threshold = rational("threshold")
-    key_lines["phi"], phi = rational("phi")
-    key_lines["rho"], rho = rational("rho")
-    lineno, budget_text = _expect(lines, "budget")
-    key_lines["budget"] = lineno
-    try:
-        budget = int(budget_text)
-    except ValueError:
-        raise InstanceParseError(lineno, f"bad budget {budget_text!r}") from None
-    parties_line, parties_text = _expect(lines, "parties")
-    parties = _names(parties_line, parties_text)
+
+    def value(key: str, read: Callable[[str], T] = str) -> T:
+        key_lines[key], result = _value(lines, key, read)
+        return result
+
+    rule = value("rule", ScoringRule)
+    threshold, phi, rho = (value(key, parse_rational) for key in ("threshold", "phi", "rho"))
+    budget = value("budget", int)
+    # Voter lines are checked against the party list, so it fails at its own line.
+    parties = value("parties", _names)
     if not parties:
-        raise InstanceParseError(parties_line, "no parties given")
+        raise InstanceParseError(key_lines["parties"], "no parties given")
     if len(set(parties)) != len(parties):
-        raise InstanceParseError(parties_line, "duplicate party names")
-    coalition_line, coalition_text = _expect(lines, "coalition")
-    key_lines["coalition"] = coalition_line
-    coalition = _names(coalition_line, coalition_text)
-    for p in coalition:
-        if p not in parties:
-            raise InstanceParseError(coalition_line, f"unknown coalition party {p!r}")
+        raise InstanceParseError(key_lines["parties"], "duplicate party names")
+    coalition = value("coalition", _names)
     preferred = None
     row = lines.peek()
     if row is not None and row[1].startswith("preferred:"):
-        lineno, preferred = _expect(lines, "preferred")
-        key_lines["preferred"] = lineno
-        if preferred not in coalition:
-            raise InstanceParseError(lineno, f"preferred party {preferred!r} not in coalition")
-    cost_line, cost_kind = _expect(lines, "cost")
+        preferred = value("preferred")
+    cost_kind = value("cost")
     if cost_kind not in BRIBERY_KINDS:
-        raise InstanceParseError(cost_line, f"unknown cost model {cost_kind!r}")
+        raise InstanceParseError(key_lines["cost"], f"unknown cost model {cost_kind!r}")
 
     voters: list[str] = []
     orders: list[PreferenceOrder] = []
@@ -157,15 +151,15 @@ def parse_instance(text: str) -> ProblemInstance:
             raise InstanceParseError(lineno, f"bad voter id {voter_id!r}")
         if voter_id in voters:
             raise InstanceParseError(lineno, f"duplicate voter {voter_id!r}")
-        ranking = _names(lineno, match.group(2))
-        if sorted(ranking) != sorted(parties) or len(set(ranking)) != len(ranking):
+        ranking = tuple(match.group(2).split())
+        if sorted(ranking) != sorted(parties):
             raise InstanceParseError(
                 lineno, f"order of voter {voter_id!r} is not a permutation of the parties"
             )
         voters.append(voter_id)
         orders.append(PreferenceOrder(ranking))
         if cost_kind != "unit":
-            lineno, text = _expect(lines, f"{cost_label} {voter_id}")
+            lineno, text = _value(lines, f"{cost_label} {voter_id}")
             key_lines[f"voter {voter_id}"] = lineno
         if cost_kind == "dollar":
             try:
@@ -184,13 +178,6 @@ def parse_instance(text: str) -> ProblemInstance:
                 if (upper, riser) in table:
                     raise InstanceParseError(lineno, f"duplicate swap pair {token!r}")
                 table[(upper, riser)] = int(price)
-            missing = [
-                (a, b) for a in parties for b in parties if a != b and (a, b) not in table
-            ]
-            if missing:
-                raise InstanceParseError(
-                    lineno, f"missing swap price for pair {missing[0]}"
-                )
             voter_costs.append(table)
         elif cost_kind == "shift":
             tokens = text.split()
@@ -205,8 +192,6 @@ def parse_instance(text: str) -> ProblemInstance:
             except (ValueError, IndexError):
                 raise InstanceParseError(lineno, f"bad shift table {text!r}") from None
 
-    if not voters:
-        raise InstanceParseError(1, "no voters given")
     if cost_kind == "unit":
         model: CostModel = UnitCost()
     else:
@@ -227,9 +212,8 @@ def parse_instance(text: str) -> ProblemInstance:
             cost_model=model,
         )
     except DomainError as exc:
-        # Per-voter cost errors are keyed by voter; the rest blame the cost line.
-        line = key_lines.get(exc.key, cost_line)
-        raise InstanceParseError(line, str(exc)) from None
+        # Unkeyed errors (no voters, a cost model's shape) blame the cost line.
+        raise InstanceParseError(key_lines.get(exc.key, key_lines["cost"]), str(exc)) from None
 
 
 def serialize_instance(instance: ProblemInstance) -> str:
@@ -273,20 +257,14 @@ def serialize_instance(instance: ProblemInstance) -> str:
 def parse_exact_cover(text: str) -> ExactCover34Instance:
     """Source format: a `universe: n` line then one `subset:` line per subset."""
     lines = _Lines(text)
-    lineno, n_text = _expect(lines, "universe")
-    key_lines = {"universe": lineno}
-    try:
-        n = int(n_text)
-    except ValueError:
-        raise InstanceParseError(lineno, f"bad universe size {n_text!r}") from None
+    key_lines: dict[str, int] = {}
+    key_lines["universe"], n = _value(lines, "universe", int)
     subsets = []
     while lines.peek() is not None:
-        lineno, members = _expect(lines, "subset")
-        key_lines[f"subset {len(subsets)}"] = lineno
-        try:
-            subsets.append(tuple(int(z) for z in members.split()))
-        except ValueError:
-            raise InstanceParseError(lineno, f"bad subset {members!r}") from None
+        key_lines[f"subset {len(subsets)}"], subset = _value(
+            lines, "subset", lambda members: tuple(int(z) for z in members.split())
+        )
+        subsets.append(subset)
     try:
         return ExactCover34Instance(n, tuple(subsets))
     except DomainError as exc:
@@ -296,24 +274,12 @@ def parse_exact_cover(text: str) -> ExactCover34Instance:
 def parse_min_bisection(text: str) -> MinBisectionInstance:
     """Source format: `vertices:` and `bound:` lines then `edge: u v` lines."""
     lines = _Lines(text)
-    key_lines = {}
-    key_lines["vertices"], n_text = _expect(lines, "vertices")
-    try:
-        n = int(n_text)
-    except ValueError:
-        raise InstanceParseError(key_lines["vertices"], f"bad vertex count {n_text!r}") from None
-    key_lines["bound"], k_text = _expect(lines, "bound")
-    try:
-        bound = int(k_text)
-    except ValueError:
-        raise InstanceParseError(key_lines["bound"], f"bad bound {k_text!r}") from None
+    key_lines: dict[str, int] = {}
+    key_lines["vertices"], n = _value(lines, "vertices", int)
+    key_lines["bound"], bound = _value(lines, "bound", int)
     edges = set()
     while lines.peek() is not None:
-        lineno, pair = _expect(lines, "edge")
-        try:
-            u, v = (int(t) for t in pair.split())
-        except ValueError:
-            raise InstanceParseError(lineno, f"bad edge {pair!r}") from None
+        lineno, (u, v) = _value(lines, "edge", _edge)
         key_lines.setdefault(f"edge {u} {v}", lineno)
         edges.add((u, v))
     try:

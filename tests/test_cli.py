@@ -207,12 +207,16 @@ def test_failed_witness_raises_witness_error(monkeypatch):
 
 def test_failed_witness_exit_four(tmp_path, capsys, monkeypatch):
     _break_engines(monkeypatch)
-    path = write(tmp_path, "w.txt", three_party_unit_cb(5))
-    for command in ("solve", "oracle"):
+    instance = three_party_unit_cb(5)
+    path = write(tmp_path, "w.txt", instance)
+    for command, engine in (("solve", dispatch(instance)), ("oracle", ORACLE)):
         assert cli.main([command, path]) == 4
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
-        assert "Traceback" not in captured.err and captured.out == ""
+        assert captured.err == (
+            f"error: {engine} emitted a plan for {instance.variant.label()}"
+            " that fails verification\n"
+        )
+        assert captured.out == ""
 
 
 def test_crossval_all_agree(tmp_path, capsys):

@@ -104,6 +104,53 @@ def test_range_errors_carry_their_key_line(mutation, bad_line):
     assert str(err.value).startswith(f"line {bad_line}: ")
 
 
+SWAP = BASIC.replace("cost: unit", "cost: swap").replace(
+    "voter v2: Z Y X",
+    "swap v1: X>Y=1 Y>X=1 X>Z=1 Z>X=1 Y>Z=1 Z>Y=1\n"
+    "voter v2: Z Y X\n"
+    "swap v2: X>Y=1 Y>X=1 X>Z=1 Z>X=1 Y>Z=1",
+)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_instance, BASIC.replace("rule: plurality", "rule: approval"),
+         "line 1: bad rule 'approval'"),
+        (parse_instance, BASIC.replace("threshold: 1/5", "threshold: fast"),
+         "line 2: bad threshold 'fast'"),
+        (parse_instance, BASIC.replace("phi: 1/2", "phi: 1/0"), "line 3: bad phi '1/0'"),
+        (parse_instance, BASIC.replace("rho: 0/1", "rho: 0.5"), "line 4: bad rho '0.5'"),
+        (parse_instance, BASIC.replace("budget: 3", "budget: 3.5"),
+         "line 5: bad budget '3.5'"),
+        (parse_instance, BASIC.replace("coalition: X Y", "coalition: X Q"),
+         "line 7: unknown coalition party 'Q'"),
+        (parse_instance, BASIC.replace("cost: unit", "preferred: Z\ncost: unit"),
+         "line 8: preferred party 'Z' not in coalition"),
+        (parse_instance, SWAP, "line 12: missing swap price for pair (Z, Y)"),
+        (parse_instance, BASIC.replace("parties: X Y Z", "parties: X Y X"),
+         "line 6: duplicate party names"),
+        (parse_instance, BASIC.replace("parties: X Y Z", "parties:"),
+         "line 6: no parties given"),
+        (parse_instance, BASIC.split("voter v1")[0],
+         "line 8: election needs at least one voter"),
+        (parse_exact_cover, "# source\nuniverse: four\nsubset: 1 2 3 4\n",
+         "line 2: bad universe 'four'"),
+        (parse_min_bisection, "vertices: 4.0\nbound: 1\n", "line 1: bad vertices '4.0'"),
+        (parse_min_bisection, "vertices: 4\nbound: one\n", "line 2: bad bound 'one'"),
+    ],
+    ids=["rule", "threshold", "phi", "rho", "budget", "unknown-coalition-party",
+         "preferred-outside-coalition", "missing-swap-pair", "duplicate-parties",
+         "no-parties", "no-voters", "universe", "vertices", "bound"],
+)
+def test_rejections_point_at_their_line(parse, text, message):
+    """The parser's own errors and the model's keyed errors alike name the
+    line the offending value is on."""
+    with pytest.raises(InstanceParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_cost_model_errors_point_at_the_cost_line():
     text = BASIC.replace("cost: unit", "cost: dollar").replace(
         "voter v2: Z Y X", "price v1: 1\nvoter v2: Z Y X\nprice v2: -4"

@@ -12,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 from coalition_bribery.borda import _VoterMenu
 from coalition_bribery.core import ScoringRule, check_goals, goals_met, grand_total
 from coalition_bribery.costs import WitnessError
-from coalition_bribery.dispatch import BORDA_DP, PLURALITY_DP, solver_for
+from coalition_bribery.dispatch import (
+    BORDA_DP, CROSSVAL_VARIANTS, ORACLE, PLURALITY_DP, solver_for,
+)
+from coalition_bribery.generators import random_instance
 from coalition_bribery.oracle import SearchBudget
 from coalition_bribery.plurality_dp import _Table
 from coalition_bribery.table import DENOMINATOR, Relaxation, combine, front, trace
@@ -172,6 +175,34 @@ class TestRelaxation:
         slope = need + sum(max(g for g, _ in steps) for steps in layers)
         bound, _ = relaxation.value(*multipliers)
         assert bound >= DENOMINATOR * best - Fraction(slope, 2)
+
+    def test_bound_never_exceeds_the_oracle_optimum_on_borda_instances(self):
+        """On crossval's zero-threshold Borda stream (seed 5), the searched
+        multipliers never bound above the exact search's optimum at any cap,
+        and the optimum's own cap is never certified infeasible."""
+        oracle = solver_for(ORACLE, SearchBudget())
+        checked = 0
+        for variant in CROSSVAL_VARIANTS:
+            if variant.rule is not ScoringRule.BORDA or variant.thresholded:
+                continue
+            for index in range(50):
+                instance = random_instance(variant, 5, index)
+                plan = oracle(instance, None)
+                if plan is None or plan.cost == 0:
+                    continue
+                opt, election = plan.cost, instance.election
+                relaxation = Relaxation(
+                    [_VoterMenu(instance, i).steps for i in range(election.num_voters)],
+                    instance.phi,
+                    grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA),
+                    instance.rho,
+                )
+                for cap in (opt - 1, opt, 2 * opt):
+                    bound, _ = relaxation.value(*relaxation.search(cap))
+                    assert bound <= DENOMINATOR * opt, (variant.label(), index, cap)
+                assert relaxation.prune(opt) is not None, (variant.label(), index)
+                checked += 1
+        assert checked >= 70
 
 
 def dp_reference_cells(instance):
