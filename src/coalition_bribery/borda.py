@@ -31,7 +31,7 @@ relaxation (`table.Relaxation`).  When the bound exceeds the cap the answer
 is "no" and no layer is built; otherwise each layer drops the cells whose
 bound, with the later voters' least reduced costs, exceeds the cap.  The
 kept cells, and so the optimum and its witness, are those of the unpruned
-table.  An uncapped solve builds the unpruned table.
+table.  Uncapped, the cap is the dearest plan, which no plan exceeds.
 """
 
 from __future__ import annotations
@@ -170,21 +170,18 @@ class _VoterMenu:
 
 
 def accumulate_voter_tables(
-    gains: list[dict], budget: float, share: Fraction, total: int, ratio: Fraction
+    gains: list[dict], budget: int, share: Fraction, total: int, ratio: Fraction
 ) -> tuple[list, list]:
-    """One `table.combine` layer per voter's steps within the budget
-    (`math.inf` for none), and per layer the step each kept cell took.
+    """One `table.combine` layer per voter's steps within the budget, and per
+    layer the step each kept cell took.
 
-    A finite budget also prunes every layer by the Lagrangian bound
-    (`table.Relaxation`) of the goals ka >= share * total and
-    k1 >= ratio * ka; when the bound alone exceeds the budget, no layer is
-    built and both lists are empty."""
-    weights, limits = (0, 0), [None] * len(gains)
-    if budget != inf:
-        pruning = Relaxation(gains, share, total, ratio).prune(budget)
-        if pruning is None:
-            return [], []
-        weights, limits = pruning
+    Every layer is pruned by the Lagrangian bound (`table.Relaxation`) of the
+    goals ka >= share * total and k1 >= ratio * ka; when the bound alone
+    exceeds the budget, no layer is built and both lists are empty."""
+    pruning = Relaxation(gains, share, total, ratio).prune(budget)
+    if pruning is None:
+        return [], []
+    weights, limits = pruning
     layers = [{(0, 0): 0}]
     backpointers = []
     for steps, limit in zip(gains, limits):
@@ -206,8 +203,9 @@ def solve_borda_zero(
         _VoterMenu(instance, i, placements) for i in range(election.num_voters)
     ]
     total = grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA)
+    gains = [menu.steps for menu in menus]
     layers, backpointers = accumulate_voter_tables(
-        [menu.steps for menu in menus], inf if cap is None else cap,
+        gains, sum(max(steps.values()) for steps in gains) if cap is None else cap,
         instance.phi, total, instance.rho,
     )
     if stats is not None:

@@ -61,53 +61,40 @@ REDUCTIONS = {
 
 def _print_report(report: SolveReport, emit_witness: bool, fmt: str,
                   instance: ProblemInstance) -> None:
-    if fmt == "json":
-        payload = {
-            "variant": report.variant,
-            "solver": report.solver,
-            "feasible": report.feasible,
-            "cost": report.cost,
-            "time_seconds": round(report.elapsed, 6),
-            "scores_before": report.scores_before,
-            "scores_after": report.scores_after,
-            "seats_before": {p: format_rational(v) for p, v in report.seats_before.items()},
-            "seats_after": (
-                {p: format_rational(v) for p, v in report.seats_after.items()}
-                if report.seats_after is not None
-                else None
-            ),
+    """The report's payload as JSON, or as text: a `key: value` line per field
+    not None (`_` read as `-`), and a `witness:` line per bribed voter."""
+    def shares(seats):
+        return None if seats is None else {p: format_rational(v) for p, v in seats.items()}
+
+    payload = {
+        "variant": report.variant,
+        "solver": report.solver,
+        "feasible": report.feasible,
+        "cost": report.cost,
+        "time_seconds": round(report.elapsed, 6),
+        "scores_before": report.scores_before,
+        "scores_after": report.scores_after,
+        "seats_before": shares(report.seats_before),
+        "seats_after": shares(report.seats_after),
+    }
+    if emit_witness and report.plan is not None:
+        payload["witness"] = {
+            instance.election.voters[i]: " ".join(order.ranking)
+            for i, order in sorted(report.plan.replacements.items())
         }
-        if emit_witness and report.plan is not None:
-            payload["witness"] = {
-                instance.election.voters[i]: " ".join(order.ranking)
-                for i, order in sorted(report.plan.replacements.items())
-            }
+    if fmt == "json":
         print(json.dumps(payload, indent=2))
         return
-    print(f"variant: {report.variant}")
-    print(f"solver: {report.solver}")
-    print(f"feasible: {'yes' if report.feasible else 'no'}")
-    if report.cost is not None:
-        print(f"cost: {report.cost}")
-    print(f"time: {report.elapsed:.4f}s")
-
-    def score_line(label, scores):
-        body = " ".join(f"{p}={v}" for p, v in scores.items())
-        print(f"{label}: {body}")
-
-    def seat_line(label, seats):
-        body = " ".join(f"{p}={format_rational(v)}" for p, v in seats.items())
-        print(f"{label}: {body}")
-
-    score_line("scores-before", report.scores_before)
-    seat_line("seats-before", report.seats_before)
-    if report.scores_after is not None:
-        score_line("scores-after", report.scores_after)
-        seat_line("seats-after", report.seats_after)
-    if emit_witness and report.plan is not None:
-        for i, order in sorted(report.plan.replacements.items()):
-            voter = instance.election.voters[i]
-            print(f"witness: {voter} -> {' '.join(order.ranking)}")
+    for key, value in payload.items():
+        if key == "witness":
+            for voter, ranking in value.items():
+                print(f"witness: {voter} -> {ranking}")
+        elif value is not None:
+            if isinstance(value, dict):
+                value = " ".join(f"{p}={v}" for p, v in value.items())
+            elif isinstance(value, bool):
+                value = "yes" if value else "no"
+            print(f"{key.replace('_', '-')}: {value}")
 
 
 def _cmd_solve(args) -> int:

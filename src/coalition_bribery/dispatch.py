@@ -140,29 +140,19 @@ def solve_instance(
 
     election = instance.election
     total = grand_total(election.num_voters, election.num_parties, instance.rule)
-    scores_before = tally(election.orders, election.parties, instance.rule)
-    seats_before = seat_fractions_from_scores(
-        scores_before, total, instance.threshold
+    def outcome(orders):
+        scores = tally(orders, election.parties, instance.rule)
+        return scores, seat_fractions_from_scores(scores, total, instance.threshold)
+
+    scores_before, seats_before = outcome(election.orders)
+    scores_after, seats_after = (
+        (None, None) if plan is None else outcome(apply_plan(election, plan))
     )
-    scores_after = seats_after = None
-    if plan is not None:
-        scores_after = tally(
-            apply_plan(election, plan), election.parties, instance.rule
-        )
-        seats_after = seat_fractions_from_scores(
-            scores_after, total, instance.threshold
-        )
     return SolveReport(
-        variant=instance.variant.label(),
-        solver=name,
-        feasible=plan is not None,
-        cost=None if plan is None else plan.cost,
-        plan=plan,
-        elapsed=elapsed,
-        scores_before=scores_before,
-        scores_after=scores_after,
-        seats_before=seats_before,
-        seats_after=seats_after,
+        variant=instance.variant.label(), solver=name, feasible=plan is not None,
+        cost=None if plan is None else plan.cost, plan=plan, elapsed=elapsed,
+        scores_before=scores_before, scores_after=scores_after,
+        seats_before=seats_before, seats_after=seats_after,
     )
 
 

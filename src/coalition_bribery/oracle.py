@@ -106,17 +106,17 @@ def enumerate_voter_options(
     permutations.  Swap and shift orders come from `iter_orders`, cut at the
     cap; shift admits only orders in which nothing but coalition members rise.
     Expansions go to `meter` before the orders are built: all m! up front
-    for unit/dollar and uncapped swap, so a space that does not fit is
-    refused unbuilt, else one per order yielded, which bounds the work
-    because every prefix the generator keeps completes to an order within
-    the cap.
+    for unit/dollar and for swap with no cap or one every order fits (at
+    least `max_voter_cost`), so a space that does not fit is refused unbuilt;
+    else one per order yielded, which bounds the work because every prefix
+    the generator keeps completes to an order within the cap.
     """
     order = instance.election.orders[voter]
     model = instance.cost_model
     if isinstance(model, SwapCost):
         prices = model.pair_prices[voter]
         orders = iter_orders(order, order.ranking, lambda x, y: prices[x, y], cost_cap)
-        up_front = cost_cap is None
+        up_front = cost_cap is None or cost_cap >= model.max_voter_cost(voter, len(order))
     elif isinstance(model, ShiftCost):
         table = model.tables[voter]
         most = None if cost_cap is None else bisect_right(table, cost_cap) - 1

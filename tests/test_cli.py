@@ -159,6 +159,44 @@ def test_solve_json_format(tmp_path, capsys):
     assert len(payload["witness"]) == 5
 
 
+REPORT_KEYS = [
+    "variant", "solver", "feasible", "cost", "time_seconds",
+    "scores_before", "scores_after", "seats_before", "seats_after", "witness",
+]
+
+
+@pytest.mark.parametrize("budget, status", [(7, 0), (6, 1)])
+def test_text_report_prints_the_json_payload(tmp_path, capsys, budget, status):
+    path = write(tmp_path, "r.txt", three_party_dollar_cbp(budget))
+    assert cli.main(["solve", path, "--format", "json", "--emit-witness"]) == status
+    payload = json.loads(capsys.readouterr().out)
+    # An infeasible answer has no plan: no witness, and null "after" fields,
+    # which the text skips.
+    assert list(payload) == (REPORT_KEYS if status == 0 else REPORT_KEYS[:-1])
+    witness = payload.pop("witness", {})
+    assert len(witness) == (5 if status == 0 else 0)
+    assert (payload["scores_after"] is None) == (payload["cost"] is None) == bool(status)
+    assert cli.main(["solve", path, "--emit-witness"]) == status
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("witness: ")] == [
+        f"witness: {voter} -> {ranking}" for voter, ranking in witness.items()
+    ]
+    fields = [line.partition(": ") for line in lines if not line.startswith("witness: ")]
+    assert [label for label, _, _ in fields] == [
+        key.replace("_", "-") for key, value in payload.items() if value is not None
+    ]
+    for label, _, text in fields:
+        value = payload[label.replace("-", "_")]
+        if isinstance(value, bool):
+            assert text == ("yes" if value else "no")
+        elif isinstance(value, dict):
+            assert text == " ".join(f"{p}={v}" for p, v in value.items())
+        elif label == "time-seconds":
+            assert float(text) >= 0
+        else:
+            assert text == str(value)
+
+
 def test_malformed_instance_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     good = serialize_instance(three_party_unit_cb(5))

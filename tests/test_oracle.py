@@ -118,10 +118,16 @@ class TestEnumerateOptions:
         )
 
     def test_uncapped_swap_refuses_up_front(self):
+        # A cap at the voter's `max_voter_cost` (110: every ordered pair is
+        # priced 1) admits all 11! orders, so it is refused as early as no cap.
         inst = self.eleven_party_swap_voter()
-        with pytest.raises(OracleRefusal) as err:
-            enumerate_voter_options(inst, 0, _Meter(SearchBudget(max_expansions=10_000)))
-        assert err.value.required == math.factorial(11)
+        assert inst.cost_model.max_voter_cost(0, 11) == 110
+        for cost_cap in (None, 110):
+            with pytest.raises(OracleRefusal) as err:
+                enumerate_voter_options(
+                    inst, 0, _Meter(SearchBudget(max_expansions=10_000)), cost_cap
+                )
+            assert err.value.required == math.factorial(11)
 
     def test_swap_at_cap_zero_keeps_the_current_order(self):
         inst = self.eleven_party_swap_voter()
