@@ -11,11 +11,12 @@ member below an outsider it used to beat, while still allowing coalition
 members to overtake each other.
 
 `iter_orders` generates the swap and shift replacement orders of one voter,
-front to back and cut at a cost cap.
+front to back and cut at a cost cap; `count_orders` counts them uncapped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (
     Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence, get_args,
@@ -151,8 +152,6 @@ class ShiftCost:
                 raise DomainError("shift tables must start at 0", key)
             if any(a > b for a, b in zip(table, table[1:])):
                 raise DomainError("shift tables must be non-decreasing", key)
-            if any(v < 0 for v in table):
-                raise DomainError("shift prices must be non-negative", key)
 
     def slope(self, i: int) -> Optional[int]:
         """The per-inversion price if tables[i] is multiplicative, else None."""
@@ -270,3 +269,16 @@ def iter_orders(
             passed.append(j)
 
     yield from rec(0, 0)
+
+
+def count_orders(order: PreferenceOrder, may_rise: Collection[str]) -> int:
+    """How many orders `iter_orders(order, may_rise, ...)` yields with no cap.
+
+    Insert the parties top down.  A party outside `may_rise` passes nobody,
+    so it has one place: below every party above it.  The i-th party from
+    the top, if in `may_rise`, has i places among the i - 1 parties above
+    it.  With every party in `may_rise` the product is m!.
+    """
+    return math.prod(
+        places for places, party in enumerate(order.ranking, 1) if party in may_rise
+    )

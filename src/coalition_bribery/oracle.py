@@ -5,9 +5,9 @@ engine for the NP-hard variants at desk scale.  The search is organized as a
 layered sweep: voters with identical orders and identical price data are
 interchangeable, so the sweep branches over per-class option multisets, and
 partial bribes are merged by their accumulated score table (the goal test
-depends on nothing else).  Option lists themselves are deduplicated by score
-effect, which for plurality collapses them to one cheapest replacement per
-achievable top.
+depends on nothing else).  A plurality voter's options are one cheapest
+replacement per achievable top; a Borda voter's are its admissible orders.
+Either way no two options share a score effect.
 
 A state's key is its score vector packed into one integer, sum(s_p * R**p)
 with R = n * top + 1, where top is the points of a first place (1 for
@@ -15,8 +15,7 @@ plurality, m - 1 for Borda).  Every state is the score vector of a partly
 bribed profile, so each s_p lies in [0, n * top] and the packing is
 injective: no digit carries.  Each option's score delta is packed once, so a
 sweep step is one integer addition; only the final states are unpacked for
-the goal test.  Packed deltas are signed and not unique, so options are
-deduplicated by their delta tuples, never by packed deltas.
+the goal test.
 
 Every voter's orders come from `enumerate_voter_options`.  With a cost cap,
 options and partial bribes above it are dropped, and the search returns the
@@ -33,14 +32,12 @@ before combining them.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import inf
 from typing import Optional
 
 from .core import (
-    DomainError,
     PreferenceOrder,
     ProblemInstance,
     ScoringRule,
@@ -51,11 +48,10 @@ from .core import (
 )
 from .costs import (
     BribePlan,
-    DollarCost,
     ShiftCost,
     SwapCost,
-    UnitCost,
     bribe_cost,
+    count_orders,
     iter_orders,
     lift_to_top,
 )
@@ -105,33 +101,35 @@ def enumerate_voter_options(
     Unit/dollar bribery prices every change alike, so it lists all m!
     permutations.  Swap and shift orders come from `iter_orders`, cut at the
     cap; shift admits only orders in which nothing but coalition members rise.
-    Expansions go to `meter` before the orders are built: all m! up front
-    for unit/dollar and for swap with no cap or one every order fits (at
-    least `max_voter_cost`), so a space that does not fit is refused unbuilt;
-    else one per order yielded, which bounds the work because every prefix
-    the generator keeps completes to an order within the cap.
+
+    One work rule serves all four kinds.  When the cap admits every order (no
+    cap, or one of at least `max_voter_cost`), `count_orders` of them go to
+    `meter` before any is built, so a space that does not fit is refused
+    unbuilt.  Otherwise each order built costs one expansion; swap and shift
+    build only orders within the cap, since every prefix `iter_orders` keeps
+    completes to one.
     """
     order = instance.election.orders[voter]
     model = instance.cost_model
+    may_rise = order.ranking
     if isinstance(model, SwapCost):
         prices = model.pair_prices[voter]
-        orders = iter_orders(order, order.ranking, lambda x, y: prices[x, y], cost_cap)
-        up_front = cost_cap is None or cost_cap >= model.max_voter_cost(voter, len(order))
+        orders = iter_orders(order, may_rise, lambda x, y: prices[x, y], cost_cap)
     elif isinstance(model, ShiftCost):
+        may_rise = instance.coalition
         table = model.tables[voter]
         most = None if cost_cap is None else bisect_right(table, cost_cap) - 1
-        shifts = iter_orders(order, instance.coalition, lambda x, y: 1, most)
+        shifts = iter_orders(order, may_rise, lambda x, y: 1, most)
         orders = ((candidate, table[inversions]) for candidate, inversions in shifts)
-        up_front = False
     else:
         price = model.voter_price(voter)
         orders = (
             (candidate, 0 if candidate == order else price)
             for candidate in map(PreferenceOrder, itertools.permutations(order.ranking))
         )
-        up_front = True
+    up_front = cost_cap is None or cost_cap >= model.max_voter_cost(voter, len(order))
     if up_front:
-        meter.charge(math.factorial(len(order)))
+        meter.charge(count_orders(order, may_rise))
     options = []
     for candidate, cost in orders:
         if not up_front:
@@ -171,26 +169,21 @@ def _voter_effect_options(
     instance: ProblemInstance, voter: int, meter: _Meter,
     cost_cap: Optional[int],
 ) -> list[tuple[tuple[int, ...], int, PreferenceOrder]]:
-    """(score delta, cost, representative order), deduplicated by delta."""
+    """(score delta, cost, order) per option within the cap, by cost then
+    delta.  Deltas are distinct: plurality options differ in their top, and
+    distinct orders have distinct Borda score vectors."""
     election = instance.election
     if instance.rule is ScoringRule.PLURALITY:
         raw = _plurality_top_options(instance, voter)
     else:
         raw = enumerate_voter_options(instance, voter, meter, cost_cap)
     order = election.orders[voter]
-    best: dict[tuple[int, ...], tuple[int, PreferenceOrder]] = {}
-    for candidate, cost in raw:
-        if cost_cap is not None and cost > cost_cap:
-            continue
-        delta = _score_delta(order, candidate, election.parties, instance.rule)
-        if cost < best.get(delta, (inf, None))[0]:
-            best[delta] = (cost, candidate)
-    return [
-        (delta, cost, rep)
-        for delta, (cost, rep) in sorted(
-            best.items(), key=lambda kv: (kv[1][0], kv[0])
-        )
+    options = [
+        (_score_delta(order, candidate, election.parties, instance.rule), cost, candidate)
+        for candidate, cost in raw
+        if cost_cap is None or cost <= cost_cap
     ]
+    return sorted(options, key=lambda option: (option[1], option[0]))
 
 
 def _voter_classes(instance: ProblemInstance) -> list[list[int]]:
@@ -198,16 +191,12 @@ def _voter_classes(instance: ProblemInstance) -> list[list[int]]:
     model = instance.cost_model
     groups: dict[tuple, list[int]] = {}
     for i, order in enumerate(instance.election.orders):
-        if isinstance(model, UnitCost):
-            fingerprint = ()
-        elif isinstance(model, DollarCost):
-            fingerprint = (model.prices[i],)
-        elif isinstance(model, SwapCost):
+        if isinstance(model, SwapCost):
             fingerprint = tuple(sorted(model.pair_prices[i].items()))
         elif isinstance(model, ShiftCost):
             fingerprint = tuple(model.tables[i])
         else:
-            raise DomainError(f"unknown cost model {model!r}")
+            fingerprint = model.voter_price(i)
         groups.setdefault((order.ranking, fingerprint), []).append(i)
     return list(groups.values())
 

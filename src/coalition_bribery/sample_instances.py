@@ -7,6 +7,7 @@ only the top matters for those rules.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .core import Election, PreferenceOrder, ProblemInstance, ScoringRule
@@ -47,33 +48,13 @@ def _three_party_dollar_model(election: Election) -> DollarCost:
 
 def three_party_dollar_cb(budget: int) -> ProblemInstance:
     """As `three_party_unit_cb` but X voters cost $1 and Z voters $2."""
-    election = _plurality_election([("X", 35), ("Y", 15), ("Z", 50)], ("X", "Y", "Z"))
-    return ProblemInstance(
-        election=election,
-        rule=ScoringRule.PLURALITY,
-        threshold=Fraction(1, 5),
-        coalition=("X", "Y"),
-        phi=Fraction(1, 2),
-        rho=Fraction(0),
-        budget=budget,
-        cost_model=_three_party_dollar_model(election),
-    )
+    instance = three_party_unit_cb(budget)
+    return replace(instance, cost_model=_three_party_dollar_model(instance.election))
 
 
 def three_party_dollar_cbp(budget: int) -> ProblemInstance:
     """Dollar variant with preferred party X needing 61% of the coalition."""
-    election = _plurality_election([("X", 35), ("Y", 15), ("Z", 50)], ("X", "Y", "Z"))
-    return ProblemInstance(
-        election=election,
-        rule=ScoringRule.PLURALITY,
-        threshold=Fraction(1, 5),
-        coalition=("X", "Y"),
-        preferred="X",
-        phi=Fraction(1, 2),
-        rho=Fraction(61, 100),
-        budget=budget,
-        cost_model=_three_party_dollar_model(election),
-    )
+    return replace(three_party_dollar_cb(budget), preferred="X", rho=Fraction(61, 100))
 
 
 def unanimous_four_party_borda_cb(budget: int) -> ProblemInstance:

@@ -206,6 +206,14 @@ def test_malformed_instance_exit_two(tmp_path, capsys):
     assert "line" in err
 
 
+def test_bad_voter_id_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad-id.txt"
+    good = serialize_instance(three_party_unit_cb(5))
+    path.write_text(good.replace("voter v1:", "voter v/1:", 1))
+    assert cli.main(["solve", str(path)]) == 2
+    assert "line 9: bad voter id 'v/1'" in capsys.readouterr().err
+
+
 def test_oracle_refusal_exit_three(tmp_path, capsys):
     x4 = ExactCover34Instance(4, ((1, 2, 3, 4),) * 3)
     path = write(tmp_path, "big.txt", reduce_x3c_to_borda_unit_cb(x4))

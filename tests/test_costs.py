@@ -14,6 +14,7 @@ from coalition_bribery.costs import (
     SwapCost,
     UnitCost,
     bribe_cost,
+    count_orders,
     inverted_pairs,
     iter_orders,
     lift_to_top,
@@ -248,6 +249,17 @@ def test_orders_match_brute_force_within_the_cap():
                 expected[candidate] = cost
         assert len(generated) == len(expected)
         assert dict(generated) == expected
+
+
+def test_count_orders_counts_what_iter_orders_yields():
+    """Every riser set of one six-party order, the empty and the full one
+    (6! = 720) included."""
+    order = PreferenceOrder(("p3", "p0", "p5", "p1", "p4", "p2"))
+    for size in range(7):
+        for may_rise in itertools.combinations(order.ranking, size):
+            yielded = sum(1 for _ in iter_orders(order, may_rise, lambda x, y: 0))
+            assert count_orders(order, may_rise) == yielded, may_rise
+    assert count_orders(order, order.ranking) == 720
 
 
 def test_shift_cost_monotone_in_extra_lifts():

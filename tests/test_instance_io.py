@@ -110,6 +110,15 @@ SWAP = BASIC.replace("cost: unit", "cost: swap").replace(
     "voter v2: Z Y X\n"
     "swap v2: X>Y=1 Y>X=1 X>Z=1 Z>X=1 Y>Z=1",
 )
+SWAP_V2 = "swap v2: X>Y=1 Y>X=1 X>Z=1 Z>X=1 Y>Z=1 Z>Y=1"
+
+
+def _with_cost(kind, v1, v2):
+    """BASIC under cost model `kind`, with cost lines `v1` and `v2` after the
+    two voter lines (lines 10 and 12)."""
+    return BASIC.replace("cost: unit", f"cost: {kind}").replace(
+        "voter v2: Z Y X", f"{v1}\nvoter v2: Z Y X\n{v2}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -134,6 +143,18 @@ SWAP = BASIC.replace("cost: unit", "cost: swap").replace(
          "line 6: no parties given"),
         (parse_instance, BASIC.split("voter v1")[0],
          "line 8: election needs at least one voter"),
+        (parse_instance, BASIC.replace("voter v2: Z Y X", "bogus line"),
+         "line 10: expected a 'voter <id>:' line, found 'bogus line'"),
+        (parse_instance, BASIC.replace("voter v1:", "voter v/1:"),
+         "line 9: bad voter id 'v/1'"),
+        (parse_instance, _with_cost("dollar", "price v1: x", "price v2: 1"),
+         "line 10: bad price 'x'"),
+        (parse_instance, _with_cost("swap", "swap v1: X>Y=1 X-Z", SWAP_V2),
+         "line 10: bad swap entry 'X-Z'"),
+        (parse_instance, _with_cost("swap", "swap v1: X>X=1", SWAP_V2),
+         "line 10: bad swap pair 'X>X=1'"),
+        (parse_instance, _with_cost("shift", "shift v1: 0 1", "shift v2: 0 1 2 3"),
+         "line 10: shift table of voter v1 must cover 0..3 inversions"),
         (parse_exact_cover, "# source\nuniverse: four\nsubset: 1 2 3 4\n",
          "line 2: bad universe 'four'"),
         (parse_min_bisection, "vertices: 4.0\nbound: 1\n", "line 1: bad vertices '4.0'"),
@@ -141,7 +162,9 @@ SWAP = BASIC.replace("cost: unit", "cost: swap").replace(
     ],
     ids=["rule", "threshold", "phi", "rho", "budget", "unknown-coalition-party",
          "preferred-outside-coalition", "missing-swap-pair", "duplicate-parties",
-         "no-parties", "no-voters", "universe", "vertices", "bound"],
+         "no-parties", "no-voters", "not-a-voter-line", "voter-id", "price",
+         "swap-entry", "swap-pair", "shift-table-length", "universe", "vertices",
+         "bound"],
 )
 def test_rejections_point_at_their_line(parse, text, message):
     """The parser's own errors and the model's keyed errors alike name the
@@ -166,11 +189,8 @@ def test_cost_model_errors_point_at_the_cost_line():
      "line 12: shift tables must be non-decreasing"),
 ], ids=["price", "shift"])
 def test_per_voter_cost_errors_name_the_voters_line(kind, v1, v2, message):
-    text = BASIC.replace("cost: unit", f"cost: {kind}").replace(
-        "voter v2: Z Y X", f"{v1}\nvoter v2: Z Y X\n{v2}"
-    )
     with pytest.raises(InstanceParseError) as err:
-        parse_instance(text)
+        parse_instance(_with_cost(kind, v1, v2))
     assert str(err.value) == message
 
 

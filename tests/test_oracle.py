@@ -19,11 +19,12 @@ from coalition_bribery.costs import (
     SwapCost,
     UnitCost,
     apply_plan,
+    count_orders,
     inverted_pairs,
     plan_cost,
 )
-from coalition_bribery.dispatch import ORACLE, solve_instance
-from coalition_bribery.generators import with_budget
+from coalition_bribery.dispatch import CROSSVAL_VARIANTS, ORACLE, solve_instance
+from coalition_bribery.generators import random_instance, with_budget
 from coalition_bribery.oracle import (
     OracleRefusal,
     SearchBudget,
@@ -31,6 +32,7 @@ from coalition_bribery.oracle import (
     _pack,
     _score_radix,
     _unpack,
+    _voter_effect_options,
     enumerate_voter_options,
     oracle_solve,
     solve_np_hard,
@@ -129,6 +131,25 @@ class TestEnumerateOptions:
                 )
             assert err.value.required == math.factorial(11)
 
+    def test_all_party_shift_coalition_refuses_up_front(self):
+        # Every party may rise, so all 11! orders are admissible; a cap at the
+        # voter's `max_voter_cost` (55 inversions at slope 1) admits them all.
+        parties = tuple(f"p{i}" for i in range(11))
+        inst = ProblemInstance(
+            election=make_election(parties, [list(parties)]), rule=ScoringRule.BORDA,
+            threshold=Fraction(0), coalition=parties, phi=Fraction(0),
+            rho=Fraction(0), budget=0, cost_model=ShiftCost.multiplicative([1], 11),
+        )
+        order = inst.election.orders[0]
+        assert inst.cost_model.max_voter_cost(0, 11) == 55
+        assert count_orders(order, inst.coalition) == math.factorial(11)
+        for cost_cap in (None, 55):
+            with pytest.raises(OracleRefusal) as err:
+                enumerate_voter_options(
+                    inst, 0, _Meter(SearchBudget(max_expansions=10_000)), cost_cap
+                )
+            assert err.value.required == math.factorial(11)
+
     def test_swap_at_cap_zero_keeps_the_current_order(self):
         inst = self.eleven_party_swap_voter()
         meter = _Meter(SearchBudget(max_expansions=10_000))
@@ -162,6 +183,17 @@ class TestEnumerateOptions:
             "exact search needs more than 50 expansions "
             f"(stopped at {err.value.required})"
         )
+
+
+@pytest.mark.parametrize("variant", CROSSVAL_VARIANTS, ids=lambda v: v.label())
+def test_voter_options_have_distinct_score_effects(variant):
+    # Options are not merged by score effect, so none may share one.
+    for index in range(20):
+        inst = random_instance(variant, seed=11, index=index)
+        for voter in range(inst.election.num_voters):
+            options = _voter_effect_options(inst, voter, _Meter(SearchBudget()), None)
+            deltas = [delta for delta, _, _ in options]
+            assert len(set(deltas)) == len(deltas), (variant.label(), index, voter)
 
 
 class TestOracleSolve:
