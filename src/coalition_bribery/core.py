@@ -1,19 +1,19 @@
 """Election model: parties, preference orders, positional scoring, seats.
 
 Everything that decides feasibility is exact: the threshold and the phi/rho
-targets are `fractions.Fraction`s, and `goals_met` compares integer point
-counts against them by cross-multiplication, never through floats.  Reported
-seat shares are `Fraction`s.  Elections and problem instances are immutable
-once built, so all functions here are pure.
+targets are `fractions.Fraction`s; the threshold becomes one integer cut,
+and `goals_met` compares integer point counts against phi and rho by
+cross-multiplication, never through floats.  Reported seat shares are
+`Fraction`s.  Elections and problem instances are immutable once built, so
+all functions here are pure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 
 class DomainError(ValueError):
@@ -153,12 +153,17 @@ def grand_total(num_voters: int, num_parties: int, rule: ScoringRule) -> int:
     return num_voters * num_parties * (num_parties - 1) // 2
 
 
+def seat_cut(total: int, threshold: Fraction) -> int:
+    """The least score that seats a party: ``ceil(threshold * total)``."""
+    return -(-threshold.numerator * total // threshold.denominator)
+
+
 def active_parties_from_scores(
     scores: Mapping[str, int], total: int, threshold: Fraction
 ) -> set[str]:
     """Parties whose points reach `threshold` * `total`; equality counts as active."""
-    num, den = threshold.numerator, threshold.denominator
-    return {p for p, s in scores.items() if s * den >= num * total}
+    need = seat_cut(total, threshold)
+    return {p for p, s in scores.items() if s >= need}
 
 
 def seat_fractions_from_scores(
@@ -242,7 +247,7 @@ class ProblemInstance:
 
     def plurality_activity_count(self) -> int:
         """Least integral vote count that clears the threshold (plurality only)."""
-        return math.ceil(self.threshold * self.election.num_voters)
+        return seat_cut(self.election.num_voters, self.threshold)
 
     @property
     def variant(self) -> Variant:
@@ -269,17 +274,26 @@ def goals_met(coalition: int, leader: int, seated: int, instance: ProblemInstanc
     )
 
 
+def goal_predicate(instance: ProblemInstance) -> Callable[[Sequence[int]], bool]:
+    """The goal test on a score tuple in party order, compiled once: the
+    threshold becomes one integer cut, `seat_cut`."""
+    election = instance.election
+    total = grand_total(election.num_voters, election.num_parties, instance.rule)
+    need = seat_cut(total, instance.threshold)
+    members = [election.parties.index(p) for p in instance.coalition]
+    leader = election.parties.index(instance.leader)
+
+    def met(scores: Sequence[int]) -> bool:
+        coalition = sum([scores[i] for i in members if scores[i] >= need])
+        lead = scores[leader] if scores[leader] >= need else 0
+        return goals_met(coalition, lead, sum([s for s in scores if s >= need]), instance)
+
+    return met
+
+
 def check_goals_from_scores(scores: Mapping[str, int], instance: ProblemInstance) -> bool:
     """Goal test on a score table: coalition share and preferred-party ratio."""
-    total = grand_total(
-        instance.election.num_voters, instance.election.num_parties, instance.rule
-    )
-    seated = active_parties_from_scores(scores, total, instance.threshold)
-    coalition = sum(scores[p] for p in instance.coalition if p in seated)
-    leader = scores[instance.leader] if instance.leader in seated else 0
-    return goals_met(
-        coalition, leader, sum(scores[p] for p in seated), instance
-    )
+    return goal_predicate(instance)([scores[p] for p in instance.election.parties])
 
 
 def check_goals(orders: Sequence[PreferenceOrder], instance: ProblemInstance) -> bool:

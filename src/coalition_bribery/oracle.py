@@ -14,8 +14,11 @@ with R = n * top + 1, where top is the points of a first place (1 for
 plurality, m - 1 for Borda).  Every state is the score vector of a partly
 bribed profile, so each s_p lies in [0, n * top] and the packing is
 injective: no digit carries.  Each option's score delta is packed once, so a
-sweep step is one integer addition; only the final states are unpacked for
-the goal test.
+sweep step is one integer addition.  A class layer is held in cost buckets,
+{total cost: keys first reached at that cost}.  The final buckets are
+scanned cheapest first with the goal predicate `core.goal_predicate`, and
+the witness is rebuilt by walking back from the first key that meets it; so
+among plans of equal cost, the one reported follows from the bucket order.
 
 Every voter's orders come from `enumerate_voter_options`.  With a cost cap,
 options and partial bribes above it are dropped, and the search returns the
@@ -42,7 +45,7 @@ from .core import (
     ProblemInstance,
     ScoringRule,
     check_goals,
-    check_goals_from_scores,
+    goal_predicate,
     score,
     tally,
 )
@@ -99,15 +102,15 @@ def enumerate_voter_options(
     (None: no limit), with exact costs, cheapest first.
 
     Unit/dollar bribery prices every change alike, so it lists all m!
-    permutations.  Swap and shift orders come from `iter_orders`, cut at the
-    cap; shift admits only orders in which nothing but coalition members rise.
+    permutations (under a cap below the price, only the current order).  Swap
+    and shift orders come from `iter_orders`, cut at the cap; shift admits
+    only orders in which nothing but coalition members rise.
 
     One work rule serves all four kinds.  When the cap admits every order (no
     cap, or one of at least `max_voter_cost`), `count_orders` of them go to
     `meter` before any is built, so a space that does not fit is refused
-    unbuilt.  Otherwise each order built costs one expansion; swap and shift
-    build only orders within the cap, since every prefix `iter_orders` keeps
-    completes to one.
+    unbuilt.  Otherwise each order built costs one expansion; only orders
+    within the cap are built, as every prefix `iter_orders` keeps completes.
     """
     order = instance.election.orders[voter]
     model = instance.cost_model
@@ -123,10 +126,11 @@ def enumerate_voter_options(
         orders = ((candidate, table[inversions]) for candidate, inversions in shifts)
     else:
         price = model.voter_price(voter)
-        orders = (
-            (candidate, 0 if candidate == order else price)
-            for candidate in map(PreferenceOrder, itertools.permutations(order.ranking))
+        candidates = (
+            [order] if cost_cap is not None and cost_cap < price
+            else map(PreferenceOrder, itertools.permutations(order.ranking))
         )
+        orders = ((candidate, 0 if candidate == order else price) for candidate in candidates)
     up_front = cost_cap is None or cost_cap >= model.max_voter_cost(voter, len(order))
     if up_front:
         meter.charge(count_orders(order, may_rise))
@@ -227,6 +231,22 @@ def _unpack(key: int, radix: int, length: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def _next_layer(layer: dict, moves: list, limit: float) -> dict:
+    """The class layer after `layer`: each pair of a bucket and a (cost,
+    delta, multiset) move, cheapest total first, adds the keys that no cheaper
+    pair reached, as one set comprehension."""
+    pairs = sorted((cost + move[0], cost, move[1])
+                   for cost in layer for move in moves if cost + move[0] <= limit)
+    nxt, seen = {}, set()
+    for total, cost, delta in pairs:
+        # `-` probes `seen` once per new key; `-=` would walk `seen` itself.
+        fresh = {key + delta for key in layer[cost]} - seen
+        if fresh:
+            seen |= fresh
+            nxt.setdefault(total, set()).update(fresh)
+    return nxt
+
+
 def _search(
     instance: ProblemInstance, meter: _Meter, cost_cap: Optional[int]
 ) -> Optional[BribePlan]:
@@ -238,59 +258,42 @@ def _search(
     parties = election.parties
     radix = _score_radix(instance)
     base = _pack(tally(election.orders, parties, instance.rule).values(), radix)
-    states: dict[int, int] = {base: 0}
-    trail: list[dict[int, tuple[int, tuple[int, ...]]]] = []
-    class_options = []
+    layers, width = [{0: {base}}], 1
+    class_moves = []
     for members in classes:
-        options = _voter_effect_options(instance, members[0], meter, cost_cap)
-        class_options.append(options)
-        deltas = [_pack(delta, radix) for delta, _, _ in options]
-        costs = [cost for _, cost, _ in options]
-        nxt: dict[int, int] = {}
-        bp: dict[int, tuple[int, tuple[int, ...]]] = {}
+        options = [(cost, _pack(delta, radix), order) for delta, cost, order
+                   in _voter_effect_options(instance, members[0], meter, cost_cap)]
+        moves = []
         # one multiset of options per class: members are interchangeable
-        for combo in itertools.combinations_with_replacement(
-            range(len(options)), len(members)
-        ):
-            cost = sum(costs[idx] for idx in combo)
-            if cost > limit:
-                continue
-            meter.charge(len(states))
-            delta = sum(deltas[idx] for idx in combo)
-            for state, state_cost in states.items():
-                total = state_cost + cost
-                if total > limit:
-                    continue
-                key = state + delta
-                if total < nxt.get(key, inf):
-                    nxt[key] = total
-                    bp[key] = (state, combo)
-        states = nxt
-        meter.states += len(states)
-        trail.append(bp)
+        for combo in itertools.combinations_with_replacement(options, len(members)):
+            cost = sum(option[0] for option in combo)
+            if cost <= limit:
+                meter.charge(width)
+                moves.append((cost, sum(option[1] for option in combo), combo))
+        class_moves.append(moves)
+        layers.append(_next_layer(layers[-1], moves, limit))
+        width = sum(map(len, layers[-1].values()))
+        meter.states += width
 
-    best_key, best_cost = None, inf
-    for state, cost in states.items():
-        if cost >= best_cost:
-            continue
-        scores = dict(zip(parties, _unpack(state, radix, len(parties))))
-        if check_goals_from_scores(scores, instance):
-            best_key, best_cost = state, cost
-    if best_key is None:
+    met = goal_predicate(instance)
+    final = layers.pop()
+    found = next(((total, key) for total in sorted(final) for key in final[total]
+                  if met(_unpack(key, radix, len(parties)))), None)
+    if found is None:
         return None
 
+    total, key = found
     replacements: dict[int, PreferenceOrder] = {}
-    key = best_key
-    for members, options, bp in zip(
-        reversed(classes), reversed(class_options), reversed(trail)
-    ):
-        prev, combo = bp[key]
-        for voter, idx in zip(members, combo):
-            rep = options[idx][2]
+    for members, moves, layer in zip(
+            reversed(classes), reversed(class_moves), reversed(layers)):
+        # the first move whose source key sits in the bucket at the remaining cost
+        cost, delta, combo = next(
+            move for move in moves if key - move[1] in layer.get(total - move[0], ()))
+        for voter, (_, _, rep) in zip(members, combo):
             if rep != election.orders[voter]:
                 replacements[voter] = rep
-        key = prev
-    return BribePlan(replacements, best_cost)
+        total, key = total - cost, key - delta
+    return BribePlan(replacements, found[0])
 
 
 def oracle_solve(

@@ -1,9 +1,10 @@
 """Election model: scoring, activity thresholds, seat fractions, goal checks."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coalition_bribery.core import (
     DomainError,
@@ -14,6 +15,7 @@ from coalition_bribery.core import (
     active_parties_from_scores,
     check_goals,
     check_goals_from_scores,
+    goal_predicate,
     grand_total,
     seat_fractions_from_scores,
     score,
@@ -216,15 +218,22 @@ def test_seat_normalization(election, rule, t):
 
 @st.composite
 def goal_cases(draw):
-    """An instance and a score vector, favouring the predicate's edges."""
+    """An instance and a score vector, favouring the predicate's edges:
+    threshold, phi and rho at 0 and 1, nothing seated, and scores on, just
+    under and just over the cut threshold * total."""
     election = draw(elections())
     rule = draw(st.sampled_from(list(ScoringRule)))
     parties = election.parties
     total = grand_total(election.num_voters, election.num_parties, rule)
     edge = st.sampled_from([Fraction(0), Fraction(1)])
+    threshold = draw(st.one_of(edge, thresholds()))
+    cut = threshold * total
+    near = sorted(v for v in {math.floor(cut) - 1, math.floor(cut), math.ceil(cut),
+                              math.ceil(cut) + 1} if 0 <= v <= total)
     values = draw(st.one_of(
         st.just([0] * len(parties)),
         st.lists(st.integers(0, total), min_size=len(parties), max_size=len(parties)),
+        st.lists(st.sampled_from(near), min_size=len(parties), max_size=len(parties)),
     ))
     coalition = draw(st.one_of(
         st.just(parties),
@@ -232,8 +241,7 @@ def goal_cases(draw):
     ))
     preferred = draw(st.one_of(st.none(), st.sampled_from(coalition)))
     inst = ProblemInstance(
-        election=election, rule=rule,
-        threshold=draw(st.one_of(edge, thresholds())),
+        election=election, rule=rule, threshold=threshold,
         coalition=coalition, preferred=preferred,
         phi=draw(st.one_of(edge, thresholds())),
         rho=Fraction(0) if preferred is None else draw(st.one_of(edge, thresholds())),
@@ -242,20 +250,37 @@ def goal_cases(draw):
     return inst, dict(zip(parties, values))
 
 
+def cut_case(num_voters, threshold, scores, phi):
+    """Plurality over p0, p1 with coalition (p0,) and `scores` in party order."""
+    election = make_election(("p0", "p1"), [("p0", "p1")] * num_voters)
+    inst = ProblemInstance(
+        election=election, rule=ScoringRule.PLURALITY, threshold=threshold,
+        coalition=("p0",), phi=phi, rho=Fraction(0), budget=0, cost_model=UnitCost(),
+    )
+    return inst, dict(zip(election.parties, scores))
+
+
+@settings(max_examples=300, deadline=None)
 @given(goal_cases())
+# Both parties sit exactly on the cut 1: a strict cut seats nobody.
+@example(cut_case(2, Fraction(1, 2), (1, 1), Fraction(1, 2)))
+# The cut 3/2 seats p1 alone: a floored cut (1) would seat p0 too.
+@example(cut_case(3, Fraction(1, 2), (1, 2), Fraction(1, 3)))
 def test_goal_predicate_matches_seat_shares(case):
+    # The goals read off exact seat shares: a party is seated when its
+    # points reach threshold * total, and seats split among seated points.
     inst, scores = case
     total = grand_total(inst.election.num_voters, inst.election.num_parties, inst.rule)
-    shares = seat_fractions_from_scores(scores, total, inst.threshold)
-    seated = sum(shares.values())
+    seated = {p: s for p, s in scores.items() if s >= inst.threshold * total}
+    seated_total = sum(seated.values())
+    shares = {p: Fraction(seated.get(p, 0), seated_total or 1) for p in scores}
     coalition = sum(shares[p] for p in inst.coalition)
-    if seated == 0:
+    if seated_total == 0:
         expected = inst.phi == 0
     else:
-        expected = coalition >= inst.phi * seated and (
-            inst.preferred is None or shares[inst.preferred] >= inst.rho * coalition
-        )
+        expected = coalition >= inst.phi and shares[inst.leader] >= inst.rho * coalition
     assert check_goals_from_scores(scores, inst) == expected
+    assert goal_predicate(inst)([scores[p] for p in inst.election.parties]) == expected
 
 
 @given(elections(), st.sampled_from(list(ScoringRule)), thresholds(), thresholds())

@@ -1,5 +1,6 @@
 """Exact bounded search: option enumeration, optimality, refusal semantics."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -32,6 +33,7 @@ from coalition_bribery.oracle import (
     _pack,
     _score_radix,
     _unpack,
+    _voter_classes,
     _voter_effect_options,
     enumerate_voter_options,
     oracle_solve,
@@ -157,11 +159,23 @@ class TestEnumerateOptions:
         assert options == [(inst.election.orders[0], 0)]
         assert meter.count == 1
 
+    def test_dollar_under_its_price_builds_only_the_current_order(self):
+        parties = tuple(f"p{i}" for i in range(10))
+        inst = ProblemInstance(
+            election=make_election(parties, [parties]), rule=ScoringRule.BORDA,
+            threshold=Fraction(0), coalition=parties[:1], phi=Fraction(0),
+            rho=Fraction(0), budget=0, cost_model=DollarCost((5,)),
+        )
+        meter = _Meter(SearchBudget(max_expansions=10))
+        options = enumerate_voter_options(inst, 0, meter, cost_cap=4)
+        assert options == [(inst.election.orders[0], 0)]
+        assert meter.count == 1
+
     def test_one_meter_per_solve(self):
-        # Three voter classes, each enumerating 4! = 24 orders; the budget of
-        # 1 leaves each class only its current order, so the sweep adds one
-        # expansion per class.  No single enumeration reaches the limit of
-        # 50, but the solve's 75 expansions do.
+        # Three voter classes, each priced at the budget of 1, so each
+        # enumeration charges all 4! = 24 orders up front.  No single
+        # enumeration reaches the limit of 50, but the second one, after the
+        # first class's 24 sweep expansions, does; the solve takes 1,728.
         parties = ("a", "b", "c", "d")
         election = make_election(
             parties, [("b", "a", "c", "d"), ("c", "a", "b", "d"), ("d", "a", "b", "c")]
@@ -169,16 +183,16 @@ class TestEnumerateOptions:
         inst = ProblemInstance(
             election=election, rule=ScoringRule.BORDA, threshold=Fraction(0),
             coalition=("a",), phi=Fraction(1, 2), rho=Fraction(0), budget=1,
-            cost_model=DollarCost((5, 5, 5)),
+            cost_model=DollarCost((1, 1, 1)),
         )
         assert not check_goals(election.orders, inst)
-        assert len(enumerate_voter_options(inst, 0, _Meter(SearchBudget(50)))) == 24
+        assert len(enumerate_voter_options(inst, 0, _Meter(SearchBudget(50)), 1)) == 24
         stats = {}
         assert solve_np_hard(inst, inst.budget, SearchBudget(), stats=stats) is None
-        assert stats["expansions"] == 75
+        assert stats["expansions"] == 1728
         with pytest.raises(OracleRefusal) as err:
             solve_instance(inst, SearchBudget(max_expansions=50), force_oracle=True)
-        assert err.value.limit == 50 and err.value.required > 50
+        assert err.value.limit == 50 and err.value.required == 72
         assert str(err.value) == (
             "exact search needs more than 50 expansions "
             f"(stopped at {err.value.required})"
@@ -231,6 +245,52 @@ class TestOracleSolve:
                     == got
                 )
                 assert check_goals(apply_plan(inst.election, plan), inst)
+
+
+def with_duplicated_voters(instance, sizes):
+    """`instance` with voter i copied sizes[i] times, order and price data
+    alike, so that its voters form classes of those sizes."""
+    index = [i for i, size in enumerate(sizes) for _ in range(size)]
+    model = instance.cost_model
+    per_voter = {
+        field.name: tuple(getattr(model, field.name)[i] for i in index)
+        for field in dataclasses.fields(model)
+    }
+    election = instance.election
+    return dataclasses.replace(
+        instance, election=make_election(
+            election.parties, [election.orders[i].ranking for i in index]),
+        cost_model=dataclasses.replace(model, **per_voter),
+    )
+
+
+@pytest.mark.parametrize("kind", ["unit", "dollar", "swap", "shift"])
+def test_witness_walks_back_through_multi_member_classes(kind):
+    rng = random.Random(f"classes-{kind}")
+    shared = 0  # witnesses bribing two voters of one class
+    for trial in range(24):
+        rule = rng.choice([ScoringRule.PLURALITY, ScoringRule.BORDA])
+        base = random_problem(rng, rule, rng.random() < 0.5, kind, rng.random() < 0.5,
+                              max_voters=2, max_parties=3)
+        sizes = rng.choice([(2,), (3,), (4,), (5,)] if base.election.num_voters == 1
+                           else [(2, 2), (2, 3), (3, 2)])
+        inst = with_duplicated_voters(base, sizes)
+        classes = _voter_classes(inst)
+        assert all(2 <= len(members) <= 5 for members in classes)
+        opt = naive_optimum(inst)
+        if opt is None:
+            assert solve_np_hard(inst, None) is None, trial
+            continue
+        if opt:
+            assert solve_np_hard(inst, opt - 1) is None, trial
+        for cap in (None, opt):
+            plan = solve_np_hard(inst, cap)
+            assert plan.cost == opt, (trial, cap)
+            assert plan_cost(inst.cost_model, inst.coalition, inst.election, plan) == opt
+            assert check_goals(apply_plan(inst.election, plan), inst)
+            shared += any(len(plan.replacements.keys() & set(members)) > 1
+                          for members in classes)
+    assert shared > 0
 
 
 class TestSolveNpHard:
