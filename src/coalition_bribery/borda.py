@@ -1,19 +1,27 @@
-"""Zero-threshold Borda under unit, dollar and shift bribery.
+"""Zero-threshold Borda under unit, dollar, swap and shift bribery.
 
 Per voter we tabulate the cheapest replacement realizing each pair (points
-for the coalition minus its leader, points for the leader).  One placement DP
+for the coalition minus its leader, points for the leader).  A placement DP
 builds every menu.  It fills an order's slots front to back, each slot worth
-one point less than the one before, and keeps per state (coalition members
-placed, outsiders placed, k_rest, k1) the fewest inversions of the voter's
-order and a backpointer that rebuilds an order attaining them.  Placing a
-party inverts it with every unplaced party it used to be below.  Outsiders
-are placed in their original order, as points do not tell them apart; under
-shift bribery an outsider is placed only when that inverts nothing, so no
-outsider rises.  Unit/dollar pricing allows any permutation, so every pair
-the DP reaches from one canonical order costs the voter's price, and the
-voter's current pair 0.  Under shift bribery a pair costs the voter's table
-at its fewest inversions, which is exact because shift tables never
-decrease.
+one point less than the one before, and keeps per state the least price of
+a partial order and a backpointer that rebuilds an order attaining it.
+
+For unit, dollar and shift bribery the state is (coalition members placed,
+outsiders placed, k_rest, k1) and the price is the number of inversions of
+the voter's order.  Placing a party inverts it with every unplaced party it
+used to be below.  Outsiders are placed in their original order, as points
+do not tell them apart; under shift bribery an outsider is placed only when
+that inverts nothing, so no outsider rises.  Unit/dollar pricing allows any
+permutation, so every pair the DP reaches from one canonical order costs the
+voter's price, and the voter's current pair 0.  Under shift bribery a pair
+costs the voter's table at its fewest inversions, which is exact because
+shift tables never decrease.
+
+Swap prices tell every party apart, so `swap_menu`'s state is (every party
+placed, k_rest, k1), and placing y pays the price of y rising over each
+unplaced party that was above it.  Its 2**m masks are charged to the solve's
+`SearchBudget`, one expansion per (state, unplaced party) before each slot
+is filled, so a menu too large for the limit raises `OracleRefusal` unbuilt.
 
 The table kernel (`table.combine`) then runs one layer per voter over
 cells (coalition points ka, leader points k1), or (ka, 0) when rho = 0, and
@@ -39,12 +47,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import inf
-from typing import Optional
+from typing import Mapping, Optional
 
 from .core import (
     PreferenceOrder, ProblemInstance, ScoringRule, goals_met, grand_total, score,
 )
-from .costs import BribePlan, ShiftCost
+from .costs import BribePlan, ShiftCost, SwapCost
+from .oracle import SearchBudget, _Meter
 from .table import Relaxation, combine, trace
 
 
@@ -94,7 +103,15 @@ def _placements(
                 if key not in nxt or inv + added < nxt[key][0]:
                     nxt[key] = (inv + added, state, p)
         layers.append(nxt)
-    final = {key[2:]: key for key in layers[-1]}
+    return _walk_back(layers)
+
+
+def _walk_back(layers: list[dict]):
+    """The menu of a placement DP whose states end in (k_rest, k1) and map to
+    (value, previous state, party placed last): per pair of a complete
+    order, its value; and `realize(pair)`, the order the walk back from it
+    spells."""
+    final = {key[-2:]: key for key in layers[-1]}
 
     def realize(pair: tuple[int, int]) -> PreferenceOrder:
         ranking = []
@@ -105,6 +122,48 @@ def _placements(
         return PreferenceOrder(tuple(reversed(ranking)))
 
     return {pair: layers[-1][key][0] for pair, key in final.items()}, realize
+
+
+def swap_menu(
+    order: PreferenceOrder,
+    leader: str,
+    rest: tuple[str, ...],
+    prices: Mapping[tuple[str, str], int],
+    meter: _Meter,
+):
+    """Swap menu for one voter: the least price of a reordering per (k_rest,
+    k1) pair it realizes, and `realize(pair)`, a reordering attaining it.
+
+    A state is (every party placed, as a mask over `order`, k_rest, k1).
+    Placing y pays `prices[x, y]` for each unplaced x that `order` ranked
+    above y, which is exactly once per inverted pair.  Each slot charges
+    `meter` one expansion per (state, unplaced party) before it is filled,
+    so a menu too large for the limit is refused, not built."""
+    m = len(order)
+    ranking = order.ranking
+    # Per party of `order`: (bit, k_rest weight, k1 weight, and per party
+    # ranked above it, that party's bit and the price of rising over it).
+    parties = [
+        (1 << j, y in rest, y == leader,
+         [(1 << i, prices[x, y]) for i, x in enumerate(ranking[:j])])
+        for j, y in enumerate(ranking)
+    ]
+    layers = [{(0, 0, 0): (0, None, None)}]
+    for t in range(m):
+        points = m - 1 - t
+        meter.charge(len(layers[-1]) * (m - t))
+        nxt: dict = {}
+        for state, (price, _, _) in layers[-1].items():
+            placed, k_rest, k1 = state
+            for y, (bit, in_rest, is_leader, above) in zip(ranking, parties):
+                if placed & bit:
+                    continue
+                total = price + sum([c for b, c in above if not placed & b])
+                key = (placed | bit, k_rest + in_rest * points, k1 + is_leader * points)
+                if key not in nxt or total < nxt[key][0]:
+                    nxt[key] = (total, state, y)
+        layers.append(nxt)
+    return _walk_back(layers)
 
 
 def price_menu(
@@ -148,13 +207,21 @@ class _VoterMenu:
     """Cheapest replacement and realizing order per (k_rest, k1) for one
     voter, and the kernel steps they offer."""
 
-    def __init__(self, instance: ProblemInstance, voter: int, placements=_placements):
+    def __init__(
+        self, instance: ProblemInstance, voter: int, placements=_placements,
+        meter: Optional[_Meter] = None,
+    ):
         order = instance.election.orders[voter]
         leader, rest = instance.leader, instance.coalition_rest
         model = instance.cost_model
         if isinstance(model, ShiftCost):
             self.costs, self.realize = shift_menu(
                 order, leader, rest, model.tables[voter], placements
+            )
+        elif isinstance(model, SwapCost):
+            self.costs, self.realize = swap_menu(
+                order, leader, rest, model.pair_prices[voter],
+                meter or _Meter(SearchBudget()),
             )
         else:
             self.costs, self.realize = price_menu(
@@ -192,15 +259,21 @@ def accumulate_voter_tables(
 
 
 def solve_borda_zero(
-    instance: ProblemInstance, cap: Optional[int], stats: Optional[dict] = None
+    instance: ProblemInstance,
+    cap: Optional[int],
+    stats: Optional[dict] = None,
+    budget: SearchBudget = SearchBudget(),
 ) -> Optional[BribePlan]:
     """Cheapest bribe costing at most `cap` (None: no limit) for a
-    zero-threshold Borda instance under unit/dollar/shift bribery, or None."""
+    zero-threshold Borda instance under any bribery kind, or None.  Raises
+    OracleRefusal when the swap menus need more expansions than `budget`
+    allows."""
     election = instance.election
     # One memo per solve: voters sharing an order share one placement DP.
     placements = cache(_placements)
+    meter = _Meter(budget)
     menus = [
-        _VoterMenu(instance, i, placements) for i in range(election.num_voters)
+        _VoterMenu(instance, i, placements, meter) for i in range(election.num_voters)
     ]
     total = grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA)
     gains = [menu.steps for menu in menus]

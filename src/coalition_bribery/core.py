@@ -274,19 +274,35 @@ def goals_met(coalition: int, leader: int, seated: int, instance: ProblemInstanc
     )
 
 
-def goal_predicate(instance: ProblemInstance) -> Callable[[Sequence[int]], bool]:
-    """The goal test on a score tuple in party order, compiled once: the
-    threshold becomes one integer cut, `seat_cut`."""
+def seated_points(
+    instance: ProblemInstance, parties: Sequence[str]
+) -> Callable[[Sequence[int]], tuple[int, int, int]]:
+    """The (seated coalition, seated leader, all seated) points of a score
+    tuple over `parties`, compiled once: the threshold becomes one integer
+    cut, `seat_cut`.  Over disjoint parts of the parties the triples add up."""
     election = instance.election
     total = grand_total(election.num_voters, election.num_parties, instance.rule)
     need = seat_cut(total, instance.threshold)
-    members = [election.parties.index(p) for p in instance.coalition]
-    leader = election.parties.index(instance.leader)
+    leader = instance.leader
+    members = [parties.index(p) for p in instance.coalition if p in parties]
+    leads = [parties.index(leader)] if leader in parties else []
+
+    def points(scores: Sequence[int]) -> tuple[int, int, int]:
+        return (
+            sum([scores[i] for i in members if scores[i] >= need]),
+            sum([scores[i] for i in leads if scores[i] >= need]),
+            sum([s for s in scores if s >= need]),
+        )
+
+    return points
+
+
+def goal_predicate(instance: ProblemInstance) -> Callable[[Sequence[int]], bool]:
+    """The goal test on a score tuple in party order, compiled once."""
+    points = seated_points(instance, instance.election.parties)
 
     def met(scores: Sequence[int]) -> bool:
-        coalition = sum([scores[i] for i in members if scores[i] >= need])
-        lead = scores[leader] if scores[leader] >= need else 0
-        return goals_met(coalition, lead, sum([s for s in scores if s >= need]), instance)
+        return goals_met(*points(scores), instance)
 
     return met
 

@@ -1,7 +1,10 @@
 """Routing of instances to solvers, and solve reports.
 
-`ROUTES` maps each polynomial cell to its dedicated solver, and crossval
-covers exactly its cells; every other cell goes to the exact bounded search.
+`ROUTES` maps each routed cell to its dedicated solver, and crossval covers
+exactly its cells; every other cell goes to the exact bounded search.
+Borda_0 swap bribery is NP-hard with the number of parties in the input
+(the min-bisection reduction) but fixed-parameter tractable in it, so the
+Borda table serves it too, under the same `SearchBudget` as the search.
 Every engine returns its cheapest plan under a cost cap.  `solve_capped` is
 the one place that calls an engine: it refuses a polynomial solver for a
 cell not routed to it, and re-verifies every plan it returns.
@@ -36,7 +39,7 @@ BORDA_DP = "borda-solvers"
 ORACLE = "oracle-exact"
 
 
-# The polynomial cells, (rule, thresholded, bribery) -> solver, in the order
+# The routed cells, (rule, thresholded, bribery) -> solver, in the order
 # crossval reports them.  Each serves both goal shapes (CB and CBP).
 ROUTES = {
     (ScoringRule.PLURALITY, True, "unit"): PLURALITY_DP,
@@ -45,6 +48,7 @@ ROUTES = {
     (ScoringRule.PLURALITY, False, "shift"): PLURALITY_FLOW,
     (ScoringRule.BORDA, False, "unit"): BORDA_DP,
     (ScoringRule.BORDA, False, "dollar"): BORDA_DP,
+    (ScoringRule.BORDA, False, "swap"): BORDA_DP,
     (ScoringRule.BORDA, False, "shift"): BORDA_DP,
     (ScoringRule.PLURALITY, False, "unit"): PLURALITY_DP,
     (ScoringRule.PLURALITY, False, "dollar"): PLURALITY_DP,
@@ -92,7 +96,7 @@ def solve_capped(
         return BribePlan.empty()
     if name != ORACLE and dispatch(instance) != name:
         raise DomainError(f"{name} does not serve {instance.variant.label()}")
-    kwargs = {"budget": search_budget} if name == ORACLE else {}
+    kwargs = {"budget": search_budget} if name in (ORACLE, BORDA_DP) else {}
     plan = globals()[ENGINES[name]](instance, cap, **kwargs)
     if plan is None:
         return None

@@ -13,12 +13,14 @@ A state's key is its score vector packed into one integer, sum(s_p * R**p)
 with R = n * top + 1, where top is the points of a first place (1 for
 plurality, m - 1 for Borda).  Every state is the score vector of a partly
 bribed profile, so each s_p lies in [0, n * top] and the packing is
-injective: no digit carries.  Each option's score delta is packed once, so a
-sweep step is one integer addition.  A class layer is held in cost buckets,
+injective: no digit carries.  Each option's score delta is the difference
+of two orders' packed score vectors, each packed once per solve, so a sweep
+step is one integer addition.  A class layer is held in cost buckets,
 {total cost: keys first reached at that cost}.  The final buckets are
-scanned cheapest first with the goal predicate `core.goal_predicate`, and
-the witness is rebuilt by walking back from the first key that meets it; so
-among plans of equal cost, the one reported follows from the bucket order.
+scanned cheapest first, each key tested on its two halves' seated points
+(`_packed_goal`), and the witness is rebuilt by walking back from the first
+key that meets the goals; so among plans of equal cost, the one reported
+follows from the bucket order.
 
 Every voter's orders come from `enumerate_voter_options`.  With a cost cap,
 options and partial bribes above it are dropped, and the search returns the
@@ -37,6 +39,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from math import inf
 from typing import Optional
 
@@ -45,8 +48,8 @@ from .core import (
     ProblemInstance,
     ScoringRule,
     check_goals,
-    goal_predicate,
-    score,
+    goals_met,
+    seated_points,
     tally,
 )
 from .costs import (
@@ -143,14 +146,6 @@ def enumerate_voter_options(
     return sorted(options, key=lambda item: (item[1], item[0].ranking))
 
 
-def _score_delta(
-    order: PreferenceOrder, new: PreferenceOrder, parties, rule: ScoringRule
-) -> tuple[int, ...]:
-    return tuple(
-        score(new, p, rule) - score(order, p, rule) for p in parties
-    )
-
-
 def _plurality_top_options(
     instance: ProblemInstance, voter: int
 ) -> list[tuple[PreferenceOrder, int]]:
@@ -171,23 +166,23 @@ def _plurality_top_options(
 
 def _voter_effect_options(
     instance: ProblemInstance, voter: int, meter: _Meter,
-    cost_cap: Optional[int],
-) -> list[tuple[tuple[int, ...], int, PreferenceOrder]]:
-    """(score delta, cost, order) per option within the cap, by cost then
-    delta.  Deltas are distinct: plurality options differ in their top, and
-    distinct orders have distinct Borda score vectors."""
-    election = instance.election
+    cost_cap: Optional[int], packed,
+) -> list[tuple[int, int, PreferenceOrder]]:
+    """(cost, packed score delta, order) per option within the cap, by cost
+    then delta; `packed(order)` is the order's packed score vector.  Deltas
+    are distinct: plurality options differ in their top, and distinct orders
+    have distinct Borda score vectors."""
     if instance.rule is ScoringRule.PLURALITY:
         raw = _plurality_top_options(instance, voter)
     else:
         raw = enumerate_voter_options(instance, voter, meter, cost_cap)
-    order = election.orders[voter]
+    old = packed(instance.election.orders[voter])
     options = [
-        (_score_delta(order, candidate, election.parties, instance.rule), cost, candidate)
+        (cost, packed(candidate) - old, candidate)
         for candidate, cost in raw
         if cost_cap is None or cost <= cost_cap
     ]
-    return sorted(options, key=lambda option: (option[1], option[0]))
+    return sorted(options, key=lambda option: option[:2])
 
 
 def _voter_classes(instance: ProblemInstance) -> list[list[int]]:
@@ -231,6 +226,35 @@ def _unpack(key: int, radix: int, length: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def _packed_scores(instance: ProblemInstance, radix: int):
+    """`packed(order)`: the order's score vector packed, once per order."""
+    parties, rule = instance.election.parties, instance.rule
+    return cache(lambda order: _pack(tally((order,), parties, rule).values(), radix))
+
+
+def _packed_goal(instance: ProblemInstance, radix: int):
+    """The goal test on a packed key, without unpacking it: the key splits at
+    radix**(m // 2) into a low and a high half, each half's seated points
+    (`core.seated_points`) are found once per distinct half, and their sums
+    go to `core.goals_met`."""
+    parties = instance.election.parties
+    cut = len(parties) // 2
+    split = radix ** cut
+
+    def half(part):
+        points = seated_points(instance, part)
+        return cache(lambda key: points(_unpack(key, radix, len(part))))
+
+    low_points, high_points = half(parties[:cut]), half(parties[cut:])
+
+    def met(key: int) -> bool:
+        high, low = divmod(key, split)
+        lo, hi = low_points(low), high_points(high)
+        return goals_met(lo[0] + hi[0], lo[1] + hi[1], lo[2] + hi[2], instance)
+
+    return met
+
+
 def _next_layer(layer: dict, moves: list, limit: float) -> dict:
     """The class layer after `layer`: each pair of a bucket and a (cost,
     delta, multiset) move, cheapest total first, adds the keys that no cheaper
@@ -257,12 +281,12 @@ def _search(
 
     parties = election.parties
     radix = _score_radix(instance)
+    packed = _packed_scores(instance, radix)
     base = _pack(tally(election.orders, parties, instance.rule).values(), radix)
     layers, width = [{0: {base}}], 1
     class_moves = []
     for members in classes:
-        options = [(cost, _pack(delta, radix), order) for delta, cost, order
-                   in _voter_effect_options(instance, members[0], meter, cost_cap)]
+        options = _voter_effect_options(instance, members[0], meter, cost_cap, packed)
         moves = []
         # one multiset of options per class: members are interchangeable
         for combo in itertools.combinations_with_replacement(options, len(members)):
@@ -275,10 +299,10 @@ def _search(
         width = sum(map(len, layers[-1].values()))
         meter.states += width
 
-    met = goal_predicate(instance)
+    met = _packed_goal(instance, radix)
     final = layers.pop()
     found = next(((total, key) for total in sorted(final) for key in final[total]
-                  if met(_unpack(key, radix, len(parties)))), None)
+                  if met(key)), None)
     if found is None:
         return None
 

@@ -17,16 +17,20 @@ from coalition_bribery.borda import (
     price_menu,
     shift_menu,
     solve_borda_zero,
+    swap_menu,
     _VoterMenu,
 )
 from coalition_bribery.core import (
     PreferenceOrder, ProblemInstance, ScoringRule, Variant, check_goals, goals_met,
     grand_total,
 )
-from coalition_bribery.costs import UnitCost, inverted_pairs, iter_orders
-from coalition_bribery.dispatch import BORDA_DP
+from coalition_bribery.costs import SwapCost, UnitCost, inverted_pairs, iter_orders
+from coalition_bribery.dispatch import BORDA_DP, solve_capped
 from coalition_bribery.generators import with_budget
-from coalition_bribery.oracle import oracle_solve
+from coalition_bribery.oracle import OracleRefusal, SearchBudget, _Meter, oracle_solve
+from coalition_bribery.reductions import (
+    MinBisectionInstance, reduce_minbisection_to_borda_swap_cb,
+)
 from coalition_bribery.sample_instances import unanimous_four_party_borda_cb
 from coalition_bribery.table import DENOMINATOR, Relaxation, front
 
@@ -167,6 +171,44 @@ class TestShiftMenu:
                         assert table[len(inverted_pairs(order, w))] == cost
 
 
+def test_swap_menu_against_every_order():
+    # Each entry is the least swap price over the orders realizing its pair,
+    # every pair some order realizes is there, and `realize` attains both.
+    rng = random.Random(29)
+    for m in range(1, 6):
+        parties = tuple(f"p{i}" for i in range(m))
+        for _ in range(4):
+            order = PreferenceOrder(tuple(rng.sample(parties, m)))
+            prices = {(x, y): rng.randint(0, 3) for x in parties for y in parties if x != y}
+            model = SwapCost((prices,))
+            for size in range(1, m + 1):
+                coalition = tuple(rng.sample(parties, size))
+                leader, rest = coalition[0], coalition[1:]
+                brute = {}
+                for perm in itertools.permutations(parties):
+                    candidate = PreferenceOrder(perm)
+                    pair = leader_and_rest_scores(candidate, leader, rest)
+                    cost = model.voter_cost(0, order, candidate, coalition)
+                    brute[pair] = min(brute.get(pair, cost), cost)
+                menu, realize = swap_menu(order, leader, rest, prices, _Meter(SearchBudget()))
+                assert menu == brute, (order, coalition)
+                for pair, cost in menu.items():
+                    witness = realize(pair)
+                    assert leader_and_rest_scores(witness, leader, rest) == pair
+                    assert model.voter_cost(0, order, witness, coalition) == cost
+
+
+def test_swap_menus_are_refused_past_the_expansion_limit():
+    # The 2-vertex bisection image has one 5-party swap voter.  Its menu
+    # charges one expansion per (state, unplaced party) before each slot:
+    # 1*5 + 5*4 + 17*3 + 37*2 + 44*1 = 194.
+    image = reduce_minbisection_to_borda_swap_cb(MinBisectionInstance(2, frozenset(), 0))
+    assert solve_capped(BORDA_DP, image, None, SearchBudget(max_expansions=194)) is not None
+    with pytest.raises(OracleRefusal) as err:
+        solve_capped(BORDA_DP, image, None, SearchBudget(max_expansions=75))
+    assert (err.value.required, err.value.limit) == (76, 75)
+
+
 def _covered(layer, ka, k1, cost, track_leader):
     """Whether a cell of the layer is as good as (ka, k1) at `cost`."""
     return any(
@@ -221,7 +263,7 @@ class TestVoterTable:
 @given(
     st.integers(0, 2**32),
     st.integers(0, 8),
-    st.sampled_from(["unit", "dollar", "shift"]),
+    st.sampled_from(["unit", "dollar", "swap", "shift"]),
 )
 def test_layers_stay_within_budget_and_front(seed, budget, kind):
     """Each pruned layer is the front of the unpruned table restricted to the

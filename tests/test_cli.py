@@ -53,7 +53,7 @@ EXPECTED_ROUTES = {
     ("plurality", True, "shift"): ORACLE,
     ("borda", False, "unit"): BORDA_DP,
     ("borda", False, "dollar"): BORDA_DP,
-    ("borda", False, "swap"): ORACLE,
+    ("borda", False, "swap"): BORDA_DP,
     ("borda", False, "shift"): BORDA_DP,
     ("borda", True, "unit"): ORACLE,
     ("borda", True, "dollar"): ORACLE,
@@ -108,7 +108,7 @@ def test_solve_capped_refuses_a_solver_for_a_cell_it_does_not_serve():
                 assert name in str(info.value)
                 assert inst.variant.label() in str(info.value)
                 refused.add((name, rule_name, thresholded, bribery))
-    assert len(refused) == 39
+    assert len(refused) == 38
 
 
 @pytest.mark.parametrize("command", [["gen"], ["crossval", "--count", "1"]])
@@ -273,7 +273,7 @@ def test_crossval_all_agree(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l and not l.startswith("variant")]
-    assert len(lines) == 18
+    assert len(lines) == 20
     assert all(line.endswith("3 3") for line in lines)
 
 

@@ -22,6 +22,7 @@ from coalition_bribery.core import (
     tally,
 )
 from coalition_bribery.costs import UnitCost
+from coalition_bribery.oracle import _pack, _packed_goal
 
 from conftest import make_election
 
@@ -281,6 +282,19 @@ def test_goal_predicate_matches_seat_shares(case):
         expected = coalition >= inst.phi and shares[inst.leader] >= inst.rho * coalition
     assert check_goals_from_scores(scores, inst) == expected
     assert goal_predicate(inst)([scores[p] for p in inst.election.parties]) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(goal_cases())
+@example(cut_case(2, Fraction(1, 2), (1, 1), Fraction(1, 2)))
+@example(cut_case(3, Fraction(1, 2), (1, 2), Fraction(1, 3)))
+def test_packed_goal_matches_goal_predicate(case):
+    # The exact search tests its packed keys half by half; on vectors on and
+    # next to the seat cut that must agree with the goal predicate.
+    inst, scores = case
+    vector = [scores[p] for p in inst.election.parties]
+    radix = grand_total(inst.election.num_voters, inst.election.num_parties, inst.rule) + 1
+    assert _packed_goal(inst, radix)(_pack(vector, radix)) == goal_predicate(inst)(vector)
 
 
 @given(elections(), st.sampled_from(list(ScoringRule)), thresholds(), thresholds())

@@ -24,7 +24,7 @@ VARIANTS = [
     for cbp in (False, True)
 ] + [
     ("borda", ScoringRule.BORDA, False, kind, cbp, BORDA_DP, 4)
-    for kind in ("unit", "dollar", "shift")
+    for kind in ("unit", "dollar", "swap", "shift")
     for cbp in (False, True)
 ] + [
     ("plurality", ScoringRule.PLURALITY, False, kind, cbp, PLURALITY_FLOW, 5)

@@ -31,6 +31,7 @@ from coalition_bribery.oracle import (
     SearchBudget,
     _Meter,
     _pack,
+    _packed_scores,
     _score_radix,
     _unpack,
     _voter_classes,
@@ -205,8 +206,9 @@ def test_voter_options_have_distinct_score_effects(variant):
     for index in range(20):
         inst = random_instance(variant, seed=11, index=index)
         for voter in range(inst.election.num_voters):
-            options = _voter_effect_options(inst, voter, _Meter(SearchBudget()), None)
-            deltas = [delta for delta, _, _ in options]
+            packed = _packed_scores(inst, _score_radix(inst))
+            options = _voter_effect_options(inst, voter, _Meter(SearchBudget()), None, packed)
+            deltas = [delta for _, delta, _ in options]
             assert len(set(deltas)) == len(deltas), (variant.label(), index, voter)
 
 

@@ -15,7 +15,7 @@ from coalition_bribery.core import (
     tally,
 )
 from coalition_bribery.costs import ShiftCost, apply_plan, bribe_cost, iter_orders
-from coalition_bribery.dispatch import ORACLE, dispatch
+from coalition_bribery.dispatch import BORDA_DP, ORACLE, dispatch
 from coalition_bribery.oracle import oracle_solve
 from coalition_bribery.reductions import (
     ExactCover34Instance,
@@ -28,6 +28,7 @@ from coalition_bribery.reductions import (
 from coalition_bribery.sample_instances import sixteen_voter_shift_cbp
 
 from conftest import (
+    assert_verifies,
     exact_covers,
     has_bisection,
     map_cover_to_bribe,
@@ -219,6 +220,26 @@ class TestBisectionReduction:
         assert not has_bisection(strict)
         image = reduce_minbisection_to_borda_swap_cb(strict)
         assert solve_at_budget(ORACLE, image) is None
+
+    @pytest.mark.parametrize("edges, bound", [
+        ({(1, 2), (2, 3), (3, 4)}, 1),
+        ({(1, 2), (2, 3), (3, 4)}, 0),
+        ({(1, 2), (3, 4)}, 0),
+        ({(1, 2), (2, 3), (3, 4), (4, 1)}, 1),
+        ({(1, 2), (1, 3), (1, 4)}, 2),
+        ({(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}, 3),
+    ])
+    def test_four_vertex_images_through_dispatch(self, edges, bound):
+        # The cases above and the complete graph, routed: the Borda table,
+        # with one swap menu for the image's one voter, answers as the
+        # bisection does.
+        x = MinBisectionInstance(4, frozenset(edges), bound)
+        image = reduce_minbisection_to_borda_swap_cb(x)
+        assert dispatch(image) == BORDA_DP
+        plan = solve_at_budget(BORDA_DP, image)
+        assert (plan is not None) == has_bisection(x)
+        if plan is not None:
+            assert_verifies(image, plan)
 
     @pytest.mark.parametrize("edges, bound, expected", [
         ({(1, 2), (3, 4)}, 0, True),  # two disjoint edges split cleanly
