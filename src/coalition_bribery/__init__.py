@@ -1,10 +1,11 @@
 """Exact solvers for coalition bribery in parliamentary elections.
 
-Polynomial algorithms cover threshold plurality under unit/dollar pricing,
-zero-threshold plurality under swap/shift pricing (via min-cost flow), and
-zero-threshold Borda under unit/dollar/shift pricing.  The remaining variants
-are NP-hard and handled by an exact bounded search, which also serves as the
-ground-truth oracle for the polynomial solvers on small instances.
+Polynomial algorithms cover threshold plurality under unit/dollar pricing
+and zero-threshold plurality under swap/shift pricing (via min-cost flow).
+Zero-threshold Borda takes one table under all four pricings, polynomial
+but for swap, which is exponential only in the number of parties.  The rest
+are NP-hard and go to an exact bounded search, also the ground-truth oracle
+for the polynomial solvers on small instances.
 """
 
 from .core import (

@@ -1,27 +1,26 @@
 """Zero-threshold Borda under unit, dollar, swap and shift bribery.
 
 Per voter we tabulate the cheapest replacement realizing each pair (points
-for the coalition minus its leader, points for the leader).  A placement DP
-builds every menu.  It fills an order's slots front to back, each slot worth
-one point less than the one before, and keeps per state the least price of
-a partial order and a backpointer that rebuilds an order attaining it.
+for the coalition minus its leader, points for the leader).  One placement
+DP, `_placements`, builds every menu from the description `costs.iter_orders`
+takes: the parties that may rise and a price per inverted pair.  It fills an
+order's slots front to back, each slot worth one point less than the one
+before; a state is (every party placed, as a mask over the order, k_rest,
+k1) and keeps the least price of a partial order and a backpointer.  Placing
+y pays `pair_price(x, y)` for each unplaced x that was above y, and a party
+that may not rise waits until nothing above it is left.  Swap menus let
+every party rise at the voter's pair prices.  Shift menus let only coalition
+members rise, at 1 per pair, and price a pair's fewest inversions by the
+voter's shift table (exact, as shift tables never decrease).  Unit/dollar
+menus run that rule on the canonical order (*outsiders, leader, *rest), so
+every pair some order realizes is reached; it costs the voter's price, and
+the current pair 0.
 
-For unit, dollar and shift bribery the state is (coalition members placed,
-outsiders placed, k_rest, k1) and the price is the number of inversions of
-the voter's order.  Placing a party inverts it with every unplaced party it
-used to be below.  Outsiders are placed in their original order, as points
-do not tell them apart; under shift bribery an outsider is placed only when
-that inverts nothing, so no outsider rises.  Unit/dollar pricing allows any
-permutation, so every pair the DP reaches from one canonical order costs the
-voter's price, and the voter's current pair 0.  Under shift bribery a pair
-costs the voter's table at its fewest inversions, which is exact because
-shift tables never decrease.
-
-Swap prices tell every party apart, so `swap_menu`'s state is (every party
-placed, k_rest, k1), and placing y pays the price of y rising over each
-unplaced party that was above it.  Its 2**m masks are charged to the solve's
-`SearchBudget`, one expansion per (state, unplaced party) before each slot
-is filled, so a menu too large for the limit raises `OracleRefusal` unbuilt.
+Every menu is charged to the solve's `SearchBudget`, one expansion per
+(state, unplaced party) before each slot.  Every subset of the r parties
+that may rise is a reachable mask, so a menu needs at least
+2**(r - 1) * (2m - r) expansions; when that floor passes the limit,
+`OracleRefusal` is raised before any slot is built.
 
 The table kernel (`table.combine`) then runs one layer per voter over
 cells (coalition points ka, leader points k1), or (ka, 0) when rho = 0, and
@@ -47,81 +46,84 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import inf
-from typing import Mapping, Optional
+from typing import Callable, Collection, Mapping, Optional
 
 from .core import (
     PreferenceOrder, ProblemInstance, ScoringRule, goals_met, grand_total, score,
 )
 from .costs import BribePlan, ShiftCost, SwapCost
-from .oracle import SearchBudget, _Meter
+from .oracle import OracleRefusal, SearchBudget, _Meter
 from .table import Relaxation, combine, trace
 
 
 def _placements(
-    order: PreferenceOrder, leader: str, rest: tuple[str, ...], outsiders_rise: bool
+    order: PreferenceOrder,
+    leader: str,
+    rest: tuple[str, ...],
+    may_rise: Collection[str],
+    pair_price: Callable[[str, str], int],
+    meter: Optional[_Meter] = None,
 ):
-    """Fewest inversions of `order` per (k_rest, k1) pair that a reordering
-    realizes, and `realize(pair)`, a reordering attaining it.  Without
-    `outsiders_rise`, no outsider may move above a party it was below."""
-    m = len(order)
-    bit = {p: 1 << i for i, p in enumerate((leader, *rest))}
-    outsiders = [p for p in order.ranking if p not in bit]
-    # Per party: the coalition members (a mask) and the number of outsiders
-    # ranked above it in `order`.
-    members_above, outsiders_above = {}, {}
-    mask = count = 0
-    for p in order.ranking:
-        members_above[p], outsiders_above[p] = mask, count
-        if p in bit:
-            mask |= bit[p]
-        else:
-            count += 1
-    # layers[t]: (members placed, outsiders placed, k_rest, k1) after t slots
-    # -> (fewest inversions, previous state, party placed last).
-    layers = [{(0, 0, 0, 0): (0, None, None)}]
+    """Least summed `pair_price` of a reordering of `order` in which only
+    parties in `may_rise` rise, per (k_rest, k1) pair it realizes, and
+    `realize(pair)`, a reordering attaining it.  Raises `OracleRefusal` past
+    the limit of `meter` (None: a fresh default budget)."""
+    meter = meter or _Meter(SearchBudget())
+    ranking = order.ranking
+    m = len(ranking)
+    # Per party of `order`: its bit, whether it may rise, its k_rest and k1
+    # weights, and the price of its passing each party ranked above it.
+    parties = [
+        (1 << j, y in may_rise, y in rest, y == leader,
+         [pair_price(x, y) for x in ranking[:j]])
+        for j, y in enumerate(ranking)
+    ]
+    r = sum(y in may_rise for y in ranking)
+    floor = (2 * m - r) << r >> 1
+    if meter.count + floor > meter.limit:
+        raise OracleRefusal(meter.count + floor, meter.limit)
+    # layers[t]: (mask of the t parties placed, k_rest, k1) -> (least price,
+    # previous state, index of the party placed last).
+    layers = [{(0, 0, 0): (0, None, None)}]
     for t in range(m):
         points = m - 1 - t
+        meter.charge(len(layers[-1]) * (m - t))
         nxt: dict = {}
-        for state, (inv, _, _) in layers[-1].items():
-            placed, j, k_rest, k1 = state
-            steps = []
-            for p, b in bit.items():
-                if not placed & b:
-                    added = (members_above[p] & ~placed).bit_count() + max(
-                        0, outsiders_above[p] - j
-                    )
-                    if p == leader:
-                        steps.append((p, (placed | b, j, k_rest, k1 + points), added))
-                    else:
-                        steps.append((p, (placed | b, j, k_rest + points, k1), added))
-            if j < len(outsiders):
-                p = outsiders[j]
-                added = (members_above[p] & ~placed).bit_count()
-                if outsiders_rise or not added:
-                    steps.append((p, (placed, j + 1, k_rest, k1), added))
-            for p, key, added in steps:
-                if key not in nxt or inv + added < nxt[key][0]:
-                    nxt[key] = (inv + added, state, p)
+        moves_of: dict = {}  # mask -> [(next mask, k_rest gain, k1 gain, price, j)]
+        for state, (price, _, _) in layers[-1].items():
+            mask, k_rest, k1 = state
+            moves = moves_of.get(mask)
+            if moves is None:
+                moves = moves_of[mask] = []
+                passed: list[int] = []  # unplaced parties ranked above the j-th
+                for j, (bit, rises, in_rest, is_leader, row) in enumerate(parties):
+                    if mask & bit:
+                        continue
+                    if rises or not passed:
+                        moves.append((mask | bit, in_rest * points, is_leader * points,
+                                      sum([row[i] for i in passed]), j))
+                    passed.append(j)
+            for next_mask, d_rest, d1, added, j in moves:
+                key = (next_mask, k_rest + d_rest, k1 + d1)
+                old = nxt.get(key)
+                if old is None or price + added < old[0]:
+                    nxt[key] = (price + added, state, j)
         layers.append(nxt)
-    return _walk_back(layers)
-
-
-def _walk_back(layers: list[dict]):
-    """The menu of a placement DP whose states end in (k_rest, k1) and map to
-    (value, previous state, party placed last): per pair of a complete
-    order, its value; and `realize(pair)`, the order the walk back from it
-    spells."""
-    final = {key[-2:]: key for key in layers[-1]}
 
     def realize(pair: tuple[int, int]) -> PreferenceOrder:
-        ranking = []
-        state = final[pair]
+        placed = []
+        state = ((1 << m) - 1, *pair)
         for layer in reversed(layers[1:]):
-            _, state, party = layer[state]
-            ranking.append(party)
-        return PreferenceOrder(tuple(reversed(ranking)))
+            _, state, j = layer[state]
+            placed.append(ranking[j])
+        return PreferenceOrder(tuple(reversed(placed)))
 
-    return {pair: layers[-1][key][0] for pair, key in final.items()}, realize
+    return {key[1:]: price for key, (price, _, _) in layers[-1].items()}, realize
+
+
+def _unit_price(x: str, y: str) -> int:
+    """One inversion; a single function, so a per-solve memo of the DP hits."""
+    return 1
 
 
 def swap_menu(
@@ -129,41 +131,13 @@ def swap_menu(
     leader: str,
     rest: tuple[str, ...],
     prices: Mapping[tuple[str, str], int],
-    meter: _Meter,
+    meter: Optional[_Meter] = None,
 ):
     """Swap menu for one voter: the least price of a reordering per (k_rest,
-    k1) pair it realizes, and `realize(pair)`, a reordering attaining it.
-
-    A state is (every party placed, as a mask over `order`, k_rest, k1).
-    Placing y pays `prices[x, y]` for each unplaced x that `order` ranked
-    above y, which is exactly once per inverted pair.  Each slot charges
-    `meter` one expansion per (state, unplaced party) before it is filled,
-    so a menu too large for the limit is refused, not built."""
-    m = len(order)
-    ranking = order.ranking
-    # Per party of `order`: (bit, k_rest weight, k1 weight, and per party
-    # ranked above it, that party's bit and the price of rising over it).
-    parties = [
-        (1 << j, y in rest, y == leader,
-         [(1 << i, prices[x, y]) for i, x in enumerate(ranking[:j])])
-        for j, y in enumerate(ranking)
-    ]
-    layers = [{(0, 0, 0): (0, None, None)}]
-    for t in range(m):
-        points = m - 1 - t
-        meter.charge(len(layers[-1]) * (m - t))
-        nxt: dict = {}
-        for state, (price, _, _) in layers[-1].items():
-            placed, k_rest, k1 = state
-            for y, (bit, in_rest, is_leader, above) in zip(ranking, parties):
-                if placed & bit:
-                    continue
-                total = price + sum([c for b, c in above if not placed & b])
-                key = (placed | bit, k_rest + in_rest * points, k1 + is_leader * points)
-                if key not in nxt or total < nxt[key][0]:
-                    nxt[key] = (total, state, y)
-        layers.append(nxt)
-    return _walk_back(layers)
+    k1) pair it realizes, and `realize(pair)`, a reordering attaining it."""
+    return _placements(
+        order, leader, rest, order.ranking, lambda x, y: prices[x, y], meter
+    )
 
 
 def price_menu(
@@ -173,20 +147,19 @@ def price_menu(
     outsiders: tuple[str, ...],
     price: int,
     placements=_placements,
+    meter: Optional[_Meter] = None,
 ):
     """Unit/dollar menu for one voter: `price` for every pair some order
     realizes, 0 for the current pair; and `realize(pair)`, an order realizing
     it."""
-    canonical = PreferenceOrder((leader, *rest, *outsiders))
-    reachable, realize_any = placements(canonical, leader, rest, True)
+    canonical = PreferenceOrder((*outsiders, leader, *rest))
+    reachable, realize_any = placements(
+        canonical, leader, rest, (leader, *rest), _unit_price, meter
+    )
     current = leader_and_rest_scores(order, leader, rest)
     costs = dict.fromkeys(reachable, price)
     costs[current] = 0
-
-    def realize(pair: tuple[int, int]) -> PreferenceOrder:
-        return order if pair == current else realize_any(pair)
-
-    return costs, realize
+    return costs, lambda pair: order if pair == current else realize_any(pair)
 
 
 def shift_menu(
@@ -195,11 +168,14 @@ def shift_menu(
     rest: tuple[str, ...],
     table: tuple[int, ...],
     placements=_placements,
+    meter: Optional[_Meter] = None,
 ):
     """Shift menu for one voter: per pair some admissible order realizes,
     the table price of its fewest inversions; and `realize(pair)`, an order
     attaining that price."""
-    fewest, realize = placements(order, leader, rest, False)
+    fewest, realize = placements(
+        order, leader, rest, (leader, *rest), _unit_price, meter
+    )
     return {pair: table[inv] for pair, inv in fewest.items()}, realize
 
 
@@ -216,17 +192,16 @@ class _VoterMenu:
         model = instance.cost_model
         if isinstance(model, ShiftCost):
             self.costs, self.realize = shift_menu(
-                order, leader, rest, model.tables[voter], placements
+                order, leader, rest, model.tables[voter], placements, meter
             )
         elif isinstance(model, SwapCost):
             self.costs, self.realize = swap_menu(
-                order, leader, rest, model.pair_prices[voter],
-                meter or _Meter(SearchBudget()),
+                order, leader, rest, model.pair_prices[voter], meter
             )
         else:
             self.costs, self.realize = price_menu(
                 order, leader, rest, instance.outsiders, model.voter_price(voter),
-                placements,
+                placements, meter,
             )
         # Per kernel step (ka gain, k1 gain or 0 when rho = 0), the cheapest
         # menu pair taking it, and its cost.
@@ -266,10 +241,9 @@ def solve_borda_zero(
 ) -> Optional[BribePlan]:
     """Cheapest bribe costing at most `cap` (None: no limit) for a
     zero-threshold Borda instance under any bribery kind, or None.  Raises
-    OracleRefusal when the swap menus need more expansions than `budget`
-    allows."""
+    OracleRefusal when the menus need more expansions than `budget` allows."""
     election = instance.election
-    # One memo per solve: voters sharing an order share one placement DP.
+    # One memo per solve: voters sharing an order share one DP, charged once.
     placements = cache(_placements)
     meter = _Meter(budget)
     menus = [

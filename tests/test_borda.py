@@ -24,7 +24,9 @@ from coalition_bribery.core import (
     PreferenceOrder, ProblemInstance, ScoringRule, Variant, check_goals, goals_met,
     grand_total,
 )
-from coalition_bribery.costs import SwapCost, UnitCost, inverted_pairs, iter_orders
+from coalition_bribery.costs import (
+    ShiftCost, SwapCost, UnitCost, inverted_pairs, iter_orders,
+)
 from coalition_bribery.dispatch import BORDA_DP, solve_capped
 from coalition_bribery.generators import with_budget
 from coalition_bribery.oracle import OracleRefusal, SearchBudget, _Meter, oracle_solve
@@ -201,12 +203,43 @@ def test_swap_menu_against_every_order():
 def test_swap_menus_are_refused_past_the_expansion_limit():
     # The 2-vertex bisection image has one 5-party swap voter.  Its menu
     # charges one expansion per (state, unplaced party) before each slot:
-    # 1*5 + 5*4 + 17*3 + 37*2 + 44*1 = 194.
+    # 1*5 + 5*4 + 17*3 + 37*2 + 44*1 = 194.  Every one of the 2**5 masks is
+    # reachable, so the menu needs at least 2**4 * (2*5 - 5) = 80 and a limit
+    # below that is refused before any slot is built; one above it is
+    # refused slot by slot, at the first running total past it.
     image = reduce_minbisection_to_borda_swap_cb(MinBisectionInstance(2, frozenset(), 0))
     assert solve_capped(BORDA_DP, image, None, SearchBudget(max_expansions=194)) is not None
+    for limit, required in ((75, 80), (100, 150)):
+        with pytest.raises(OracleRefusal) as err:
+            solve_capped(BORDA_DP, image, None, SearchBudget(max_expansions=limit))
+        assert (err.value.required, err.value.limit) == (required, limit)
+
+
+def _solves_at_exactly(instance, expansions):
+    """Whether the Borda solve fits `expansions` and is refused one below."""
+    assert solve_capped(BORDA_DP, instance, None, SearchBudget(expansions)) is not None
     with pytest.raises(OracleRefusal) as err:
-        solve_capped(BORDA_DP, image, None, SearchBudget(max_expansions=75))
-    assert (err.value.required, err.value.limit) == (76, 75)
+        solve_capped(BORDA_DP, instance, None, SearchBudget(expansions - 1))
+    assert (err.value.required, err.value.limit) == (expansions, expansions - 1)
+
+
+def test_unit_menus_are_charged_to_the_search_budget():
+    # All four voters share one menu, the DP on the canonical order
+    # c3 > c4 > c1 > c2 in which only c1 and c2 may rise: 1*4 + 3*3 + 7*2 +
+    # 12*1 = 39 expansions.
+    _solves_at_exactly(unanimous_four_party_borda_cb(1), 39)
+
+
+def test_shift_menus_are_charged_to_the_search_budget():
+    # Two voters per order, one DP per order, each 39 expansions as above.
+    unit = unanimous_four_party_borda_cb(1)
+    second = PreferenceOrder(("c3", "c4", "c1", "c2"))
+    orders = (unit.election.orders[0],) * 2 + (second,) * 2
+    shift = replace(
+        unit, election=replace(unit.election, orders=orders),
+        cost_model=ShiftCost(((0, 1, 3, 6, 10, 15, 21),) * 4),
+    )
+    _solves_at_exactly(shift, 78)
 
 
 def _covered(layer, ka, k1, cost, track_leader):
