@@ -2,8 +2,9 @@
 
 Polynomial algorithms cover threshold plurality under unit/dollar pricing
 and zero-threshold plurality under swap/shift pricing (via min-cost flow).
-Zero-threshold Borda takes one table under all four pricings, polynomial
-but for swap, which is exponential only in the number of parties.  The rest
+Zero-threshold Borda takes one table under all four pricings.  Its menus
+visit up to 2^r masks over the r parties free to rise: every party under
+swap, the coalition members under unit, dollar and shift.  The other cells
 are NP-hard and go to an exact bounded search, also the ground-truth oracle
 for the polynomial solvers on small instances.
 """

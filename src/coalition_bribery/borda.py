@@ -55,6 +55,8 @@ from .costs import BribePlan, ShiftCost, SwapCost
 from .oracle import OracleRefusal, SearchBudget, _Meter
 from .table import Relaxation, combine, trace
 
+MENUS = "Borda menu placement"  # what a refusal names as out of expansions
+
 
 def _placements(
     order: PreferenceOrder,
@@ -68,7 +70,7 @@ def _placements(
     parties in `may_rise` rise, per (k_rest, k1) pair it realizes, and
     `realize(pair)`, a reordering attaining it.  Raises `OracleRefusal` past
     the limit of `meter` (None: a fresh default budget)."""
-    meter = meter or _Meter(SearchBudget())
+    meter = meter or _Meter(SearchBudget(), MENUS)
     ranking = order.ranking
     m = len(ranking)
     # Per party of `order`: its bit, whether it may rise, its k_rest and k1
@@ -81,7 +83,7 @@ def _placements(
     r = sum(y in may_rise for y in ranking)
     floor = (2 * m - r) << r >> 1
     if meter.count + floor > meter.limit:
-        raise OracleRefusal(meter.count + floor, meter.limit)
+        raise OracleRefusal(meter.count + floor, meter.limit, meter.what)
     # layers[t]: (mask of the t parties placed, k_rest, k1) -> (least price,
     # previous state, index of the party placed last).
     layers = [{(0, 0, 0): (0, None, None)}]
@@ -245,7 +247,7 @@ def solve_borda_zero(
     election = instance.election
     # One memo per solve: voters sharing an order share one DP, charged once.
     placements = cache(_placements)
-    meter = _Meter(budget)
+    meter = _Meter(budget, MENUS)
     menus = [
         _VoterMenu(instance, i, placements, meter) for i in range(election.num_voters)
     ]

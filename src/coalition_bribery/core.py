@@ -245,10 +245,6 @@ class ProblemInstance:
         inside = set(self.coalition)
         return tuple(p for p in self.election.parties if p not in inside)
 
-    def plurality_activity_count(self) -> int:
-        """Least integral vote count that clears the threshold (plurality only)."""
-        return seat_cut(self.election.num_voters, self.threshold)
-
     @property
     def variant(self) -> Variant:
         """The taxonomy cell this instance belongs to."""

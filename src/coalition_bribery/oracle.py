@@ -71,11 +71,12 @@ class SearchBudget:
 
 
 class OracleRefusal(RuntimeError):
-    """The instance needs more expansions than the search budget allows."""
+    """The instance needs more expansions than the search budget allows;
+    `what` names the work that ran out."""
 
-    def __init__(self, required: int, limit: int):
+    def __init__(self, required: int, limit: int, what: str):
         super().__init__(
-            f"exact search needs more than {limit} expansions "
+            f"{what} needs more than {limit} expansions "
             f"(stopped at {required})"
         )
         self.required = required
@@ -83,18 +84,19 @@ class OracleRefusal(RuntimeError):
 
 
 class _Meter:
-    """Work of one solve: expansions charged against the budget's limit, and
-    the sweep states kept, summed over the class layers."""
+    """Work of one solve, named by `what`: expansions charged against the
+    budget's limit, and the sweep states kept, summed over the class layers."""
 
-    def __init__(self, budget: SearchBudget):
+    def __init__(self, budget: SearchBudget, what: str = "exact search"):
         self.limit = budget.max_expansions
+        self.what = what
         self.count = 0
         self.states = 0
 
     def charge(self, amount: int = 1):
         self.count += amount
         if self.count > self.limit:
-            raise OracleRefusal(self.count, self.limit)
+            raise OracleRefusal(self.count, self.limit, self.what)
 
 
 def enumerate_voter_options(

@@ -20,7 +20,15 @@ active totals, and costs add across parties.  With g and a_rest fixed, fewer
 outsider votes never hurt the support target and the ratio target ignores
 them, so the kernel's front is exact.  Between layers the DP drops cells
 whose gain can no longer reach ``-base``.  The scan picks the cheapest cell
-plus top-up that meets the targets under the cap, and rebuilds its plan.
+plus top-up that meets the targets under the cap, and reads its plan off the
+table: the movers are each party's ``max(0, g_p)`` cheapest supporters, in
+layer order, then the leader's ``max(0, -g)`` cheapest (the top-ups); the
+targets are ``-g_p`` copies of each rest party with ``g_p < 0``, then the
+leader; each mover is lifted to its target.  A party with ``g_p > 0`` gives
+up supporters and receives nothing, a rest party with ``g_p < 0`` receives
+votes and gives up none, and top-ups exist only when ``g < 0``, when the
+additions use up every freed vote: every target is then a rest party.  So
+no mover's target is its own top, and the two lists are equally long.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from itertools import accumulate
 from math import inf
 from typing import Optional
 
-from .core import ProblemInstance, goals_met
-from .costs import BribePlan, WitnessError, lift_to_top
+from .core import ProblemInstance, goals_met, seat_cut
+from .costs import BribePlan, lift_to_top
 from .table import combine, trace
 
 
@@ -40,7 +48,7 @@ class _Table:
     def __init__(self, instance: ProblemInstance, cap: Optional[int]):
         election = instance.election
         self.n = election.num_voters
-        self.threshold_count = instance.plurality_activity_count()
+        self.threshold_count = seat_cut(self.n, instance.threshold)
         self.parties = list(instance.outsiders) + list(instance.coalition_rest)
         self.is_rest = set(instance.coalition_rest)
         self.radix = self.n * len(self.is_rest) + 1
@@ -109,7 +117,7 @@ def solve_plurality_t_dollar(
     best_key, best_cost = None, inf if cap is None else cap + 1
     for key, cell in table.cells.items():
         g, a_out, a_rest = table.unpack(key)
-        cost = cell + table.mincost(instance.leader, -g) if g < 0 else cell
+        cost = cell + table.mincost(instance.leader, max(0, -g))
         if cost >= best_cost:
             continue
         leader = base_leader + g if base_leader + g >= t_count else 0
@@ -121,33 +129,12 @@ def solve_plurality_t_dollar(
 
 
 def _reconstruct(instance: ProblemInstance, table: _Table, key, cost: int) -> BribePlan:
-    election = instance.election
-    leader = instance.leader
-    topups = [idx for _, idx in table.supporters[leader][:max(0, -table.unpack(key)[0])]]
-    bought: list[int] = []
-    additions: list[tuple[str, int]] = []
-    for party, step in zip(table.parties, trace(table.backpointers, key)):
-        g = table.unpack(step)[0]
-        count = max(0, g)
-        bought.extend(idx for _, idx in table.supporters[party][:count])
-        if count > g:
-            additions.append((party, count - g))
-
-    # Redirect the added votes into the coalition remainder, the rest to the
-    # leader.  Prefer cross-party targets so replacements are real.
-    remaining = bought + topups
-    targets = [party for party, count in additions for _ in range(count)]
-    targets.extend([leader] * (len(remaining) - len(targets)))
-    replacements = {}
-    for target in targets:
-        pick = next(
-            (i for i in remaining if election.orders[i].top() != target),
-            remaining[0] if remaining else None,
-        )
-        if pick is None:
-            raise WitnessError("vote reassignment ran out of bought voters")
-        remaining.remove(pick)
-        new_order = lift_to_top(election.orders[pick], target)
-        if new_order != election.orders[pick]:
-            replacements[pick] = new_order
-    return BribePlan(replacements, cost)
+    gains = [table.unpack(step)[0] for step in trace(table.backpointers, key)]
+    movers: list[int] = []
+    targets: list[str] = []
+    for party, g in zip([*table.parties, instance.leader], [*gains, max(0, -sum(gains))]):
+        movers.extend(i for _, i in table.supporters[party][:max(0, g)])
+        targets.extend([party] * -g)
+    targets.extend([instance.leader] * (len(movers) - len(targets)))
+    orders = instance.election.orders
+    return BribePlan({i: lift_to_top(orders[i], t) for i, t in zip(movers, targets)}, cost)

@@ -215,6 +215,17 @@ def test_swap_menus_are_refused_past_the_expansion_limit():
         assert (err.value.required, err.value.limit) == (required, limit)
 
 
+def test_a_refused_borda_menu_names_the_menus_not_the_exact_search():
+    image = reduce_minbisection_to_borda_swap_cb(MinBisectionInstance(2, frozenset(), 0))
+    for limit, required in ((75, 80), (100, 150)):
+        with pytest.raises(OracleRefusal) as err:
+            solve_capped(BORDA_DP, image, None, SearchBudget(max_expansions=limit))
+        assert str(err.value) == (
+            f"Borda menu placement needs more than {limit} expansions "
+            f"(stopped at {required})"
+        )
+
+
 def _solves_at_exactly(instance, expansions):
     """Whether the Borda solve fits `expansions` and is refused one below."""
     assert solve_capped(BORDA_DP, instance, None, SearchBudget(expansions)) is not None

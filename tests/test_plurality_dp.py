@@ -12,11 +12,11 @@ from coalition_bribery.core import (
     seat_fractions_from_scores,
     tally,
 )
-from coalition_bribery.costs import DollarCost, UnitCost, apply_plan
-from coalition_bribery.dispatch import PLURALITY_DP
-from coalition_bribery.generators import with_budget
+from coalition_bribery.costs import DollarCost, UnitCost, apply_plan, lift_to_top
+from coalition_bribery.dispatch import CROSSVAL_VARIANTS, PLURALITY_DP, ROUTES
+from coalition_bribery.generators import random_instance, with_budget
 from coalition_bribery.oracle import oracle_solve
-from coalition_bribery.plurality_dp import _Table
+from coalition_bribery.plurality_dp import _Table, solve_plurality_t_dollar
 from coalition_bribery.sample_instances import (
     three_party_dollar_cb,
     three_party_dollar_cbp,
@@ -262,3 +262,25 @@ def test_oracle_equivalence_small(kind, cbp):
         if feasible_budgets:
             plan = solve_at_budget(PLURALITY_DP, with_budget(inst, solver_min))
             assert_verifies(with_budget(inst, solver_min), plan)
+
+
+@pytest.mark.parametrize("max_price", [0, 9])
+def test_every_mover_is_lifted_off_its_own_top(max_price):
+    # The plan is read off the table on the promise that no mover's target
+    # is its own top.  At price 0 such a move would cost nothing, so the
+    # cost check in dispatch could not see it; the plan must not hold one.
+    moved = 0
+    for variant in CROSSVAL_VARIANTS:
+        if ROUTES[variant.rule, variant.thresholded, variant.bribery] != PLURALITY_DP:
+            continue
+        for index in range(25):
+            inst = random_instance(variant, 3, index, max_voters=8, max_parties=5,
+                                   max_price=max_price)
+            for cap in (None, inst.budget):
+                plan = solve_plurality_t_dollar(inst, cap)
+                for voter, order in (plan.replacements if plan else {}).items():
+                    old = inst.election.orders[voter]
+                    assert order.top() != old.top(), (variant, index, voter)
+                    assert order == lift_to_top(old, order.top()), (variant, index, voter)
+                    moved += 1
+    assert moved > 0

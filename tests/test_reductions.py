@@ -12,6 +12,7 @@ from coalition_bribery.core import (
     ScoringRule,
     check_goals,
     grand_total,
+    seat_cut,
     tally,
 )
 from coalition_bribery.costs import ShiftCost, apply_plan, bribe_cost, iter_orders
@@ -101,7 +102,7 @@ class TestShiftReduction:
         assert inst.phi == Fraction(1, 2)
         assert inst.preferred is None
         # with two voters per element, four votes are needed to stay seated
-        assert inst.plurality_activity_count() == 4
+        assert seat_cut(inst.election.num_voters, inst.threshold) == 4
 
     def test_every_voter_tops_the_filler(self):
         inst = reduce_x3c_to_plurality_shift_cb(COVERED4)
