@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from coalition_bribery.borda import leader_and_rest_scores, price_menu
+from coalition_bribery.borda import price_menu, step_of
 from coalition_bribery.core import PreferenceOrder, ScoringRule, check_goals, tally
 from coalition_bribery.costs import apply_plan
 from coalition_bribery.dispatch import (
@@ -183,20 +183,16 @@ def test_criterion_06_oracle_equivalence_suites():
 
 
 def test_criterion_07_attainability_oracle():
-    with criterion(7, "price_menu's pairs match full permutation enumeration"):
+    with criterion(7, "price_menu's steps match full permutation enumeration"):
         mismatches = 0
         for m in range(1, 6):
             parties = tuple(f"p{i}" for i in range(m))
             orders = [PreferenceOrder(perm) for perm in itertools.permutations(parties)]
-            leader = parties[0]
-            for rest_size in range(m):
-                rest = parties[1 : 1 + rest_size]
-                outsiders = parties[1 + rest_size :]
-                reachable = {
-                    leader_and_rest_scores(order, leader, rest) for order in orders
-                }
+            for size, leader in itertools.product(range(1, m + 1), (parties[0], None)):
+                coalition, outsiders = parties[:size], parties[size:]
+                reachable = {step_of(order, coalition, leader) for order in orders}
                 for order in orders:
-                    menu, _ = price_menu(order, leader, rest, outsiders, price=1)
+                    menu, _ = price_menu(order, coalition, leader, outsiders, price=1)
                     mismatches += set(menu) != reachable
         assert mismatches == 0
 

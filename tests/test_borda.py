@@ -13,16 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 from coalition_bribery.borda import (
     accumulate_voter_tables,
-    leader_and_rest_scores,
     price_menu,
     shift_menu,
     solve_borda_zero,
+    step_of,
     swap_menu,
-    _VoterMenu,
+    _voter_menu,
 )
 from coalition_bribery.core import (
-    PreferenceOrder, ProblemInstance, ScoringRule, Variant, check_goals, goals_met,
-    grand_total,
+    Election, PreferenceOrder, ProblemInstance, ScoringRule, Variant, check_goals,
+    goals_met, grand_total,
 )
 from coalition_bribery.costs import (
     ShiftCost, SwapCost, UnitCost, inverted_pairs, iter_orders,
@@ -40,95 +40,108 @@ from conftest import assert_verifies, min_plus, random_problem, solve_at_budget
 
 
 def every_coalition(max_parties):
-    """(order, leader, rest, outsiders) for every order of up to
-    `max_parties` parties and every coalition size."""
+    """(order, coalition, leader, outsiders) for every order of up to
+    `max_parties` parties and every coalition size, with the coalition's
+    first member as the tracked leader and with none tracked."""
     for m in range(1, max_parties + 1):
         parties = tuple(f"p{i}" for i in range(m))
         for perm in itertools.permutations(parties):
             for size in range(1, m + 1):
-                yield (PreferenceOrder(perm), parties[0], parties[1:size],
-                       parties[size:])
+                for leader in (parties[0], None):
+                    yield (PreferenceOrder(perm), parties[:size], leader,
+                           parties[size:])
 
 
 def test_realize_pair_hits_every_attainable_cell():
-    for order, leader, rest, outsiders in every_coalition(5):
-        costs, realize = price_menu(order, leader, rest, outsiders, price=1)
-        for pair in costs:
-            assert leader_and_rest_scores(realize(pair), leader, rest) == pair
+    for order, coalition, leader, outsiders in every_coalition(5):
+        costs, realize = price_menu(order, coalition, leader, outsiders, price=1)
+        for step in costs:
+            assert step_of(realize(step), coalition, leader) == step
 
 
-def menu_pairs(m, rest_size):
-    """The (k_rest, k1) pairs of a unit menu for `rest_size` members besides
-    the leader among `m` parties."""
+def menu_steps(m, size, track_leader=True):
+    """The (ka, k1) steps of a unit menu for a coalition of the first `size`
+    of `m` parties, led by the first when `track_leader`."""
     parties = tuple(f"p{i}" for i in range(m))
-    rest, outsiders = parties[1 : 1 + rest_size], parties[1 + rest_size :]
-    costs, _ = price_menu(PreferenceOrder(parties), parties[0], rest, outsiders, 1)
+    leader = parties[0] if track_leader else None
+    costs, _ = price_menu(
+        PreferenceOrder(parties), parties[:size], leader, parties[size:], 1
+    )
     return set(costs)
 
 
 class TestAttainable:
     def test_three_party_singleton_rest(self):
-        assert (1, 2) in menu_pairs(3, 1)
-        assert (2, 2) not in menu_pairs(3, 1)
+        assert (3, 2) in menu_steps(3, 2)
+        assert (4, 2) not in menu_steps(3, 2)
+        assert menu_steps(3, 2, False) == {(ka, 0) for ka in (1, 2, 3)}
 
     def test_empty_rest(self):
-        assert menu_pairs(4, 0) == {(0, k1) for k1 in range(4)}
+        assert menu_steps(4, 1) == {(k1, k1) for k1 in range(4)}
+        assert menu_steps(4, 1, False) == {(ka, 0) for ka in range(4)}
 
     def test_above_maximum(self):
-        assert max(k_rest for k_rest, _k1 in menu_pairs(4, 2)) == 3 + 2
+        assert max(ka - k1 for ka, k1 in menu_steps(4, 3)) == 3 + 2
+        assert max(ka for ka, _k1 in menu_steps(4, 3, False)) == 3 + 2 + 1
 
     def test_exhaustive_against_enumeration(self):
-        for order, leader, rest, outsiders in every_coalition(5):
-            reachable = {
-                leader_and_rest_scores(PreferenceOrder(perm), leader, rest)
-                for perm in itertools.permutations(order.ranking)
-            }
-            costs, _ = price_menu(order, leader, rest, outsiders, price=4)
-            assert set(costs) == reachable, (order, leader, rest)
-            current = leader_and_rest_scores(order, leader, rest)
-            assert {pair for pair, c in costs.items() if c != 4} == {current}
+        reachable_of = {}  # the steps of every order, per coalition and leader
+        for order, coalition, leader, outsiders in every_coalition(5):
+            key = (len(order), coalition, leader)
+            if key not in reachable_of:
+                reachable_of[key] = {
+                    step_of(PreferenceOrder(perm), coalition, leader)
+                    for perm in itertools.permutations(order.ranking)
+                }
+            reachable = reachable_of[key]
+            costs, _ = price_menu(order, coalition, leader, outsiders, price=4)
+            assert set(costs) == reachable, (order, coalition, leader)
+            current = step_of(order, coalition, leader)
+            assert {step for step, c in costs.items() if c != 4} == {current}
             assert costs[current] == 0
 
 
 class TestPriceMenu:
     def test_attainable_pair_costs_price(self):
         order = PreferenceOrder(("c3", "c2", "c1"))
-        menu, _ = price_menu(order, "c1", ("c2",), ("c3",), price=4)
-        assert menu[(1, 2)] == 4
+        menu, _ = price_menu(order, ("c1", "c2"), "c1", ("c3",), price=4)
+        assert menu[(3, 2)] == 4
 
     def test_current_pair_is_free(self):
         order = PreferenceOrder(("c3", "c2", "c1"))
-        menu, realize = price_menu(order, "c1", ("c2",), ("c3",), price=4)
-        assert menu[(1, 0)] == 0
-        assert realize((1, 0)) == order
+        for leader in ("c1", None):
+            menu, realize = price_menu(order, ("c1", "c2"), leader, ("c3",), price=4)
+            assert menu[(1, 0)] == 0
+            assert realize((1, 0)) == order
 
     def test_impossible_pair_absent(self):
         order = PreferenceOrder(("c3", "c2", "c1"))
-        menu, _ = price_menu(order, "c1", ("c2",), ("c3",), price=4)
-        assert (0, 0) not in menu
+        for leader in ("c1", None):
+            menu, _ = price_menu(order, ("c1", "c2"), leader, ("c3",), price=4)
+            assert (0, 0) not in menu
 
 
 class TestShiftBounds:
     def test_lower_side_envelope(self):
         order = PreferenceOrder(("c2", "c3", "c1"))
-        menu, realize = shift_menu(order, "c1", ("c2",), (0, 1, 2, 3))
+        menu, realize = shift_menu(order, ("c1", "c2"), "c1", (0, 1, 2, 3))
         # The leader climbs two ranks and c2 keeps the point of rank 2.
-        assert menu[(1, 2)] == 2
-        assert realize((1, 2)) == PreferenceOrder(("c1", "c2", "c3"))
+        assert menu[(3, 2)] == 2
+        assert realize((3, 2)) == PreferenceOrder(("c1", "c2", "c3"))
 
     def test_no_room_above(self):
         order = PreferenceOrder(("c2", "c3", "c1"))
-        menu, _ = shift_menu(order, "c1", ("c2",), (0, 1, 2, 3))
+        menu, _ = shift_menu(order, ("c1", "c2"), "c1", (0, 1, 2, 3))
         # With the leader on top no slot is left above it for c2, and c3
         # may not rise over c2.
-        assert [pair for pair in menu if pair[1] == 2] == [(1, 2)]
+        assert [step for step in menu if step[1] == 2] == [(3, 2)]
 
     def test_leader_sinking_pair_is_offered(self):
         order = PreferenceOrder(("c1", "c2", "c3"))
-        menu, realize = shift_menu(order, "c1", ("c2",), (0, 5, 9, 9))
+        menu, realize = shift_menu(order, ("c1", "c2"), "c1", (0, 5, 9, 9))
         # c2 overtakes the leader: one inversion, and c3 stays last.
-        assert menu[(2, 1)] == 5
-        assert realize((2, 1)) == PreferenceOrder(("c2", "c1", "c3"))
+        assert menu[(3, 1)] == 5
+        assert realize((3, 1)) == PreferenceOrder(("c2", "c1", "c3"))
         assert (2, 0) not in menu
 
 
@@ -136,14 +149,15 @@ class TestShiftMenu:
     def test_two_rank_lift(self):
         order = PreferenceOrder(("c2", "c3", "c1"))
         table = (0, 1, 2, 3)
-        menu, realize = shift_menu(order, "c1", ("c2",), table)
-        assert menu[(1, 2)] == 2
-        assert leader_and_rest_scores(realize((1, 2)), "c1", ("c2",)) == (1, 2)
+        menu, realize = shift_menu(order, ("c1", "c2"), "c1", table)
+        assert menu[(3, 2)] == 2
+        assert step_of(realize((3, 2)), ("c1", "c2"), "c1") == (3, 2)
 
     def test_current_pair_is_free(self):
         order = PreferenceOrder(("c2", "c3", "c1"))
-        menu, _ = shift_menu(order, "c1", ("c2",), (0, 1, 2, 3))
-        assert menu[(2, 0)] == 0
+        for leader in ("c1", None):
+            menu, _ = shift_menu(order, ("c1", "c2"), leader, (0, 1, 2, 3))
+            assert menu[(2, 0)] == 0
 
     def test_exhaustive_against_admissible_orders(self):
         rng = random.Random(23)
@@ -157,25 +171,25 @@ class TestShiftMenu:
                 order = PreferenceOrder(perm)
                 for size in range(1, m + 1):
                     coalition = parties[:size]
-                    leader, rest = coalition[0], coalition[1:]
-                    brute = {}
-                    admissible = set()
-                    for cand, inv in iter_orders(order, coalition, lambda x, y: 1):
-                        admissible.add(cand)
-                        key = leader_and_rest_scores(cand, leader, rest)
-                        brute[key] = min(brute.get(key, 10**9), table[inv])
-                    menu, realize = shift_menu(order, leader, rest, table)
-                    assert menu == brute, (order, coalition)
-                    for key, cost in menu.items():
-                        w = realize(key)
-                        assert w in admissible
-                        assert leader_and_rest_scores(w, leader, rest) == key
-                        assert table[len(inverted_pairs(order, w))] == cost
+                    admissible = dict(iter_orders(order, coalition, lambda x, y: 1))
+                    for leader in (coalition[0], None):
+                        brute = {}
+                        for cand, inv in admissible.items():
+                            key = step_of(cand, coalition, leader)
+                            brute[key] = min(brute.get(key, 10**9), table[inv])
+                        menu, realize = shift_menu(order, coalition, leader, table)
+                        assert menu == brute, (order, coalition, leader)
+                        for key, cost in menu.items():
+                            w = realize(key)
+                            assert w in admissible
+                            assert step_of(w, coalition, leader) == key
+                            assert table[len(inverted_pairs(order, w))] == cost
 
 
 def test_swap_menu_against_every_order():
-    # Each entry is the least swap price over the orders realizing its pair,
-    # every pair some order realizes is there, and `realize` attains both.
+    # Each entry is the least swap price over the orders realizing its step,
+    # with the leader's points tracked or not; every step some order
+    # realizes is there, and `realize` attains both.
     rng = random.Random(29)
     for m in range(1, 6):
         parties = tuple(f"p{i}" for i in range(m))
@@ -185,31 +199,34 @@ def test_swap_menu_against_every_order():
             model = SwapCost((prices,))
             for size in range(1, m + 1):
                 coalition = tuple(rng.sample(parties, size))
-                leader, rest = coalition[0], coalition[1:]
-                brute = {}
-                for perm in itertools.permutations(parties):
-                    candidate = PreferenceOrder(perm)
-                    pair = leader_and_rest_scores(candidate, leader, rest)
-                    cost = model.voter_cost(0, order, candidate, coalition)
-                    brute[pair] = min(brute.get(pair, cost), cost)
-                menu, realize = swap_menu(order, leader, rest, prices, _Meter(SearchBudget()))
-                assert menu == brute, (order, coalition)
-                for pair, cost in menu.items():
-                    witness = realize(pair)
-                    assert leader_and_rest_scores(witness, leader, rest) == pair
-                    assert model.voter_cost(0, order, witness, coalition) == cost
+                for leader in (coalition[0], None):
+                    brute = {}
+                    for perm in itertools.permutations(parties):
+                        candidate = PreferenceOrder(perm)
+                        step = step_of(candidate, coalition, leader)
+                        cost = model.voter_cost(0, order, candidate, coalition)
+                        brute[step] = min(brute.get(step, cost), cost)
+                    menu, realize = swap_menu(
+                        order, coalition, leader, prices, _Meter(SearchBudget())
+                    )
+                    assert menu == brute, (order, coalition, leader)
+                    for step, cost in menu.items():
+                        witness = realize(step)
+                        assert step_of(witness, coalition, leader) == step
+                        assert model.voter_cost(0, order, witness, coalition) == cost
 
 
 def test_swap_menus_are_refused_past_the_expansion_limit():
-    # The 2-vertex bisection image has one 5-party swap voter.  Its menu
-    # charges one expansion per (state, unplaced party) before each slot:
-    # 1*5 + 5*4 + 17*3 + 37*2 + 44*1 = 194.  Every one of the 2**5 masks is
-    # reachable, so the menu needs at least 2**4 * (2*5 - 5) = 80 and a limit
-    # below that is refused before any slot is built; one above it is
-    # refused slot by slot, at the first running total past it.
+    # The 2-vertex bisection image has one 5-party swap voter and rho = 0,
+    # so its states are (mask, ka).  Its menu charges one expansion per
+    # (state, unplaced party) before each slot: 1*5 + 5*4 + 14*3 + 22*2 +
+    # 17*1 = 128.  Every one of the 2**5 masks is reachable, so the menu
+    # needs at least 2**4 * (2*5 - 5) = 80 and a limit below that is refused
+    # before any slot is built; one above it is refused slot by slot, at the
+    # first running total past it (5 + 20 + 42 + 44 = 111).
     image = reduce_minbisection_to_borda_swap_cb(MinBisectionInstance(2, frozenset(), 0))
-    assert solve_capped(BORDA_DP, image, None, SearchBudget(max_expansions=194)) is not None
-    for limit, required in ((75, 80), (100, 150)):
+    assert solve_capped(BORDA_DP, image, None, SearchBudget(max_expansions=128)) is not None
+    for limit, required in ((75, 80), (100, 111)):
         with pytest.raises(OracleRefusal) as err:
             solve_capped(BORDA_DP, image, None, SearchBudget(max_expansions=limit))
         assert (err.value.required, err.value.limit) == (required, limit)
@@ -217,7 +234,7 @@ def test_swap_menus_are_refused_past_the_expansion_limit():
 
 def test_a_refused_borda_menu_names_the_menus_not_the_exact_search():
     image = reduce_minbisection_to_borda_swap_cb(MinBisectionInstance(2, frozenset(), 0))
-    for limit, required in ((75, 80), (100, 150)):
+    for limit, required in ((75, 80), (100, 111)):
         with pytest.raises(OracleRefusal) as err:
             solve_capped(BORDA_DP, image, None, SearchBudget(max_expansions=limit))
         assert str(err.value) == (
@@ -236,13 +253,14 @@ def _solves_at_exactly(instance, expansions):
 
 def test_unit_menus_are_charged_to_the_search_budget():
     # All four voters share one menu, the DP on the canonical order
-    # c3 > c4 > c1 > c2 in which only c1 and c2 may rise: 1*4 + 3*3 + 7*2 +
-    # 12*1 = 39 expansions.
-    _solves_at_exactly(unanimous_four_party_borda_cb(1), 39)
+    # c3 > c4 > c1 > c2 in which only c1 and c2 may rise.  The instance is
+    # CB (rho = 0), so its states are (mask, ka): 1*4 + 3*3 + 6*2 + 9*1 = 34
+    # expansions.
+    _solves_at_exactly(unanimous_four_party_borda_cb(1), 34)
 
 
 def test_shift_menus_are_charged_to_the_search_budget():
-    # Two voters per order, one DP per order, each 39 expansions as above.
+    # Two voters per order, one DP per order, each 34 expansions as above.
     unit = unanimous_four_party_borda_cb(1)
     second = PreferenceOrder(("c3", "c4", "c1", "c2"))
     orders = (unit.election.orders[0],) * 2 + (second,) * 2
@@ -250,7 +268,25 @@ def test_shift_menus_are_charged_to_the_search_budget():
         unit, election=replace(unit.election, orders=orders),
         cost_model=ShiftCost(((0, 1, 3, 6, 10, 15, 21),) * 4),
     )
-    _solves_at_exactly(shift, 78)
+    _solves_at_exactly(shift, 68)
+
+
+def test_cb_swap_menus_drop_the_leader_coordinate():
+    # A CB swap voter at m = 12 with 6 coalition members: with rho = 0 the
+    # goal never reads the leader's points, so the states are (mask, ka)
+    # over all 2**12 masks.  Keyed by (mask, k_rest, k1) the same menu took
+    # 694,624 expansions.
+    rng = random.Random(12)
+    parties = tuple(f"p{i}" for i in range(12))
+    prices = {(x, y): rng.randint(0, 3) for x in parties for y in parties if x != y}
+    order = PreferenceOrder(tuple(rng.sample(parties, 12)))
+    instance = ProblemInstance(
+        election=Election(parties, ("v1",), (order,)),
+        rule=ScoringRule.BORDA, threshold=Fraction(0),
+        coalition=tuple(rng.sample(parties, 6)), phi=Fraction(3, 4), rho=Fraction(0),
+        budget=0, cost_model=SwapCost((prices,)),
+    )
+    _solves_at_exactly(instance, 208_896)
 
 
 def _covered(layer, ka, k1, cost, track_leader):
@@ -262,18 +298,16 @@ def _covered(layer, ka, k1, cost, track_leader):
 
 
 def _menus(inst, voters, track_leader):
-    """The voters' menus, with leader points tracked (rho > 0) or not."""
+    """The voters' step menus, with leader points tracked (rho > 0) or not."""
     if track_leader:
         inst = replace(inst, preferred=inst.coalition[0], rho=Fraction(1, 2))
-    return [_VoterMenu(inst, i) for i in voters]
+    return [_voter_menu(inst, i)[0] for i in voters]
 
 
 def _accumulate(menus, budget, share=Fraction(0), total=0, ratio=Fraction(0)):
     """The voters' layers; by default under goals every cell meets, so only
     the budget prunes."""
-    return accumulate_voter_tables(
-        [menu.steps for menu in menus], budget, share, total, ratio
-    )
+    return accumulate_voter_tables(menus, budget, share, total, ratio)
 
 
 class TestVoterTable:
@@ -282,19 +316,17 @@ class TestVoterTable:
         for track_leader in (False, True):
             menus = _menus(inst, [0], track_leader)
             layers, _ = _accumulate(menus, 10)
-            assert set(layers[1].items()) <= set(menus[0].steps.items())
-            for (k_rest, k1), cost in menus[0].costs.items():
-                assert _covered(layers[1], k_rest + k1, k1, cost, track_leader)
+            assert set(layers[1].items()) <= set(menus[0].items())
+            for (ka, k1), cost in menus[0].items():
+                assert _covered(layers[1], ka, k1, cost, track_leader)
 
     def test_replicated_voters_bound(self):
         inst = unanimous_four_party_borda_cb(1)
         for track_leader in (False, True):
             menus = _menus(inst, [0, 1], track_leader)
             layers, _ = _accumulate(menus, 10)
-            for (k_rest, k1), cost in menus[0].costs.items():
-                assert _covered(
-                    layers[2], 2 * (k_rest + k1), 2 * k1, 2 * cost, track_leader
-                )
+            for (ka, k1), cost in menus[0].items():
+                assert _covered(layers[2], 2 * ka, 2 * k1, 2 * cost, track_leader)
 
     def test_full_fixture_reaches_eight_points_for_one(self):
         inst = unanimous_four_party_borda_cb(1)
@@ -318,10 +350,9 @@ def test_layers_stay_within_budget_and_front(seed, budget, kind):
     election = inst.election
     total = grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA)
     for track_leader in (False, True):
-        menus = _menus(inst, range(election.num_voters), track_leader)
-        gains = [menu.steps for menu in menus]
+        gains = _menus(inst, range(election.num_voters), track_leader)
         ratio = Fraction(1, 2) if track_leader else Fraction(0)
-        layers, _ = _accumulate(menus, budget, inst.phi, total, ratio)
+        layers, _ = _accumulate(gains, budget, inst.phi, total, ratio)
         pruning = Relaxation(gains, inst.phi, total, ratio).prune(budget)
         reference = {(0, 0): 0}
         for steps in gains:

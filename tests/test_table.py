@@ -9,7 +9,7 @@ from math import ceil, inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coalition_bribery.borda import _VoterMenu
+from coalition_bribery.borda import _voter_menu
 from coalition_bribery.core import ScoringRule, check_goals, goals_met, grand_total
 from coalition_bribery.costs import WitnessError
 from coalition_bribery.dispatch import (
@@ -192,7 +192,7 @@ class TestRelaxation:
                     continue
                 opt, election = plan.cost, instance.election
                 relaxation = Relaxation(
-                    [_VoterMenu(instance, i).steps for i in range(election.num_voters)],
+                    [_voter_menu(instance, i)[0] for i in range(election.num_voters)],
                     instance.phi,
                     grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA),
                     instance.rho,
@@ -234,10 +234,8 @@ def borda_reference_optimum(instance):
     election = instance.election
     cells = {(0, 0): 0}
     for voter in range(election.num_voters):
-        menu = _VoterMenu(instance, voter).costs
-        cells = min_plus(
-            cells, {(k_rest + k1, k1): c for (k_rest, k1), c in menu.items()}
-        )
+        steps, _ = _voter_menu(instance, voter)
+        cells = min_plus(cells, steps)
     total = grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA)
     return min(
         (c for (ka, k1), c in cells.items() if goals_met(ka, k1, total, instance)),
