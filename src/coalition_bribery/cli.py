@@ -229,7 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--max-expansions", type=_at_least(0), default=10_000_000,
+        p.add_argument("--max-expansions", type=_at_least(0),
+                       default=SearchBudget().max_expansions,
                        help="expansion limit for the exact search")
 
     def add_sizes(p):

@@ -293,22 +293,9 @@ def seated_points(
     return points
 
 
-def goal_predicate(instance: ProblemInstance) -> Callable[[Sequence[int]], bool]:
-    """The goal test on a score tuple in party order, compiled once."""
-    points = seated_points(instance, instance.election.parties)
-
-    def met(scores: Sequence[int]) -> bool:
-        return goals_met(*points(scores), instance)
-
-    return met
-
-
-def check_goals_from_scores(scores: Mapping[str, int], instance: ProblemInstance) -> bool:
-    """Goal test on a score table: coalition share and preferred-party ratio."""
-    return goal_predicate(instance)([scores[p] for p in instance.election.parties])
-
-
 def check_goals(orders: Sequence[PreferenceOrder], instance: ProblemInstance) -> bool:
-    """True iff the order profile meets the instance's support and ratio targets."""
-    scores = tally(orders, instance.election.parties, instance.rule)
-    return check_goals_from_scores(scores, instance)
+    """True iff the order profile meets the instance's support and ratio
+    targets: its `tally`, read by `seated_points`, decided by `goals_met`."""
+    parties = instance.election.parties
+    scores = tuple(tally(orders, parties, instance.rule).values())
+    return goals_met(*seated_points(instance, parties)(scores), instance)

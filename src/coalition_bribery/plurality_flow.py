@@ -11,6 +11,8 @@ outsider tops and at most r(s) rest tops, r(s) being the largest r with
 from the source within those bounds and each voter from the hubs; its cheapest
 flow of value n is the cheapest bribe in that box.  Scanning the n + 1 sizes,
 with the cap tightened below the best flow so far, yields the cheapest bribe.
+The flow is integral and each voter -> sink edge has capacity 1, so the one
+hub -> voter edge with flow into a voter names its replacement's class.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import ProblemInstance, goals_met
-from .costs import BribePlan, WitnessError, bribe_cost, lift_to_top
+from .costs import BribePlan, bribe_cost, lift_to_top
 from .flow import FlowEdge, FlowNetwork, min_cost_flow
 
 LEADER, REST, OUTSIDE = 0, 1, 2
@@ -97,23 +99,12 @@ def solve_plurality_zero(
             flow = min_cost_flow(network, cap)
             if flow is not None:
                 best, cap = (network, flow), flow.cost - 1
-    return None if best is None else _decode(instance, options, *best)
-
-
-def _decode(instance, options, network, flow) -> BribePlan:
-    """Read each voter's replacement class off its hub -> voter edge with flow."""
-    election = instance.election
-    chosen: dict[int, int] = {}
-    for value, edge in zip(flow.values, network.edges):
-        if value > 0 and 2 <= edge.tail <= 4:
-            voter, which = edge.head - 5, edge.tail - 2
-            if chosen.setdefault(voter, which) != which:
-                raise WitnessError("two replacement classes saturated for one voter")
-    if len(chosen) != len(options):
-        raise WitnessError("some voter received no replacement class")
-    replacements = {}
-    for voter, which in chosen.items():
-        order, _cost = options[voter][which]
-        if order != election.orders[voter]:
-            replacements[voter] = order
-    return BribePlan(replacements, flow.cost)
+    if best is None:
+        return None
+    network, flow = best
+    orders = instance.election.orders
+    chosen = {
+        edge.head - 5: options[edge.head - 5][edge.tail - 2][0]
+        for value, edge in zip(flow.values, network.edges) if value and edge.head >= 5
+    }
+    return BribePlan({i: o for i, o in chosen.items() if o != orders[i]}, flow.cost)

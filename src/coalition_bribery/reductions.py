@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import DomainError, Election, PreferenceOrder, ProblemInstance, ScoringRule
+from .core import DomainError, Election, PreferenceOrder, ProblemInstance, ScoringRule, grand_total
 from .costs import ShiftCost, SwapCost, UnitCost
 
 
@@ -140,7 +140,7 @@ def reduce_x3c_to_borda_unit_cb(x: ExactCover34Instance) -> ProblemInstance:
         )
     election = Election(parties, tuple(voters), tuple(orders))
     activity_points = n * n + 2 * m * n + 2
-    total = 2 * m * num_parties * (num_parties - 1) // 2
+    total = grand_total(2 * m, num_parties, ScoringRule.BORDA)
     return ProblemInstance(
         election=election,
         rule=ScoringRule.BORDA,

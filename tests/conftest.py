@@ -1,10 +1,12 @@
 """Shared builders and reference implementations for the test suite."""
 
 import functools
+import importlib.util
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +65,23 @@ def random_problem(rng, rule, thresholded, kind, cbp, max_voters=5, max_parties=
         rho=Fraction(rng.randint(0, den), den) if cbp else Fraction(0),
         budget=budget,
         cost_model=model,
+    )
+
+
+def unmet_case(variant, n, m, k):
+    """The benchmark's `random_case` (every price at least 1) with seed 1 and
+    slot 0, at its first attempt whose goals are unmet at zero cost."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py",
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    random_case = workloads.random_case
+    return next(
+        case for case in (random_case(variant, n, m, k, 1, 0, attempt)
+                          for attempt in itertools.count())
+        if not check_goals(case.election.orders, case)
     )
 
 

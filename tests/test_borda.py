@@ -1,12 +1,10 @@
 """Zero-threshold Borda solvers: per-voter menus from the placement DP, the
 voter-by-voter table, and the full decision procedure."""
 
-import importlib.util
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +19,7 @@ from coalition_bribery.borda import (
     _voter_menu,
 )
 from coalition_bribery.core import (
-    Election, PreferenceOrder, ProblemInstance, ScoringRule, Variant, check_goals,
+    Election, PreferenceOrder, ProblemInstance, ScoringRule, Variant,
     goals_met, grand_total,
 )
 from coalition_bribery.costs import (
@@ -36,7 +34,9 @@ from coalition_bribery.reductions import (
 from coalition_bribery.sample_instances import unanimous_four_party_borda_cb
 from coalition_bribery.table import DENOMINATOR, Relaxation, front
 
-from conftest import assert_verifies, min_plus, random_problem, solve_at_budget
+from conftest import (
+    assert_verifies, min_plus, random_problem, solve_at_budget, unmet_case,
+)
 
 
 def every_coalition(max_parties):
@@ -439,20 +439,9 @@ def test_oracle_equivalence_small(kind, cbp):
             assert_verifies(with_budget(inst, solver_min), plan)
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads",
-        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py",
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # (bribery, preferred party, m, optimum) at n = 160 and k = 2, out of the
-# exact search's reach.  Each instance is the benchmark's `random_case` with
-# seed 1 and slot 0 at its first attempt whose goals are unmet at zero cost;
-# each optimum was found once by the unpruned, uncapped table.
+# exact search's reach.  Each instance is `unmet_case`'s; each optimum was
+# found once by the unpruned, uncapped table.
 SCALE_CASES = [
     ("unit", True, 4, 82),
     ("dollar", True, 4, 197),
@@ -465,12 +454,7 @@ SCALE_CASES = [
                          ids=[f"{c[0]}-{'cbp' if c[1] else 'cb'}-m{c[2]}" for c in SCALE_CASES])
 def test_pruned_table_at_160_voters(kind, cbp, m, optimum):
     variant = Variant(ScoringRule.BORDA, False, kind, cbp)
-    random_case = load_workloads().random_case
-    inst = next(
-        case for case in (random_case(variant, 160, m, 2, 1, 0, attempt)
-                          for attempt in itertools.count())
-        if not check_goals(case.election.orders, case)
-    )
+    inst = unmet_case(variant, 160, m, 2)
     plan = solve_at_budget(BORDA_DP, with_budget(inst, optimum))
     assert plan is not None and plan.cost == optimum
     assert solve_at_budget(BORDA_DP, with_budget(inst, optimum - 1)) is None

@@ -42,6 +42,8 @@ from coalition_bribery.sample_instances import (
     three_party_unit_cb,
 )
 
+from conftest import unmet_case
+
 EXPECTED_ROUTES = {
     ("plurality", False, "unit"): PLURALITY_DP,
     ("plurality", False, "dollar"): PLURALITY_DP,
@@ -263,6 +265,47 @@ def test_failed_witness_exit_four(tmp_path, capsys, monkeypatch):
             " that fails verification\n"
         )
         assert captured.out == ""
+
+
+# One variant per solver that `solve` routes to it.
+CORRUPTIBLE = {
+    PLURALITY_DP: Variant(ScoringRule.PLURALITY, True, "unit", False),
+    PLURALITY_FLOW: Variant(ScoringRule.PLURALITY, False, "swap", True),
+    BORDA_DP: Variant(ScoringRule.BORDA, False, "unit", True),
+    ORACLE: Variant(ScoringRule.PLURALITY, True, "swap", False),
+}
+
+
+def _overstate_cost(plan):
+    return BribePlan(plan.replacements, plan.cost + 1)
+
+
+def _drop_a_replacement(plan):
+    replacements = dict(plan.replacements)
+    replacements.popitem()
+    return BribePlan(replacements, plan.cost)
+
+
+@pytest.mark.parametrize("corrupt", [_overstate_cost, _drop_a_replacement],
+                         ids=["cost-plus-one", "replacement-dropped"])
+@pytest.mark.parametrize("name", list(CORRUPTIBLE))
+def test_a_corrupted_plan_is_caught_by_solve_capped(name, corrupt, tmp_path, capsys,
+                                                    monkeypatch):
+    # Every price is at least 1, so a dropped replacement changes the cost.
+    instance = unmet_case(CORRUPTIBLE[name], 6, 3, 2)
+    assert dispatch(instance) == name
+    engine = getattr(dispatch_module, dispatch_module.ENGINES[name])
+
+    def corrupted(*args, **kwargs):
+        plan = engine(*args, **kwargs)
+        assert plan is not None and plan.replacements
+        return corrupt(plan)
+
+    monkeypatch.setattr(dispatch_module, dispatch_module.ENGINES[name], corrupted)
+    with pytest.raises(WitnessError):
+        solve_capped(name, instance, instance.budget)
+    assert cli.main(["solve", write(tmp_path, "c.txt", instance)]) == 4
+    assert "fails verification" in capsys.readouterr().err
 
 
 def test_crossval_all_agree(tmp_path, capsys):

@@ -14,11 +14,11 @@ from coalition_bribery.core import (
     ScoringRule,
     active_parties_from_scores,
     check_goals,
-    check_goals_from_scores,
-    goal_predicate,
+    goals_met,
     grand_total,
     seat_fractions_from_scores,
     score,
+    seated_points,
     tally,
 )
 from coalition_bribery.costs import UnitCost
@@ -251,6 +251,11 @@ def goal_cases(draw):
     return inst, dict(zip(parties, values))
 
 
+def seated_goal(inst, vector):
+    """The goal test `check_goals` applies, on a score vector in party order."""
+    return goals_met(*seated_points(inst, inst.election.parties)(vector), inst)
+
+
 def cut_case(num_voters, threshold, scores, phi):
     """Plurality over p0, p1 with coalition (p0,) and `scores` in party order."""
     election = make_election(("p0", "p1"), [("p0", "p1")] * num_voters)
@@ -267,7 +272,7 @@ def cut_case(num_voters, threshold, scores, phi):
 @example(cut_case(2, Fraction(1, 2), (1, 1), Fraction(1, 2)))
 # The cut 3/2 seats p1 alone: a floored cut (1) would seat p0 too.
 @example(cut_case(3, Fraction(1, 2), (1, 2), Fraction(1, 3)))
-def test_goal_predicate_matches_seat_shares(case):
+def test_seated_goal_matches_seat_shares(case):
     # The goals read off exact seat shares: a party is seated when its
     # points reach threshold * total, and seats split among seated points.
     inst, scores = case
@@ -280,21 +285,20 @@ def test_goal_predicate_matches_seat_shares(case):
         expected = inst.phi == 0
     else:
         expected = coalition >= inst.phi and shares[inst.leader] >= inst.rho * coalition
-    assert check_goals_from_scores(scores, inst) == expected
-    assert goal_predicate(inst)([scores[p] for p in inst.election.parties]) == expected
+    assert seated_goal(inst, [scores[p] for p in inst.election.parties]) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(goal_cases())
 @example(cut_case(2, Fraction(1, 2), (1, 1), Fraction(1, 2)))
 @example(cut_case(3, Fraction(1, 2), (1, 2), Fraction(1, 3)))
-def test_packed_goal_matches_goal_predicate(case):
+def test_packed_goal_matches_seated_goal(case):
     # The exact search tests its packed keys half by half; on vectors on and
-    # next to the seat cut that must agree with the goal predicate.
+    # next to the seat cut that must agree with the whole-vector goal test.
     inst, scores = case
     vector = [scores[p] for p in inst.election.parties]
     radix = grand_total(inst.election.num_voters, inst.election.num_parties, inst.rule) + 1
-    assert _packed_goal(inst, radix)(_pack(vector, radix)) == goal_predicate(inst)(vector)
+    assert _packed_goal(inst, radix)(_pack(vector, radix)) == seated_goal(inst, vector)
 
 
 @given(elections(), st.sampled_from(list(ScoringRule)), thresholds(), thresholds())

@@ -5,6 +5,8 @@ least once more, beyond its definition, somewhere in the package,
 `perfbench/` or `scripts/`.  Tokens in strings, docstrings and comments do
 not count, and neither do the tests: a helper only tests call belongs in
 `tests/conftest.py`.
+
+And one place judges a plan: only `dispatch.py` raises `WitnessError`.
 """
 
 import ast
@@ -53,3 +55,20 @@ def test_every_definition_is_used_outside_tests():
         if counts[qualname.rpartition(".")[2]] < 2
     ]
     assert unused == []
+
+
+def _raised_name(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_only_dispatch_raises_witness_error():
+    # `dispatch.solve_capped` re-costs and re-checks every plan; no engine
+    # or kernel judges its own witness.
+    raisers = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        if any(isinstance(node, ast.Raise) and node.exc is not None
+               and _raised_name(node) == "WitnessError"
+               for node in ast.walk(ast.parse(path.read_text())))
+    )
+    assert raisers == ["dispatch.py"]
