@@ -4,23 +4,25 @@ Ground truth for the polynomial solvers on small instances and the exact
 engine for the NP-hard variants at desk scale.  The search is organized as a
 layered sweep: voters with identical orders and identical price data are
 interchangeable, so the sweep branches over per-class option multisets, and
-partial bribes are merged by their accumulated score table (the goal test
-depends on nothing else).  A plurality voter's options are one cheapest
-replacement per achievable top; a Borda voter's are its admissible orders.
-Either way no two options share a score effect.
+partial bribes are merged by what the goal test reads of their accumulated
+scores.  A plurality voter's options are one cheapest replacement per
+achievable top; a Borda voter's are its admissible orders.  Options with the
+same effect on that key are merged into the cheapest of them.
 
-A state's key is its score vector packed into one integer, sum(s_p * R**p)
-with R = n * top + 1, where top is the points of a first place (1 for
-plurality, m - 1 for Borda).  Every state is the score vector of a partly
-bribed profile, so each s_p lies in [0, n * top] and the packing is
-injective: no digit carries.  Each option's score delta is the difference
-of two orders' packed score vectors, each packed once per solve, so a sweep
-step is one integer addition.  A class layer is held in cost buckets,
-{total cost: keys first reached at that cost}.  The final buckets are
-scanned cheapest first, each key tested on its two halves' seated points
-(`_packed_goal`), and the witness is rebuilt by walking back from the first
-key that meets the goals; so among plans of equal cost, the one reported
-follows from the bucket order.
+A state's key packs the goal's coordinates of its score vector
+(`_coordinates`) into one integer, sum(c_i * R**i).  Under a threshold they
+are the whole vector, with R = n * top + 1, where top is the points of a
+first place (1 for plurality, m - 1 for Borda).  At threshold 0 every party
+is seated, so the goals read only the coalition's points and the leader's
+(the coalition's alone when rho = 0), with R = T + 1 for the grand total T.
+Every state is a partly bribed profile, so each coordinate lies in [0, R)
+and the packing is injective: no digit carries.  Each option's delta is the
+difference of two orders' keys, each packed once per solve, so a sweep step
+is one integer addition.  A class layer is held in cost buckets, {total
+cost: keys first reached at that cost}.  The last layer is never stored: its
+keys are tested as they are built, cheapest first (`_packed_goal`), and the
+witness is rebuilt by walking back from the first key that meets the goals;
+so among plans of equal cost, the one reported follows from the build order.
 
 Every voter's orders come from `enumerate_voter_options`.  With a cost cap,
 options and partial bribes above it are dropped, and the search returns the
@@ -49,6 +51,7 @@ from .core import (
     ScoringRule,
     check_goals,
     goals_met,
+    grand_total,
     seated_points,
     tally,
 )
@@ -85,7 +88,8 @@ class OracleRefusal(RuntimeError):
 
 class _Meter:
     """Work of one solve, named by `what`: expansions charged against the
-    budget's limit, and the sweep states kept, summed over the class layers."""
+    budget's limit, and the sweep states built, summed over the class layers
+    (the last one only up to the first key that meets the goals)."""
 
     def __init__(self, budget: SearchBudget, what: str = "exact search"):
         self.limit = budget.max_expansions
@@ -170,21 +174,25 @@ def _voter_effect_options(
     instance: ProblemInstance, voter: int, meter: _Meter,
     cost_cap: Optional[int], packed,
 ) -> list[tuple[int, int, PreferenceOrder]]:
-    """(cost, packed score delta, order) per option within the cap, by cost
-    then delta; `packed(order)` is the order's packed score vector.  Deltas
-    are distinct: plurality options differ in their top, and distinct orders
-    have distinct Borda score vectors."""
+    """(cost, packed delta, order) per option within the cap, by cost then
+    delta; `packed(order)` is the order's packed key.  Options that share a
+    delta move every key alike, so only the cheapest of them is kept.  Under
+    a threshold no two share one (plurality options differ in their top, and
+    distinct orders have distinct Borda score vectors); at threshold 0 many
+    do, as the key reads only the coalition's and the leader's points."""
     if instance.rule is ScoringRule.PLURALITY:
         raw = _plurality_top_options(instance, voter)
     else:
         raw = enumerate_voter_options(instance, voter, meter, cost_cap)
     old = packed(instance.election.orders[voter])
-    options = [
-        (cost, packed(candidate) - old, candidate)
-        for candidate, cost in raw
-        if cost_cap is None or cost <= cost_cap
-    ]
-    return sorted(options, key=lambda option: option[:2])
+    cheapest = {}
+    for option in sorted(
+        ((cost, packed(candidate) - old, candidate)
+         for candidate, cost in raw if cost_cap is None or cost <= cost_cap),
+        key=lambda option: option[:2],
+    ):
+        cheapest.setdefault(option[1], option)
+    return list(cheapest.values())
 
 
 def _voter_classes(instance: ProblemInstance) -> list[list[int]]:
@@ -202,10 +210,28 @@ def _voter_classes(instance: ProblemInstance) -> list[list[int]]:
     return list(groups.values())
 
 
+def _coordinates(instance: ProblemInstance):
+    """The numbers the goal reads off a score vector in party order.  Under a
+    threshold that is the whole vector, since every party's points decide
+    who is seated.  At threshold 0 every party is seated, so it is the
+    coalition's points and the leader's, or the coalition's alone when
+    rho = 0.  Either way the map is linear, so deltas add."""
+    if instance.threshold:
+        return tuple
+    parties = instance.election.parties
+    members = [parties.index(p) for p in instance.coalition]
+    if instance.rho == 0:
+        return lambda scores: (sum([scores[i] for i in members]),)
+    leader = parties.index(instance.leader)
+    return lambda scores: (sum([scores[i] for i in members]), scores[leader])
+
+
 def _score_radix(instance: ProblemInstance) -> int:
-    """One more than the most points any party can hold: n times the points
-    of a top place."""
+    """One more than the most any coordinate can hold: n times the points of
+    a top place for one party, the grand total for the coalition."""
     election = instance.election
+    if not instance.threshold:
+        return grand_total(election.num_voters, election.num_parties, instance.rule) + 1
     top = 1 if instance.rule is ScoringRule.PLURALITY else election.num_parties - 1
     return election.num_voters * top + 1
 
@@ -229,17 +255,31 @@ def _unpack(key: int, radix: int, length: int) -> tuple[int, ...]:
 
 
 def _packed_scores(instance: ProblemInstance, radix: int):
-    """`packed(order)`: the order's score vector packed, once per order."""
+    """`packed(order)`: the `_coordinates` of the order's score vector,
+    packed, once per order.  A profile's key is the sum of its orders'."""
     parties, rule = instance.election.parties, instance.rule
-    return cache(lambda order: _pack(tally((order,), parties, rule).values(), radix))
+    coordinates = _coordinates(instance)
+    return cache(lambda order: _pack(
+        coordinates(tuple(tally((order,), parties, rule).values())), radix))
 
 
 def _packed_goal(instance: ProblemInstance, radix: int):
-    """The goal test on a packed key, without unpacking it: the key splits at
-    radix**(m // 2) into a low and a high half, each half's seated points
-    (`core.seated_points`) are found once per distinct half, and their sums
-    go to `core.goals_met`."""
-    parties = instance.election.parties
+    """The goal test on a packed key, without unpacking it.  At threshold 0
+    the key is coalition + leader * radix, and the seated total is the grand
+    total.  Under a threshold the key splits at radix**(m // 2) into a low
+    and a high half, each half's seated points (`core.seated_points`) are
+    found once per distinct half, and their sums go to `core.goals_met`."""
+    election = instance.election
+    if not instance.threshold:
+        total = grand_total(election.num_voters, election.num_parties, instance.rule)
+
+        def met(key: int) -> bool:
+            leader, coalition = divmod(key, radix)
+            return goals_met(coalition, leader, total, instance)
+
+        return met
+
+    parties = election.parties
     cut = len(parties) // 2
     split = radix ** cut
 
@@ -257,20 +297,19 @@ def _packed_goal(instance: ProblemInstance, radix: int):
     return met
 
 
-def _next_layer(layer: dict, moves: list, limit: float) -> dict:
-    """The class layer after `layer`: each pair of a bucket and a (cost,
-    delta, multiset) move, cheapest total first, adds the keys that no cheaper
-    pair reached, as one set comprehension."""
+def _next_layer(layer: dict, moves: list, limit: float):
+    """The class layer after `layer`, as (total, fresh keys) pairs, cheapest
+    total first: each pair of a bucket and a (cost, delta, multiset) move
+    yields the keys that no cheaper pair reached, as one set comprehension."""
     pairs = sorted((cost + move[0], cost, move[1])
                    for cost in layer for move in moves if cost + move[0] <= limit)
-    nxt, seen = {}, set()
+    seen = set()
     for total, cost, delta in pairs:
         # `-` probes `seen` once per new key; `-=` would walk `seen` itself.
         fresh = {key + delta for key in layer[cost]} - seen
         if fresh:
             seen |= fresh
-            nxt.setdefault(total, set()).update(fresh)
-    return nxt
+            yield total, fresh
 
 
 def _search(
@@ -281,13 +320,19 @@ def _search(
     classes = _voter_classes(instance)
     limit = inf if cost_cap is None else cost_cap
 
-    parties = election.parties
     radix = _score_radix(instance)
     packed = _packed_scores(instance, radix)
-    base = _pack(tally(election.orders, parties, instance.rule).values(), radix)
-    layers, width = [{0: {base}}], 1
+    layers, width = [{0: {sum(map(packed, election.orders))}}], 1
     class_moves = []
     for members in classes:
+        if class_moves:
+            # the layer after the previous class, whose width the next charges read
+            layer = {}
+            for total, fresh in _next_layer(layers[-1], class_moves[-1], limit):
+                layer.setdefault(total, set()).update(fresh)
+            layers.append(layer)
+            width = sum(map(len, layer.values()))
+            meter.states += width
         options = _voter_effect_options(instance, members[0], meter, cost_cap, packed)
         moves = []
         # one multiset of options per class: members are interchangeable
@@ -297,18 +342,18 @@ def _search(
                 meter.charge(width)
                 moves.append((cost, sum(option[1] for option in combo), combo))
         class_moves.append(moves)
-        layers.append(_next_layer(layers[-1], moves, limit))
-        width = sum(map(len, layers[-1].values()))
-        meter.states += width
 
+    # the last layer is never stored: its keys are tested as they are built
     met = _packed_goal(instance, radix)
-    final = layers.pop()
-    found = next(((total, key) for total in sorted(final) for key in final[total]
-                  if met(key)), None)
-    if found is None:
+    for total, fresh in _next_layer(layers[-1], class_moves[-1], limit):
+        meter.states += len(fresh)
+        key = next(filter(met, fresh), None)
+        if key is not None:
+            break
+    else:
         return None
 
-    total, key = found
+    cheapest = total
     replacements: dict[int, PreferenceOrder] = {}
     for members, moves, layer in zip(
             reversed(classes), reversed(class_moves), reversed(layers)):
@@ -319,7 +364,7 @@ def _search(
             if rep != election.orders[voter]:
                 replacements[voter] = rep
         total, key = total - cost, key - delta
-    return BribePlan(replacements, found[0])
+    return BribePlan(replacements, cheapest)
 
 
 def oracle_solve(

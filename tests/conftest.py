@@ -68,20 +68,26 @@ def random_problem(rng, rule, thresholded, kind, cbp, max_voters=5, max_parties=
     )
 
 
-def unmet_case(variant, n, m, k):
-    """The benchmark's `random_case` (every price at least 1) with seed 1 and
-    slot 0, at its first attempt whose goals are unmet at zero cost."""
+@functools.cache
+def bench_workloads():
+    """perfbench's `workloads` module, loaded once from its file."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads",
         Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py",
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    random_case = workloads.random_case
+    return workloads
+
+
+def unmet_case(variant, n, m, k, slot=0):
+    """The benchmark's `random_case` (every price at least 1) with seed 1 at
+    `slot`, at its first attempt whose goals are unmet at zero cost."""
+    workloads = bench_workloads()
     return next(
-        case for case in (random_case(variant, n, m, k, 1, 0, attempt)
+        case for case in (workloads.random_case(variant, n, m, k, 1, slot, attempt)
                           for attempt in itertools.count())
-        if not check_goals(case.election.orders, case)
+        if workloads.unmet_at_zero(case)
     )
 
 

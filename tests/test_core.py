@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coalition_bribery.core import (
     DomainError,
@@ -22,7 +22,7 @@ from coalition_bribery.core import (
     tally,
 )
 from coalition_bribery.costs import UnitCost
-from coalition_bribery.oracle import _pack, _packed_goal
+from coalition_bribery.oracle import _coordinates, _pack, _packed_goal
 
 from conftest import make_election
 
@@ -235,6 +235,8 @@ def goal_cases(draw):
         st.just([0] * len(parties)),
         st.lists(st.integers(0, total), min_size=len(parties), max_size=len(parties)),
         st.lists(st.sampled_from(near), min_size=len(parties), max_size=len(parties)),
+        st.lists(st.integers(0, total), min_size=len(parties) - 1,
+                 max_size=len(parties) - 1).map(lambda cuts: composition(cuts, total)),
     ))
     coalition = draw(st.one_of(
         st.just(parties),
@@ -249,6 +251,13 @@ def goal_cases(draw):
         budget=0, cost_model=UnitCost(),
     )
     return inst, dict(zip(parties, values))
+
+
+def composition(cuts, total):
+    """The parts `total` falls into at `cuts`: a score vector a profile can
+    hold, since bribery never changes the total."""
+    ends = [0, *sorted(cuts), total]
+    return [b - a for a, b in zip(ends, ends[1:])]
 
 
 def seated_goal(inst, vector):
@@ -292,13 +301,22 @@ def test_seated_goal_matches_seat_shares(case):
 @given(goal_cases())
 @example(cut_case(2, Fraction(1, 2), (1, 1), Fraction(1, 2)))
 @example(cut_case(3, Fraction(1, 2), (1, 2), Fraction(1, 3)))
+# At threshold 0 the key is the coalition's points alone (rho = 0).
+@example(cut_case(2, Fraction(0), (1, 1), Fraction(1, 2)))
+@example(cut_case(2, Fraction(0), (0, 2), Fraction(1, 2)))
 def test_packed_goal_matches_seated_goal(case):
-    # The exact search tests its packed keys half by half; on vectors on and
-    # next to the seat cut that must agree with the whole-vector goal test.
+    # The exact search keys a state by the `_coordinates` the goal reads:
+    # the whole vector under a threshold, tested half by half, and at
+    # threshold 0 the coalition's and the leader's points, read against the
+    # grand total.  On every vector a profile can hold, on and next to the
+    # seat cut, that must agree with the whole-vector goal test.
     inst, scores = case
     vector = [scores[p] for p in inst.election.parties]
-    radix = grand_total(inst.election.num_voters, inst.election.num_parties, inst.rule) + 1
-    assert _packed_goal(inst, radix)(_pack(vector, radix)) == seated_goal(inst, vector)
+    total = grand_total(inst.election.num_voters, inst.election.num_parties, inst.rule)
+    assume(inst.threshold or sum(vector) == total)
+    radix = total + 1
+    key = _pack(_coordinates(inst)(vector), radix)
+    assert _packed_goal(inst, radix)(key) == seated_goal(inst, vector)
 
 
 @given(elections(), st.sampled_from(list(ScoringRule)), thresholds(), thresholds())

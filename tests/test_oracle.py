@@ -12,7 +12,10 @@ from coalition_bribery.core import (
     PreferenceOrder,
     ProblemInstance,
     ScoringRule,
+    Variant,
     check_goals,
+    grand_total,
+    seat_cut,
 )
 from coalition_bribery.costs import (
     DollarCost,
@@ -174,9 +177,13 @@ class TestEnumerateOptions:
 
     def test_one_meter_per_solve(self):
         # Three voter classes, each priced at the budget of 1, so each
-        # enumeration charges all 4! = 24 orders up front.  No single
+        # enumeration charges all 4! = 24 orders up front.  At threshold 0
+        # with rho = 0 a state is the coalition's points alone; each voter
+        # gives "a" 2 points and can move it to 0-3, so its 24 orders merge
+        # into 4 effects and every layer holds 4 states.  No single
         # enumeration reaches the limit of 50, but the second one, after the
-        # first class's 24 sweep expansions, does; the solve takes 1,728.
+        # first class's 4 sweep expansions, does (24 + 4 + 24 = 52); the
+        # solve takes 3 * 24 + 4 + 16 + 16 = 108.
         parties = ("a", "b", "c", "d")
         election = make_election(
             parties, [("b", "a", "c", "d"), ("c", "a", "b", "d"), ("d", "a", "b", "c")]
@@ -190,26 +197,44 @@ class TestEnumerateOptions:
         assert len(enumerate_voter_options(inst, 0, _Meter(SearchBudget(50)), 1)) == 24
         stats = {}
         assert solve_np_hard(inst, inst.budget, SearchBudget(), stats=stats) is None
-        assert stats["expansions"] == 1728
+        assert stats["expansions"] == 108
         with pytest.raises(OracleRefusal) as err:
             solve_instance(inst, SearchBudget(max_expansions=50), force_oracle=True)
-        assert err.value.limit == 50 and err.value.required == 72
+        assert err.value.limit == 50 and err.value.required == 52
         assert str(err.value) == (
             "exact search needs more than 50 expansions "
             f"(stopped at {err.value.required})"
         )
 
 
-@pytest.mark.parametrize("variant", CROSSVAL_VARIANTS, ids=lambda v: v.label())
+EVERY_VARIANT = [
+    Variant(rule, thresholded, bribery, preferred)
+    for rule in ScoringRule for thresholded in (False, True)
+    for bribery in ("unit", "dollar", "swap", "shift") for preferred in (False, True)
+]
+
+
+@pytest.mark.parametrize("variant", EVERY_VARIANT, ids=lambda v: v.label())
 def test_voter_options_have_distinct_score_effects(variant):
-    # Options are not merged by score effect, so none may share one.
+    # Options that share a key delta are merged into the cheapest of them,
+    # so no two share one.  Under a threshold the key is the whole score
+    # vector, so no two Borda orders share one and the merge keeps them all.
     for index in range(20):
         inst = random_instance(variant, seed=11, index=index)
+        packed = _packed_scores(inst, _score_radix(inst))
         for voter in range(inst.election.num_voters):
-            packed = _packed_scores(inst, _score_radix(inst))
             options = _voter_effect_options(inst, voter, _Meter(SearchBudget()), None, packed)
-            deltas = [delta for _, delta, _ in options]
-            assert len(set(deltas)) == len(deltas), (variant.label(), index, voter)
+            orders = enumerate_voter_options(inst, voter, _Meter(SearchBudget()))
+            old = packed(inst.election.orders[voter])
+            cheapest = {}
+            for order, cost in orders:
+                delta = packed(order) - old
+                cheapest[delta] = min(cost, cheapest.get(delta, cost))
+            where = (variant.label(), index, voter)
+            assert {delta: cost for cost, delta, _ in options} == cheapest, where
+            assert len({delta for _, delta, _ in options}) == len(options), where
+            if inst.threshold and variant.rule is ScoringRule.BORDA:
+                assert len(options) == len(orders), where
 
 
 class TestOracleSolve:
@@ -295,6 +320,35 @@ def test_witness_walks_back_through_multi_member_classes(kind):
     assert shared > 0
 
 
+@pytest.mark.parametrize(
+    "variant", [v for v in CROSSVAL_VARIANTS if not v.thresholded], ids=lambda v: v.label())
+def test_projected_states_match_full_score_vectors(variant):
+    # At threshold 0 a state is only the coalition's and the leader's
+    # points.  A copy at threshold 1/T (T the grand total) has seat cut 1:
+    # only parties with 0 points go unseated, and they add nothing to any
+    # sum, so the copy has the same goals but is searched on full score
+    # vectors.  Both must agree at every cap, and the projection never costs
+    # more work.
+    for index in range(24):
+        inst = random_instance(variant, seed=13, index=index)
+        election = inst.election
+        total = grand_total(election.num_voters, election.num_parties, inst.rule)
+        full = dataclasses.replace(inst, threshold=Fraction(1, total))
+        assert seat_cut(total, full.threshold) == 1
+        plan = solve_np_hard(inst, None)
+        opt = None if plan is None else plan.cost
+        caps = [None] if opt is None else [None, opt, opt - 1] if opt else [None, 0]
+        for cap in caps:
+            projected, unprojected = {}, {}
+            costs = [None if plan is None else plan.cost for plan in (
+                solve_np_hard(inst, cap, stats=projected),
+                solve_np_hard(full, cap, stats=unprojected),
+            )]
+            where = (index, cap)
+            assert costs == [None if cap is not None and cap < opt else opt] * 2, where
+            assert projected["expansions"] <= unprojected["expansions"], where
+
+
 class TestSolveNpHard:
     def test_sixteen_voter_optimum_and_witness(self):
         inst = sixteen_voter_shift_cbp(3)
@@ -335,8 +389,11 @@ class TestSolveNpHard:
 
 
 # Expansion counts and optima of the exact search, pinned per (instance, cap)
-# as (cap, expansions, sweep states, optimum or None).  How states are keyed
+# as (cap, expansions, sweep states, optimum or None).  How states are stored
 # and when the meter is charged must not move the expansions or the optima.
+# The bisection images have threshold 0, so a state is the coalition's
+# points alone; the last layer's states count only up to the first key that
+# meets the goals.
 METER_PINS = {
     "x3c-covered4": (
         lambda: reduce_x3c_to_plurality_shift_cb(
@@ -346,12 +403,12 @@ METER_PINS = {
     "bisection-v2-no": (
         lambda: reduce_minbisection_to_borda_swap_cb(
             MinBisectionInstance(2, frozenset({(1, 2)}), 0)),
-        [(2, 56, 28, 2), (1, 20, 10, None)],
+        [(2, 33, 3, 2), (1, 12, 2, None)],
     ),
     "bisection-v2-yes": (
         lambda: reduce_minbisection_to_borda_swap_cb(
             MinBisectionInstance(2, frozenset(), 0)),
-        [(1, 28, 14, 1)],
+        [(1, 17, 3, 1)],
     ),
     "sixteen-voter-shift": (
         lambda: sixteen_voter_shift_cbp(3),
