@@ -46,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import inf
-from typing import Callable, Collection, Mapping, Optional
+from typing import Callable, Collection, Optional
 
 from .core import (
     PreferenceOrder, ProblemInstance, ScoringRule, goals_met, grand_total, score,
@@ -139,20 +139,6 @@ def step_of(
     )
 
 
-def swap_menu(
-    order: PreferenceOrder,
-    coalition: tuple[str, ...],
-    leader: Optional[str],
-    prices: Mapping[tuple[str, str], int],
-    meter: Optional[_Meter] = None,
-):
-    """Swap menu for one voter: the least price of a reordering per step it
-    realizes, and `realize(step)`, a reordering attaining it."""
-    return _placements(
-        order, coalition, leader, order.ranking, lambda x, y: prices[x, y], meter
-    )
-
-
 def price_menu(
     order: PreferenceOrder,
     coalition: tuple[str, ...],
@@ -204,7 +190,10 @@ def _voter_menu(
         return shift_menu(order, coalition, leader, model.tables[voter],
                           placements, meter)
     if isinstance(model, SwapCost):
-        return swap_menu(order, coalition, leader, model.pair_prices[voter], meter)
+        # every party may rise; not memoized, as each voter's price function is new
+        prices = model.pair_prices[voter]
+        return _placements(order, coalition, leader, order.ranking,
+                           lambda x, y: prices[x, y], meter)
     return price_menu(
         order, coalition, leader, instance.outsiders, model.voter_price(voter),
         placements, meter,

@@ -9,20 +9,21 @@ scores.  A plurality voter's options are one cheapest replacement per
 achievable top; a Borda voter's are its admissible orders.  Options with the
 same effect on that key are merged into the cheapest of them.
 
-A state's key packs the goal's coordinates of its score vector
-(`_coordinates`) into one integer, sum(c_i * R**i).  Under a threshold they
-are the whole vector, with R = n * top + 1, where top is the points of a
-first place (1 for plurality, m - 1 for Borda).  At threshold 0 every party
-is seated, so the goals read only the coalition's points and the leader's
-(the coalition's alone when rho = 0), with R = T + 1 for the grand total T.
+A state's key packs the coordinates the goal reads off its score vector
+into one integer, sum(c_i * R**i); `_keys` decides once per solve what they
+are, their radix R and the goal test on a key.  Under a threshold they are
+the whole vector, with R = n * top + 1, where top is the points of a first
+place (1 for plurality, m - 1 for Borda).  At threshold 0 every party is
+seated, so the goals read only the coalition's points and the leader's (the
+coalition's alone when rho = 0), with R = T + 1 for the grand total T.
 Every state is a partly bribed profile, so each coordinate lies in [0, R)
 and the packing is injective: no digit carries.  Each option's delta is the
 difference of two orders' keys, each packed once per solve, so a sweep step
 is one integer addition.  A class layer is held in cost buckets, {total
 cost: keys first reached at that cost}.  The last layer is never stored: its
-keys are tested as they are built, cheapest first (`_packed_goal`), and the
-witness is rebuilt by walking back from the first key that meets the goals;
-so among plans of equal cost, the one reported follows from the build order.
+keys are tested as they are built, cheapest first, and the witness is
+rebuilt by walking back from the first key that meets the goals; so among
+plans of equal cost, the one reported follows from the build order.
 
 Every voter's orders come from `enumerate_voter_options`.  With a cost cap,
 options and partial bribes above it are dropped, and the search returns the
@@ -105,18 +106,18 @@ class _Meter:
 
 def enumerate_voter_options(
     instance: ProblemInstance, voter: int, meter: _Meter,
-    cost_cap: Optional[int] = None,
+    cost_cap: float = inf,
 ) -> list[tuple[PreferenceOrder, int]]:
     """Admissible replacement orders for one voter costing at most `cost_cap`
-    (None: no limit), with exact costs, cheapest first.
+    (inf: no limit), with exact costs, cheapest first.
 
     Unit/dollar bribery prices every change alike, so it lists all m!
     permutations (under a cap below the price, only the current order).  Swap
     and shift orders come from `iter_orders`, cut at the cap; shift admits
     only orders in which nothing but coalition members rise.
 
-    One work rule serves all four kinds.  When the cap admits every order (no
-    cap, or one of at least `max_voter_cost`), `count_orders` of them go to
+    One work rule serves all four kinds.  When the cap admits every order
+    (inf, or at least `max_voter_cost`), `count_orders` of them go to
     `meter` before any is built, so a space that does not fit is refused
     unbuilt.  Otherwise each order built costs one expansion; only orders
     within the cap are built, as every prefix `iter_orders` keeps completes.
@@ -130,24 +131,24 @@ def enumerate_voter_options(
     elif isinstance(model, ShiftCost):
         may_rise = instance.coalition
         table = model.tables[voter]
-        most = None if cost_cap is None else bisect_right(table, cost_cap) - 1
+        most = bisect_right(table, cost_cap) - 1
         shifts = iter_orders(order, may_rise, lambda x, y: 1, most)
         orders = ((candidate, table[inversions]) for candidate, inversions in shifts)
     else:
         price = model.voter_price(voter)
         candidates = (
-            [order] if cost_cap is not None and cost_cap < price
+            [order] if cost_cap < price
             else map(PreferenceOrder, itertools.permutations(order.ranking))
         )
         orders = ((candidate, 0 if candidate == order else price) for candidate in candidates)
-    up_front = cost_cap is None or cost_cap >= model.max_voter_cost(voter, len(order))
+    up_front = cost_cap >= model.max_voter_cost(voter, len(order))
     if up_front:
         meter.charge(count_orders(order, may_rise))
     options = []
     for candidate, cost in orders:
         if not up_front:
             meter.charge()
-        if cost_cap is None or cost <= cost_cap:
+        if cost <= cost_cap:
             options.append((candidate, cost))
     return sorted(options, key=lambda item: (item[1], item[0].ranking))
 
@@ -172,14 +173,15 @@ def _plurality_top_options(
 
 def _voter_effect_options(
     instance: ProblemInstance, voter: int, meter: _Meter,
-    cost_cap: Optional[int], packed,
+    cost_cap: float, packed,
 ) -> list[tuple[int, int, PreferenceOrder]]:
-    """(cost, packed delta, order) per option within the cap, by cost then
-    delta; `packed(order)` is the order's packed key.  Options that share a
-    delta move every key alike, so only the cheapest of them is kept.  Under
-    a threshold no two share one (plurality options differ in their top, and
-    distinct orders have distinct Borda score vectors); at threshold 0 many
-    do, as the key reads only the coalition's and the leader's points."""
+    """(cost, packed delta, order) per option costing at most `cost_cap`
+    (inf: no limit), by cost then delta; `packed(order)` is the order's
+    packed key.  Options that share a delta move every key alike, so only
+    the cheapest of them is kept.  Under a threshold no two share one
+    (plurality options differ in their top, and distinct orders have
+    distinct Borda score vectors); at threshold 0 many do, as the key reads
+    only the coalition's and the leader's points."""
     if instance.rule is ScoringRule.PLURALITY:
         raw = _plurality_top_options(instance, voter)
     else:
@@ -188,7 +190,7 @@ def _voter_effect_options(
     cheapest = {}
     for option in sorted(
         ((cost, packed(candidate) - old, candidate)
-         for candidate, cost in raw if cost_cap is None or cost <= cost_cap),
+         for candidate, cost in raw if cost <= cost_cap),
         key=lambda option: option[:2],
     ):
         cheapest.setdefault(option[1], option)
@@ -210,32 +212,6 @@ def _voter_classes(instance: ProblemInstance) -> list[list[int]]:
     return list(groups.values())
 
 
-def _coordinates(instance: ProblemInstance):
-    """The numbers the goal reads off a score vector in party order.  Under a
-    threshold that is the whole vector, since every party's points decide
-    who is seated.  At threshold 0 every party is seated, so it is the
-    coalition's points and the leader's, or the coalition's alone when
-    rho = 0.  Either way the map is linear, so deltas add."""
-    if instance.threshold:
-        return tuple
-    parties = instance.election.parties
-    members = [parties.index(p) for p in instance.coalition]
-    if instance.rho == 0:
-        return lambda scores: (sum([scores[i] for i in members]),)
-    leader = parties.index(instance.leader)
-    return lambda scores: (sum([scores[i] for i in members]), scores[leader])
-
-
-def _score_radix(instance: ProblemInstance) -> int:
-    """One more than the most any coordinate can hold: n times the points of
-    a top place for one party, the grand total for the coalition."""
-    election = instance.election
-    if not instance.threshold:
-        return grand_total(election.num_voters, election.num_parties, instance.rule) + 1
-    top = 1 if instance.rule is ScoringRule.PLURALITY else election.num_parties - 1
-    return election.num_voters * top + 1
-
-
 def _pack(vector, radix: int) -> int:
     """sum(vector[p] * radix**p); for signed deltas too, though only vectors
     with every entry in [0, radix) pack injectively."""
@@ -254,32 +230,40 @@ def _unpack(key: int, radix: int, length: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _packed_scores(instance: ProblemInstance, radix: int):
-    """`packed(order)`: the `_coordinates` of the order's score vector,
-    packed, once per order.  A profile's key is the sum of its orders'."""
-    parties, rule = instance.election.parties, instance.rule
-    coordinates = _coordinates(instance)
-    return cache(lambda order: _pack(
-        coordinates(tuple(tally((order,), parties, rule).values())), radix))
+def _keys(instance: ProblemInstance):
+    """What a state's key holds: `coordinates(scores)`, the numbers the goal
+    reads off a score vector in party order; `radix`, one more than the most
+    any of them can hold; and `met(key)`, the goal test on a packed key,
+    without unpacking it.  The coordinates are linear, so deltas add.
 
-
-def _packed_goal(instance: ProblemInstance, radix: int):
-    """The goal test on a packed key, without unpacking it.  At threshold 0
-    the key is coalition + leader * radix, and the seated total is the grand
-    total.  Under a threshold the key splits at radix**(m // 2) into a low
+    At threshold 0 every party is seated, so the goal reads the coalition's
+    points and the leader's (the coalition's alone when rho = 0), against
+    the grand total T, and R = T + 1; the key is coalition + leader * R.
+    Under a threshold every party's points decide who is seated, so the
+    coordinates are the whole vector, and R = n * top + 1, with top the
+    points of a first place.  The key then splits at R**(m // 2) into a low
     and a high half, each half's seated points (`core.seated_points`) are
     found once per distinct half, and their sums go to `core.goals_met`."""
     election = instance.election
+    parties = election.parties
     if not instance.threshold:
         total = grand_total(election.num_voters, election.num_parties, instance.rule)
+        radix = total + 1
+        members = [parties.index(p) for p in instance.coalition]
+        # the parties each coordinate sums: the coalition, then the leader
+        groups = [members] if instance.rho == 0 else [members, [parties.index(instance.leader)]]
+
+        def coordinates(scores):
+            return tuple(sum([scores[i] for i in group]) for group in groups)
 
         def met(key: int) -> bool:
             leader, coalition = divmod(key, radix)
             return goals_met(coalition, leader, total, instance)
 
-        return met
+        return coordinates, radix, met
 
-    parties = election.parties
+    top = 1 if instance.rule is ScoringRule.PLURALITY else election.num_parties - 1
+    radix = election.num_voters * top + 1
     cut = len(parties) // 2
     split = radix ** cut
 
@@ -294,7 +278,7 @@ def _packed_goal(instance: ProblemInstance, radix: int):
         lo, hi = low_points(low), high_points(high)
         return goals_met(lo[0] + hi[0], lo[1] + hi[1], lo[2] + hi[2], instance)
 
-    return met
+    return tuple, radix, met
 
 
 def _next_layer(layer: dict, moves: list, limit: float):
@@ -320,8 +304,11 @@ def _search(
     classes = _voter_classes(instance)
     limit = inf if cost_cap is None else cost_cap
 
-    radix = _score_radix(instance)
-    packed = _packed_scores(instance, radix)
+    # each order's key, packed once per solve; a profile's key is their sum
+    coordinates, radix, met = _keys(instance)
+    parties, rule = election.parties, instance.rule
+    packed = cache(lambda order: _pack(
+        coordinates(tuple(tally((order,), parties, rule).values())), radix))
     layers, width = [{0: {sum(map(packed, election.orders))}}], 1
     class_moves = []
     for members in classes:
@@ -333,7 +320,7 @@ def _search(
             layers.append(layer)
             width = sum(map(len, layer.values()))
             meter.states += width
-        options = _voter_effect_options(instance, members[0], meter, cost_cap, packed)
+        options = _voter_effect_options(instance, members[0], meter, limit, packed)
         moves = []
         # one multiset of options per class: members are interchangeable
         for combo in itertools.combinations_with_replacement(options, len(members)):
@@ -344,7 +331,6 @@ def _search(
         class_moves.append(moves)
 
     # the last layer is never stored: its keys are tested as they are built
-    met = _packed_goal(instance, radix)
     for total, fresh in _next_layer(layers[-1], class_moves[-1], limit):
         meter.states += len(fresh)
         key = next(filter(met, fresh), None)

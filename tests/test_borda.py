@@ -15,7 +15,7 @@ from coalition_bribery.borda import (
     shift_menu,
     solve_borda_zero,
     step_of,
-    swap_menu,
+    _placements,
     _voter_menu,
 )
 from coalition_bribery.core import (
@@ -206,8 +206,9 @@ def test_swap_menu_against_every_order():
                         step = step_of(candidate, coalition, leader)
                         cost = model.voter_cost(0, order, candidate, coalition)
                         brute[step] = min(brute.get(step, cost), cost)
-                    menu, realize = swap_menu(
-                        order, coalition, leader, prices, _Meter(SearchBudget())
+                    menu, realize = _placements(
+                        order, coalition, leader, order.ranking, lambda x, y: prices[x, y],
+                        _Meter(SearchBudget()),
                     )
                     assert menu == brute, (order, coalition, leader)
                     for step, cost in menu.items():

@@ -22,7 +22,7 @@ from coalition_bribery.core import (
     tally,
 )
 from coalition_bribery.costs import UnitCost
-from coalition_bribery.oracle import _coordinates, _pack, _packed_goal
+from coalition_bribery.oracle import _keys, _pack
 
 from conftest import make_election
 
@@ -305,18 +305,20 @@ def test_seated_goal_matches_seat_shares(case):
 @example(cut_case(2, Fraction(0), (1, 1), Fraction(1, 2)))
 @example(cut_case(2, Fraction(0), (0, 2), Fraction(1, 2)))
 def test_packed_goal_matches_seated_goal(case):
-    # The exact search keys a state by the `_coordinates` the goal reads:
-    # the whole vector under a threshold, tested half by half, and at
-    # threshold 0 the coalition's and the leader's points, read against the
-    # grand total.  On every vector a profile can hold, on and next to the
-    # seat cut, that must agree with the whole-vector goal test.
+    # The exact search keys a state by the coordinates the goal reads
+    # (`_keys`): the whole vector under a threshold, tested half by half,
+    # and at threshold 0 the coalition's and the leader's points, read
+    # against the grand total.  On every vector a profile can hold (each
+    # coordinate below the scheme's radix, and at threshold 0 summing to the
+    # grand total), on and next to the seat cut, that must agree with the
+    # whole-vector goal test.
     inst, scores = case
     vector = [scores[p] for p in inst.election.parties]
     total = grand_total(inst.election.num_voters, inst.election.num_parties, inst.rule)
+    coordinates, radix, met = _keys(inst)
     assume(inst.threshold or sum(vector) == total)
-    radix = total + 1
-    key = _pack(_coordinates(inst)(vector), radix)
-    assert _packed_goal(inst, radix)(key) == seated_goal(inst, vector)
+    assume(all(value < radix for value in coordinates(vector)))
+    assert met(_pack(coordinates(vector), radix)) == seated_goal(inst, vector)
 
 
 @given(elections(), st.sampled_from(list(ScoringRule)), thresholds(), thresholds())

@@ -16,6 +16,7 @@ from coalition_bribery.core import (
     check_goals,
     grand_total,
     seat_cut,
+    tally,
 )
 from coalition_bribery.costs import (
     DollarCost,
@@ -33,9 +34,8 @@ from coalition_bribery.oracle import (
     OracleRefusal,
     SearchBudget,
     _Meter,
+    _keys,
     _pack,
-    _packed_scores,
-    _score_radix,
     _unpack,
     _voter_classes,
     _voter_effect_options,
@@ -130,7 +130,7 @@ class TestEnumerateOptions:
         # priced 1) admits all 11! orders, so it is refused as early as no cap.
         inst = self.eleven_party_swap_voter()
         assert inst.cost_model.max_voter_cost(0, 11) == 110
-        for cost_cap in (None, 110):
+        for cost_cap in (math.inf, 110):
             with pytest.raises(OracleRefusal) as err:
                 enumerate_voter_options(
                     inst, 0, _Meter(SearchBudget(max_expansions=10_000)), cost_cap
@@ -149,7 +149,7 @@ class TestEnumerateOptions:
         order = inst.election.orders[0]
         assert inst.cost_model.max_voter_cost(0, 11) == 55
         assert count_orders(order, inst.coalition) == math.factorial(11)
-        for cost_cap in (None, 55):
+        for cost_cap in (math.inf, 55):
             with pytest.raises(OracleRefusal) as err:
                 enumerate_voter_options(
                     inst, 0, _Meter(SearchBudget(max_expansions=10_000)), cost_cap
@@ -214,6 +214,43 @@ EVERY_VARIANT = [
 ]
 
 
+def packed_orders(inst):
+    """`packed(order)`: the order's key under the search's key scheme."""
+    coordinates, radix, _ = _keys(inst)
+    parties, rule = inst.election.parties, inst.rule
+    return lambda order: _pack(
+        coordinates(tuple(tally((order,), parties, rule).values())), radix)
+
+
+@pytest.mark.parametrize("variant", EVERY_VARIANT, ids=lambda v: v.label())
+def test_keys_of_bribed_profiles(variant):
+    # The search keys a profile by the sum of its orders' keys and tests the
+    # goal on that sum alone.  On seeded profiles, bribed a few times by
+    # replacing random voters' orders with random permutations, the summed
+    # coordinates must each lie in [0, radix), so the sum carries no digit
+    # and unpacks to them, and `met` must agree with `check_goals`.
+    rng = random.Random(variant.label())
+    outcomes = set()
+    for index in range(10):
+        inst = random_instance(variant, seed=17, index=index, max_voters=8, max_parties=6)
+        coordinates, radix, met = _keys(inst)
+        packed = packed_orders(inst)
+        parties = inst.election.parties
+        orders = list(inst.election.orders)
+        for bribe in range(4):
+            where = (variant.label(), index, bribe)
+            summed = coordinates(tuple(tally(orders, parties, inst.rule).values()))
+            assert all(0 <= digit < radix for digit in summed), where
+            key = sum(map(packed, orders))
+            assert _unpack(key, radix, len(summed)) == summed, where
+            goal = met(key)
+            assert goal == check_goals(orders, inst), where
+            outcomes.add(goal)
+            for voter in rng.sample(range(len(orders)), rng.randint(1, len(orders))):
+                orders[voter] = PreferenceOrder(tuple(rng.sample(parties, len(parties))))
+    assert outcomes == {False, True}, variant.label()
+
+
 @pytest.mark.parametrize("variant", EVERY_VARIANT, ids=lambda v: v.label())
 def test_voter_options_have_distinct_score_effects(variant):
     # Options that share a key delta are merged into the cheapest of them,
@@ -221,9 +258,11 @@ def test_voter_options_have_distinct_score_effects(variant):
     # vector, so no two Borda orders share one and the merge keeps them all.
     for index in range(20):
         inst = random_instance(variant, seed=11, index=index)
-        packed = _packed_scores(inst, _score_radix(inst))
+        packed = packed_orders(inst)
         for voter in range(inst.election.num_voters):
-            options = _voter_effect_options(inst, voter, _Meter(SearchBudget()), None, packed)
+            options = _voter_effect_options(
+                inst, voter, _Meter(SearchBudget()), math.inf, packed
+            )
             orders = enumerate_voter_options(inst, voter, _Meter(SearchBudget()))
             old = packed(inst.election.orders[voter])
             cheapest = {}
@@ -445,7 +484,7 @@ class TestSearchWork:
                     threshold=Fraction(0), coalition=parties[:1], phi=Fraction(0),
                     rho=Fraction(0), budget=0, cost_model=UnitCost(),
                 )
-                radix = _score_radix(inst)
+                _, radix, _ = _keys(inst)
                 top = 1 if rule is ScoringRule.PLURALITY else m - 1
                 vectors = list(itertools.product(range(n * top + 1), repeat=m))
                 for vector in vectors:

@@ -6,11 +6,18 @@ and there every solver answers 0 at once.  This stream instead takes the
 benchmark's `random_case` (every price at least 1) at its first attempt whose
 goals are unmet at zero cost, at a few sizes per cell.  The routed solver
 must find a plan costing the exact search's optimum when capped there, and
-none when capped one below.
+none when capped one below.  The same cases check relations the optimum
+must keep when the voters are reordered, the parties renamed or the prices
+doubled.
 """
+
+import random
+from dataclasses import replace
 
 import pytest
 
+from coalition_bribery.core import Election, PreferenceOrder
+from coalition_bribery.costs import DollarCost, ShiftCost, SwapCost, UnitCost
 from coalition_bribery.dispatch import CROSSVAL_VARIANTS, dispatch, solver_for
 from coalition_bribery.oracle import SearchBudget, oracle_solve
 
@@ -37,3 +44,77 @@ def test_routed_solver_matches_the_oracle_where_goals_are_unmet(variant):
         assert plan is not None and plan.cost == optimum, where
         assert solver(inst, optimum - 1) is None, where
     assert feasible >= len(SIZES) // 2
+
+
+def permute_voters(inst, rng):
+    """`inst` with its voters in a random order, each with its price data."""
+    election, model = inst.election, inst.cost_model
+    perm = rng.sample(range(election.num_voters), election.num_voters)
+
+    def pick(data):
+        return tuple(data[i] for i in perm)
+
+    if isinstance(model, DollarCost):
+        model = DollarCost(pick(model.prices))
+    elif isinstance(model, SwapCost):
+        model = SwapCost(pick(model.pair_prices))
+    elif isinstance(model, ShiftCost):
+        model = ShiftCost(pick(model.tables))
+    election = Election(election.parties, pick(election.voters), pick(election.orders))
+    return replace(inst, election=election, cost_model=model)
+
+
+def rename_parties(inst, rng):
+    """`inst` under a random renaming of its parties, applied to the orders,
+    the coalition, the preferred party and the swap pair keys alike."""
+    election, model = inst.election, inst.cost_model
+    parties = election.parties
+    name = dict(zip(parties, rng.sample(parties, len(parties))))
+    if isinstance(model, SwapCost):
+        model = SwapCost(tuple(
+            {(name[x], name[y]): price for (x, y), price in prices.items()}
+            for prices in model.pair_prices
+        ))
+    orders = tuple(
+        PreferenceOrder(tuple(name[p] for p in order.ranking)) for order in election.orders
+    )
+    return replace(
+        inst, election=Election(parties, election.voters, orders),
+        coalition=tuple(name[p] for p in inst.coalition),
+        preferred=None if inst.preferred is None else name[inst.preferred],
+        cost_model=model,
+    )
+
+
+def doubled_prices(model):
+    """`model` with every price doubled."""
+    if isinstance(model, DollarCost):
+        return DollarCost(tuple(2 * price for price in model.prices))
+    if isinstance(model, SwapCost):
+        return SwapCost(tuple(
+            {pair: 2 * price for pair, price in prices.items()}
+            for prices in model.pair_prices
+        ))
+    return ShiftCost(tuple(tuple(2 * price for price in table) for table in model.tables))
+
+
+@pytest.mark.parametrize("variant", CROSSVAL_VARIANTS, ids=lambda v: v.label())
+def test_optimum_keeps_its_relations(variant):
+    # The optimum is a function of the instance up to names and order:
+    # permuting the voters with their price data, or renaming the parties
+    # consistently, leaves it unchanged, and doubling every price doubles
+    # it ("none" stays "none").  Unit prices cannot be doubled.
+    inst = unmet_case(variant, 20, 4, 2)
+    solver = solver_for(dispatch(inst), SearchBudget())
+    rng = random.Random(variant.label())
+
+    def optimum(instance):
+        plan = solver(instance, None)
+        return None if plan is None else plan.cost
+
+    cost = optimum(inst)
+    assert optimum(permute_voters(inst, rng)) == cost, variant.label()
+    assert optimum(rename_parties(inst, rng)) == cost, variant.label()
+    if not isinstance(inst.cost_model, UnitCost):
+        doubled = replace(inst, cost_model=doubled_prices(inst.cost_model))
+        assert optimum(doubled) == (None if cost is None else 2 * cost), variant.label()
