@@ -233,7 +233,7 @@ def iter_orders(
     order: PreferenceOrder,
     may_rise: Collection[str],
     pair_price: Callable[[str, str], int],
-    cap: Optional[int] = None,
+    cap: float = math.inf,
 ) -> Iterator[tuple[PreferenceOrder, int]]:
     """Each reordering of `order` in which only parties in `may_rise` rise
     above a party they were below, once, with the summed `pair_price(x, y)`
@@ -241,9 +241,9 @@ def iter_orders(
 
     Fills slots front to back: placing y inverts it with every unplaced party
     that was above it, so a party outside `may_rise` waits until none is
-    left.  A prefix whose total passes `cap` is cut; one within it completes
-    at no extra cost (the rest in their original order), so every branch
-    walked yields an order.
+    left.  A prefix whose total passes `cap` (inf: no limit) is cut; one
+    within it completes at no extra cost (the rest in their original order),
+    so every branch walked yields an order.
     """
     ranking = order.ranking
     m = len(ranking)
@@ -262,7 +262,7 @@ def iter_orders(
                 continue
             if rises[j] or not passed:
                 added = total + sum(prices[j][i] for i in passed)
-                if cap is None or added <= cap:
+                if added <= cap:
                     prefix.append(ranking[j])
                     yield from rec(placed | 1 << j, added)
                     prefix.pop()

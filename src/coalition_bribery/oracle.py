@@ -10,20 +10,33 @@ achievable top; a Borda voter's are its admissible orders.  Options with the
 same effect on that key are merged into the cheapest of them.
 
 A state's key packs the coordinates the goal reads off its score vector
-into one integer, sum(c_i * R**i); `_keys` decides once per solve what they
-are, their radix R and the goal test on a key.  Under a threshold they are
-the whole vector, with R = n * top + 1, where top is the points of a first
-place (1 for plurality, m - 1 for Borda).  At threshold 0 every party is
-seated, so the goals read only the coalition's points and the leader's (the
-coalition's alone when rho = 0), with R = T + 1 for the grand total T.
-Every state is a partly bribed profile, so each coordinate lies in [0, R)
-and the packing is injective: no digit carries.  Each option's delta is the
-difference of two orders' keys, each packed once per solve, so a sweep step
-is one integer addition.  A class layer is held in cost buckets, {total
-cost: keys first reached at that cost}.  The last layer is never stored: its
-keys are tested as they are built, cheapest first, and the witness is
-rebuilt by walking back from the first key that meets the goals; so among
-plans of equal cost, the one reported follows from the build order.
+into one integer, sum(c_i * R**i), with the coalition's summed points as
+its top digit, at place value `high`; `_keys` decides once per solve what
+they are, their radix R, `high` and the goal test on a key.  Under a
+threshold they are the whole vector, with R = n * top + 1, where top is the
+points of a first place (1 for plurality, m - 1 for Borda), then the
+coalition's points, so high = R**m.  At threshold 0 every party is seated,
+so the goals read only the leader's points and the coalition's (the
+coalition's alone when rho = 0, and high = 1), with R = T + 1 for the grand
+total T.  Every state is a partly bribed profile, so each digit below the
+top lies in [0, R) and the packing is injective: no digit carries, and the
+top digit, which nothing sits above, may pass R - 1.  Each order's key is
+its places' points times its parties' weights, cached per solve by its
+ranking; each option's delta is the difference of two orders' keys, so a
+sweep step is one integer addition.  A class layer is held in cost buckets,
+{total cost: keys first reached at that cost}.  The last layer is never
+stored: its keys are tested as they are built, cheapest first, and the
+witness is rebuilt by walking back from the first key that meets the goals;
+so among plans of equal cost, the one reported follows from the build
+order.
+
+Every profile that meets the goals gives the coalition at least `_floor`
+points.  Before the sweep, every class's options are listed, and going back
+over the classes, `reach` holds for each suffix of them the front of (cost,
+the most coalition points they add within it).  A key at total cost t after
+a class is kept only if it is at least (floor - reach(cap - t)) * high, the
+points the later classes can still add within the cap: one comparison per
+key.  This prunes at every cap, none included.
 
 Every voter's orders come from `enumerate_voter_options`.  With a cost cap,
 options and partial bribes above it are dropped, and the search returns the
@@ -32,9 +45,11 @@ cheapest bribe under the cap.
 The search refuses instances whose option spaces and sweep states together
 outgrow the configured expansion budget instead of running unboundedly: one
 meter per solve counts option enumeration and sweep steps alike, and the
-refusal carries the expansion count reached.  The sweep charges once per
-option multiset within the cap, one expansion per state it is combined with,
-before combining them.
+refusal carries the expansion count reached.  Every class's enumeration is
+charged before any sweep step.  Each option multiset within the cap is then
+charged, before any is combined, the number of states in the buckets it is
+combined with within the cap: the summed sizes of the (bucket, multiset)
+pairs its layer keeps.
 """
 
 from __future__ import annotations
@@ -53,8 +68,8 @@ from .core import (
     check_goals,
     goals_met,
     grand_total,
+    seat_cut,
     seated_points,
-    tally,
 )
 from .costs import (
     BribePlan,
@@ -173,28 +188,30 @@ def _plurality_top_options(
 
 def _voter_effect_options(
     instance: ProblemInstance, voter: int, meter: _Meter,
-    cost_cap: float, packed,
-) -> list[tuple[int, int, PreferenceOrder]]:
-    """(cost, packed delta, order) per option costing at most `cost_cap`
-    (inf: no limit), by cost then delta; `packed(order)` is the order's
-    packed key.  Options that share a delta move every key alike, so only
-    the cheapest of them is kept.  Under a threshold no two share one
-    (plurality options differ in their top, and distinct orders have
-    distinct Borda score vectors); at threshold 0 many do, as the key reads
-    only the coalition's and the leader's points."""
+    cost_cap: float, packed, high: int,
+) -> list[tuple[int, int, int, PreferenceOrder]]:
+    """(cost, packed delta, coalition gain, order) per option costing at most
+    `cost_cap` (inf: no limit), by cost then delta; `packed(ranking)` is an
+    order's packed key, whose top digit, key // `high`, is the coalition's
+    points.  Options that share a delta move every key alike, so only the
+    cheapest of them is kept.  Under a threshold no two share one (plurality
+    options differ in their top, and distinct orders have distinct Borda
+    score vectors); at threshold 0 many do, as the key reads only the
+    coalition's and the leader's points."""
     if instance.rule is ScoringRule.PLURALITY:
         raw = _plurality_top_options(instance, voter)
     else:
         raw = enumerate_voter_options(instance, voter, meter, cost_cap)
-    old = packed(instance.election.orders[voter])
+    old = packed(instance.election.orders[voter].ranking)
     cheapest = {}
     for option in sorted(
-        ((cost, packed(candidate) - old, candidate)
+        ((cost, packed(candidate.ranking) - old, candidate)
          for candidate, cost in raw if cost <= cost_cap),
         key=lambda option: option[:2],
     ):
         cheapest.setdefault(option[1], option)
-    return list(cheapest.values())
+    return [(cost, delta, (old + delta) // high - old // high, candidate)
+            for cost, delta, candidate in cheapest.values()]
 
 
 def _voter_classes(instance: ProblemInstance) -> list[list[int]]:
@@ -214,7 +231,7 @@ def _voter_classes(instance: ProblemInstance) -> list[list[int]]:
 
 def _pack(vector, radix: int) -> int:
     """sum(vector[p] * radix**p); for signed deltas too, though only vectors
-    with every entry in [0, radix) pack injectively."""
+    with every entry but the last in [0, radix) pack injectively."""
     key = 0
     for value in reversed(vector):
         key = key * radix + value
@@ -222,75 +239,131 @@ def _pack(vector, radix: int) -> int:
 
 
 def _unpack(key: int, radix: int, length: int) -> tuple[int, ...]:
-    """The vector of `length` entries in [0, radix) that `_pack` maps to `key`."""
+    """The vector of `length` entries that `_pack` maps to `key`: each but
+    the last in [0, radix), the last the quotient that remains."""
     digits = []
-    for _ in range(length):
+    for _ in range(length - 1):
         key, digit = divmod(key, radix)
         digits.append(digit)
-    return tuple(digits)
+    return (*digits, key) if length else ()
 
 
 def _keys(instance: ProblemInstance):
     """What a state's key holds: `coordinates(scores)`, the numbers the goal
-    reads off a score vector in party order; `radix`, one more than the most
-    any of them can hold; and `met(key)`, the goal test on a packed key,
+    reads off a score vector in party order, the coalition's points last;
+    `radix`, one more than the most any other of them can hold; `high`, the
+    last one's place value; and `met(key)`, the goal test on a packed key,
     without unpacking it.  The coordinates are linear, so deltas add.
 
-    At threshold 0 every party is seated, so the goal reads the coalition's
-    points and the leader's (the coalition's alone when rho = 0), against
-    the grand total T, and R = T + 1; the key is coalition + leader * R.
-    Under a threshold every party's points decide who is seated, so the
-    coordinates are the whole vector, and R = n * top + 1, with top the
-    points of a first place.  The key then splits at R**(m // 2) into a low
-    and a high half, each half's seated points (`core.seated_points`) are
-    found once per distinct half, and their sums go to `core.goals_met`."""
+    At threshold 0 every party is seated, so the goal reads the leader's
+    points and the coalition's (the coalition's alone when rho = 0), against
+    the grand total T, and R = T + 1; the key is leader + coalition * R, or
+    the coalition's points alone, and `met` splits it at `high`.  Under a
+    threshold every party's points decide who is seated, so the coordinates
+    are the whole vector with the coalition's sum on top, R = n * top + 1,
+    with top the points of a first place, and high = R**m.  `met` strips the
+    top digit (key % high) and splits the rest at R**(m // 2) into a low and
+    a high half; each half's seated points (`core.seated_points`) are found
+    once per distinct half, and their sums go to `core.goals_met`."""
     election = instance.election
     parties = election.parties
+    members = [parties.index(p) for p in instance.coalition]
     if not instance.threshold:
         total = grand_total(election.num_voters, election.num_parties, instance.rule)
         radix = total + 1
-        members = [parties.index(p) for p in instance.coalition]
-        # the parties each coordinate sums: the coalition, then the leader
-        groups = [members] if instance.rho == 0 else [members, [parties.index(instance.leader)]]
+        # the parties each coordinate sums: the leader, then the coalition
+        groups = [members] if instance.rho == 0 else [[parties.index(instance.leader)], members]
+        high = radix ** (len(groups) - 1)
 
         def coordinates(scores):
             return tuple(sum([scores[i] for i in group]) for group in groups)
 
         def met(key: int) -> bool:
-            leader, coalition = divmod(key, radix)
+            coalition, leader = divmod(key, high)
             return goals_met(coalition, leader, total, instance)
 
-        return coordinates, radix, met
+        return coordinates, radix, high, met
 
     top = 1 if instance.rule is ScoringRule.PLURALITY else election.num_parties - 1
     radix = election.num_voters * top + 1
+    high = radix ** len(parties)
     cut = len(parties) // 2
     split = radix ** cut
+
+    def coordinates(scores):
+        return (*scores, sum([scores[i] for i in members]))
 
     def half(part):
         points = seated_points(instance, part)
         return cache(lambda key: points(_unpack(key, radix, len(part))))
 
-    low_points, high_points = half(parties[:cut]), half(parties[cut:])
+    lower_points, upper_points = half(parties[:cut]), half(parties[cut:])
 
     def met(key: int) -> bool:
-        high, low = divmod(key, split)
-        lo, hi = low_points(low), high_points(high)
+        upper, lower = divmod(key % high, split)
+        lo, hi = lower_points(lower), upper_points(upper)
         return goals_met(lo[0] + hi[0], lo[1] + hi[1], lo[2] + hi[2], instance)
 
-    return tuple, radix, met
+    return coordinates, radix, high, met
 
 
-def _next_layer(layer: dict, moves: list, limit: float):
+def _order_keys(instance: ProblemInstance, coordinates, radix: int):
+    """`packed(ranking)`, the key of one order, cached per solve by its
+    ranking: the sum of each place's points times its party's weight, the
+    key of a score vector holding one point for that party alone."""
+    parties = instance.election.parties
+    weight = {party: _pack(coordinates([int(p == party) for p in parties]), radix)
+              for party in parties}
+    m = len(parties)
+    points = [1] + [0] * (m - 1) if instance.rule is ScoringRule.PLURALITY else range(m)[::-1]
+    return cache(lambda ranking: sum([p * weight[party] for p, party in zip(points, ranking)]))
+
+
+def _floor(instance: ProblemInstance) -> int:
+    """The fewest points the whole coalition, seated or not, holds in any
+    profile that meets the goals: max(0, ceil(phi * (T - k_out * max(0, need
+    - 1)))), for the grand total T, the seat cut need = `core.seat_cut(T,
+    threshold)` and the number of outsiders k_out.
+
+    Each unseated outsider holds at most need - 1 points, so the seated
+    outsiders hold O_s >= T - C - k_out * (need - 1), where C is the
+    coalition's points.  The goal gives C_s * (phi_d - phi_n) >= phi_n * O_s
+    for the seated coalition points C_s (or nobody is seated and phi = 0).
+    Since C >= C_s, it follows that C * phi_d >= phi_n * (T - k_out * (need
+    - 1)).  At threshold 0 the floor is ceil(phi * T), the CB goal itself."""
+    election = instance.election
+    total = grand_total(election.num_voters, election.num_parties, instance.rule)
+    need = seat_cut(total, instance.threshold)
+    rest = total - len(instance.outsiders) * max(0, need - 1)
+    phi = instance.phi
+    return max(0, -(-phi.numerator * rest // phi.denominator))
+
+
+def _front(pairs) -> tuple[list, list]:
+    """The (cost, gain) pairs that no pair at most as dear matches, as the
+    list of their costs and the list of their gains, by cost."""
+    costs, gains = [], []
+    for cost, gain in sorted(pairs, key=lambda pair: (pair[0], -pair[1])):
+        if not gains or gain > gains[-1]:
+            costs.append(cost)
+            gains.append(gain)
+    return costs, gains
+
+
+def _next_layer(layer: dict, moves: list, limit: float, least):
     """The class layer after `layer`, as (total, fresh keys) pairs, cheapest
     total first: each pair of a bucket and a (cost, delta, multiset) move
-    yields the keys that no cheaper pair reached, as one set comprehension."""
+    within the cap yields, as one set comprehension, the keys no cheaper
+    pair reached among those at least `least(total)`."""
     pairs = sorted((cost + move[0], cost, move[1])
                    for cost in layer for move in moves if cost + move[0] <= limit)
-    seen = set()
+    seen, last = set(), None
     for total, cost, delta in pairs:
+        if total != last:
+            last, bound = total, least(total)
+        lowest = bound - delta
         # `-` probes `seen` once per new key; `-=` would walk `seen` itself.
-        fresh = {key + delta for key in layer[cost]} - seen
+        fresh = {key + delta for key in layer[cost] if key >= lowest} - seen
         if fresh:
             seen |= fresh
             yield total, fresh
@@ -303,35 +376,59 @@ def _search(
     election = instance.election
     classes = _voter_classes(instance)
     limit = inf if cost_cap is None else cost_cap
+    coordinates, radix, high, met = _keys(instance)
+    packed = _order_keys(instance, coordinates, radix)
+    class_options = [
+        _voter_effect_options(instance, members[0], meter, limit, packed, high)
+        for members in classes]
 
-    # each order's key, packed once per solve; a profile's key is their sum
-    coordinates, radix, met = _keys(instance)
-    parties, rule = election.parties, instance.rule
-    packed = cache(lambda order: _pack(
-        coordinates(tuple(tally((order,), parties, rule).values())), radix))
-    layers, width = [{0: {sum(map(packed, election.orders))}}], 1
+    # reach[c]: the front of (cost, the most coalition points classes c,
+    # c + 1, ... add within it); each starts at cost 0, as every class can
+    # keep its orders
+    reach = [([0], [0])]
+    for members, options in zip(reversed(classes), reversed(class_options)):
+        one = _front((option[0], option[2]) for option in options)
+        front = reach[-1]
+        for _ in members:
+            front = _front((cost + c, gain + g) for cost, gain in zip(*one)
+                           for c, g in zip(*front) if cost + c <= limit)
+        reach.append(front)
+    reach.reverse()
+    floor = _floor(instance)
+
+    def least(costs, gains):
+        # the least key from which the classes `costs` and `gains` describe
+        # can still lift the coalition's points to the floor within the cap
+        return lambda total: max(
+            0, floor - gains[bisect_right(costs, limit - total) - 1]) * high
+
+    layers = [{0: {sum([packed(order.ranking) for order in election.orders])}}]
     class_moves = []
-    for members in classes:
-        if class_moves:
-            # the layer after the previous class, whose width the next charges read
-            layer = {}
-            for total, fresh in _next_layer(layers[-1], class_moves[-1], limit):
-                layer.setdefault(total, set()).update(fresh)
-            layers.append(layer)
-            width = sum(map(len, layer.values()))
-            meter.states += width
-        options = _voter_effect_options(instance, members[0], meter, limit, packed)
+    for members, options, later in zip(classes, class_options, reach[1:]):
+        layer = layers[-1]
+        if not layer:
+            return None
+        totals = sorted(layer)
+        below = list(itertools.accumulate((len(layer[total]) for total in totals), initial=0))
         moves = []
         # one multiset of options per class: members are interchangeable
         for combo in itertools.combinations_with_replacement(options, len(members)):
             cost = sum(option[0] for option in combo)
             if cost <= limit:
-                meter.charge(width)
+                # the states of the buckets it is combined with within the cap
+                meter.charge(below[bisect_right(totals, limit - cost)])
                 moves.append((cost, sum(option[1] for option in combo), combo))
         class_moves.append(moves)
+        built = _next_layer(layer, moves, limit, least(*later))
+        if len(class_moves) < len(classes):
+            layer = {}
+            for total, fresh in built:
+                layer.setdefault(total, set()).update(fresh)
+            layers.append(layer)
+            meter.states += sum(map(len, layer.values()))
 
     # the last layer is never stored: its keys are tested as they are built
-    for total, fresh in _next_layer(layers[-1], class_moves[-1], limit):
+    for total, fresh in built:
         meter.states += len(fresh)
         key = next(filter(met, fresh), None)
         if key is not None:
@@ -346,7 +443,7 @@ def _search(
         # the first move whose source key sits in the bucket at the remaining cost
         cost, delta, combo = next(
             move for move in moves if key - move[1] in layer.get(total - move[0], ()))
-        for voter, (_, _, rep) in zip(members, combo):
+        for voter, (*_, rep) in zip(members, combo):
             if rep != election.orders[voter]:
                 replacements[voter] = rep
         total, key = total - cost, key - delta

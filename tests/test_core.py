@@ -231,12 +231,15 @@ def goal_cases(draw):
     cut = threshold * total
     near = sorted(v for v in {math.floor(cut) - 1, math.floor(cut), math.ceil(cut),
                               math.ceil(cut) + 1} if 0 <= v <= total)
-    values = draw(st.one_of(
+    compositions = st.lists(st.integers(0, total), min_size=len(parties) - 1,
+                            max_size=len(parties) - 1).map(lambda cuts: composition(cuts, total))
+    # at threshold 0 only the coalition's and the leader's points are read,
+    # against the grand total, so only vectors summing to it are drawn
+    values = draw(compositions if not threshold else st.one_of(
         st.just([0] * len(parties)),
         st.lists(st.integers(0, total), min_size=len(parties), max_size=len(parties)),
         st.lists(st.sampled_from(near), min_size=len(parties), max_size=len(parties)),
-        st.lists(st.integers(0, total), min_size=len(parties) - 1,
-                 max_size=len(parties) - 1).map(lambda cuts: composition(cuts, total)),
+        compositions,
     ))
     coalition = draw(st.one_of(
         st.just(parties),
@@ -307,17 +310,17 @@ def test_seated_goal_matches_seat_shares(case):
 def test_packed_goal_matches_seated_goal(case):
     # The exact search keys a state by the coordinates the goal reads
     # (`_keys`): the whole vector under a threshold, tested half by half,
-    # and at threshold 0 the coalition's and the leader's points, read
-    # against the grand total.  On every vector a profile can hold (each
-    # coordinate below the scheme's radix, and at threshold 0 summing to the
-    # grand total), on and next to the seat cut, that must agree with the
-    # whole-vector goal test.
+    # and at threshold 0 the leader's and the coalition's points, read
+    # against the grand total; the coalition's points are the top digit.  On
+    # every vector a profile can hold (each coordinate but the top below the
+    # scheme's radix, and at threshold 0 summing to the grand total), on and
+    # next to the seat cut, that must agree with the whole-vector goal test.
     inst, scores = case
     vector = [scores[p] for p in inst.election.parties]
-    total = grand_total(inst.election.num_voters, inst.election.num_parties, inst.rule)
-    coordinates, radix, met = _keys(inst)
-    assume(inst.threshold or sum(vector) == total)
-    assume(all(value < radix for value in coordinates(vector)))
+    coordinates, radix, _, met = _keys(inst)
+    *digits, coalition = coordinates(vector)
+    assert coalition == sum(scores[p] for p in inst.coalition)
+    assume(all(value < radix for value in digits))
     assert met(_pack(coordinates(vector), radix)) == seated_goal(inst, vector)
 
 

@@ -14,7 +14,9 @@ from coalition_bribery.core import (
     ScoringRule,
     Variant,
     check_goals,
+    goals_met,
     grand_total,
+    score,
     seat_cut,
     tally,
 )
@@ -29,12 +31,15 @@ from coalition_bribery.costs import (
     plan_cost,
 )
 from coalition_bribery.dispatch import CROSSVAL_VARIANTS, ORACLE, solve_instance
+from coalition_bribery import oracle
 from coalition_bribery.generators import random_instance, with_budget
 from coalition_bribery.oracle import (
     OracleRefusal,
     SearchBudget,
     _Meter,
+    _floor,
     _keys,
+    _order_keys,
     _pack,
     _unpack,
     _voter_classes,
@@ -177,13 +182,16 @@ class TestEnumerateOptions:
 
     def test_one_meter_per_solve(self):
         # Three voter classes, each priced at the budget of 1, so each
-        # enumeration charges all 4! = 24 orders up front.  At threshold 0
-        # with rho = 0 a state is the coalition's points alone; each voter
-        # gives "a" 2 points and can move it to 0-3, so its 24 orders merge
-        # into 4 effects and every layer holds 4 states.  No single
-        # enumeration reaches the limit of 50, but the second one, after the
-        # first class's 4 sweep expansions, does (24 + 4 + 24 = 52); the
-        # solve takes 3 * 24 + 4 + 16 + 16 = 108.
+        # enumeration charges all 4! = 24 orders up front, all three before
+        # any sweep step.  No single enumeration reaches the limit of 50,
+        # but the third, after the first two, does (24 + 24 + 24 = 72).  At
+        # threshold 0 with rho = 0 a state is the coalition's points alone;
+        # each voter gives "a" 2 points and can move it to 0-3, so its 24
+        # orders merge into 4 effects.  The first class's 4 multisets are
+        # each combined with the one start state (4 expansions).  The goal
+        # needs 9 of the 18 points (`_floor`), "a" holds 6, and the cap of 1
+        # lets one bribe add at most 1, so every key of the first layer is
+        # dropped and the sweep ends there: the solve takes 3 * 24 + 4 = 76.
         parties = ("a", "b", "c", "d")
         election = make_election(
             parties, [("b", "a", "c", "d"), ("c", "a", "b", "d"), ("d", "a", "b", "c")]
@@ -197,10 +205,11 @@ class TestEnumerateOptions:
         assert len(enumerate_voter_options(inst, 0, _Meter(SearchBudget(50)), 1)) == 24
         stats = {}
         assert solve_np_hard(inst, inst.budget, SearchBudget(), stats=stats) is None
-        assert stats["expansions"] == 108
+        assert _floor(inst) == 9
+        assert stats == {"expansions": 76, "states": 0}
         with pytest.raises(OracleRefusal) as err:
             solve_instance(inst, SearchBudget(max_expansions=50), force_oracle=True)
-        assert err.value.limit == 50 and err.value.required == 52
+        assert err.value.limit == 50 and err.value.required == 72
         assert str(err.value) == (
             "exact search needs more than 50 expansions "
             f"(stopped at {err.value.required})"
@@ -215,11 +224,12 @@ EVERY_VARIANT = [
 
 
 def packed_orders(inst):
-    """`packed(order)`: the order's key under the search's key scheme."""
-    coordinates, radix, _ = _keys(inst)
+    """`packed(ranking)`: the order's key under the search's key scheme,
+    from its tally."""
+    coordinates, radix, _, _ = _keys(inst)
     parties, rule = inst.election.parties, inst.rule
-    return lambda order: _pack(
-        coordinates(tuple(tally((order,), parties, rule).values())), radix)
+    return lambda ranking: _pack(coordinates(
+        tuple(tally((PreferenceOrder(ranking),), parties, rule).values())), radix)
 
 
 @pytest.mark.parametrize("variant", EVERY_VARIANT, ids=lambda v: v.label())
@@ -227,22 +237,31 @@ def test_keys_of_bribed_profiles(variant):
     # The search keys a profile by the sum of its orders' keys and tests the
     # goal on that sum alone.  On seeded profiles, bribed a few times by
     # replacing random voters' orders with random permutations, the summed
-    # coordinates must each lie in [0, radix), so the sum carries no digit
-    # and unpacks to them, and `met` must agree with `check_goals`.
+    # coordinates below the top must each lie in [0, radix), so the sum
+    # carries no digit and unpacks to them; the top one, at place value
+    # `high`, must be the coalition's points; the search's own order keys
+    # must add up to the same key; and `met` must agree with `check_goals`.
     rng = random.Random(variant.label())
     outcomes = set()
     for index in range(10):
         inst = random_instance(variant, seed=17, index=index, max_voters=8, max_parties=6)
-        coordinates, radix, met = _keys(inst)
+        coordinates, radix, high, met = _keys(inst)
         packed = packed_orders(inst)
+        search_packed = _order_keys(inst, coordinates, radix)
         parties = inst.election.parties
         orders = list(inst.election.orders)
         for bribe in range(4):
             where = (variant.label(), index, bribe)
-            summed = coordinates(tuple(tally(orders, parties, inst.rule).values()))
-            assert all(0 <= digit < radix for digit in summed), where
-            key = sum(map(packed, orders))
+            scores = tally(orders, parties, inst.rule)
+            *digits, top = summed = coordinates(tuple(scores.values()))
+            assert all(0 <= digit < radix for digit in digits), where
+            assert top == sum(scores[p] for p in inst.coalition), where
+            assert high == radix ** len(digits), where
+            rankings = [order.ranking for order in orders]
+            key = sum(map(packed, rankings))
+            assert key == sum(map(search_packed, rankings)), where
             assert _unpack(key, radix, len(summed)) == summed, where
+            assert key // high == top, where
             goal = met(key)
             assert goal == check_goals(orders, inst), where
             outcomes.add(goal)
@@ -259,21 +278,100 @@ def test_voter_options_have_distinct_score_effects(variant):
     for index in range(20):
         inst = random_instance(variant, seed=11, index=index)
         packed = packed_orders(inst)
+        _, _, high, _ = _keys(inst)
         for voter in range(inst.election.num_voters):
             options = _voter_effect_options(
-                inst, voter, _Meter(SearchBudget()), math.inf, packed
+                inst, voter, _Meter(SearchBudget()), math.inf, packed, high
             )
             orders = enumerate_voter_options(inst, voter, _Meter(SearchBudget()))
-            old = packed(inst.election.orders[voter])
+            old = inst.election.orders[voter]
             cheapest = {}
             for order, cost in orders:
-                delta = packed(order) - old
+                delta = packed(order.ranking) - packed(old.ranking)
                 cheapest[delta] = min(cost, cheapest.get(delta, cost))
             where = (variant.label(), index, voter)
-            assert {delta: cost for cost, delta, _ in options} == cheapest, where
-            assert len({delta for _, delta, _ in options}) == len(options), where
+            assert {delta: cost for cost, delta, _, _ in options} == cheapest, where
+            assert len({delta for _, delta, _, _ in options}) == len(options), where
+            # each option's gain is its change to the coalition's points
+            for _, _, gain, order in options:
+                assert gain == sum(score(order, p, inst.rule) - score(old, p, inst.rule)
+                                   for p in inst.coalition), where
             if inst.threshold and variant.rule is ScoringRule.BORDA:
                 assert len(options) == len(orders), where
+
+
+@pytest.mark.parametrize("variant", EVERY_VARIANT, ids=lambda v: v.label())
+def test_coalition_floor_is_sound(variant):
+    # Every profile that meets the goals gives the whole coalition, seated
+    # or not, at least `_floor` points, so the search may drop every partial
+    # bribe that cannot reach it.  At threshold 0 with rho = 0 the goal is
+    # the floor itself: the least coalition points that meet it.
+    rng = random.Random(f"floor-{variant.label()}")
+    tested = 0
+    for index in range(10):
+        inst = random_instance(variant, seed=19, index=index, max_voters=8, max_parties=6)
+        floor = _floor(inst)
+        election = inst.election
+        if not inst.threshold and inst.rho == 0:
+            total = grand_total(election.num_voters, election.num_parties, inst.rule)
+            assert floor == min(c for c in range(total + 1)
+                                if goals_met(c, 0, total, inst)), index
+        parties = election.parties
+        orders = list(election.orders)
+        for bribe in range(8):
+            if check_goals(orders, inst):
+                scores = tally(orders, parties, inst.rule)
+                assert sum(scores[p] for p in inst.coalition) >= floor, (index, bribe)
+                tested += 1
+            for voter in rng.sample(range(len(orders)), rng.randint(1, len(orders))):
+                orders[voter] = PreferenceOrder(tuple(rng.sample(parties, len(parties))))
+    assert tested, variant.label()
+
+
+SEARCH_ONLY_VARIANTS = [
+    Variant(ScoringRule.BORDA, True, bribery, preferred)
+    for bribery in ("unit", "dollar", "swap", "shift") for preferred in (False, True)
+] + [
+    Variant(ScoringRule.PLURALITY, True, bribery, preferred)
+    for bribery in ("swap", "shift") for preferred in (False, True)
+]
+
+
+@pytest.mark.parametrize("variant", SEARCH_ONLY_VARIANTS, ids=lambda v: v.label())
+def test_pruned_search_matches_naive_product_search(variant, monkeypatch):
+    # The cells only the search serves, at up to 4 voters and 4 parties,
+    # with phi >= 1/2 and a threshold of at most 1/(2m), so that the floor
+    # bites: uncapped, at the optimum and one below it, the pruned search
+    # must find the naive optimum, and every plan must re-cost to it and
+    # meet the goals.  With the floor at 0 it prunes nothing, and it must
+    # build fewer states somewhere.
+    rng = random.Random(f"pruned-{variant.label()}")
+    bites = 0
+    for trial in range(12):
+        while True:
+            inst = random_problem(rng, variant.rule, True, variant.bribery,
+                                  variant.with_preferred, max_voters=4, max_parties=4)
+            m, n = inst.election.num_parties, inst.election.num_voters
+            if math.factorial(m) ** n <= 5_000:
+                break
+        inst = dataclasses.replace(inst, phi=Fraction(rng.randint(4, 8), 8),
+                                   threshold=Fraction(rng.randint(1, n), 2 * n * m))
+        opt = naive_optimum(inst)
+        for cap in [None] if opt is None else [None, opt] + [opt - 1] * (opt > 0):
+            pruned, unpruned = {}, {}
+            plan = solve_np_hard(inst, cap, stats=pruned)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_floor", lambda instance: 0)
+                solve_np_hard(inst, cap, stats=unpruned)
+            bites += pruned["states"] < unpruned["states"]
+            where = (trial, cap)
+            if opt is None or (cap is not None and cap < opt):
+                assert plan is None, where
+                continue
+            assert plan.cost == opt, where
+            assert plan_cost(inst.cost_model, inst.coalition, inst.election, plan) == opt, where
+            assert check_goals(apply_plan(inst.election, plan), inst), where
+    assert bites, variant.label()
 
 
 class TestOracleSolve:
@@ -429,10 +527,10 @@ class TestSolveNpHard:
 
 # Expansion counts and optima of the exact search, pinned per (instance, cap)
 # as (cap, expansions, sweep states, optimum or None).  How states are stored
-# and when the meter is charged must not move the expansions or the optima.
-# The bisection images have threshold 0, so a state is the coalition's
-# points alone; the last layer's states count only up to the first key that
-# meets the goals.
+# must not move the expansions or the optima.  The bisection images have
+# threshold 0, so a state is the coalition's points alone; the last layer's
+# states count only up to the first key that meets the goals; no key is kept
+# from which the coalition cannot reach `_floor` within the cap.
 METER_PINS = {
     "x3c-covered4": (
         lambda: reduce_x3c_to_plurality_shift_cb(
@@ -442,20 +540,20 @@ METER_PINS = {
     "bisection-v2-no": (
         lambda: reduce_minbisection_to_borda_swap_cb(
             MinBisectionInstance(2, frozenset({(1, 2)}), 0)),
-        [(2, 33, 3, 2), (1, 12, 2, None)],
+        [(2, 33, 1, 2), (1, 12, 0, None)],
     ),
     "bisection-v2-yes": (
         lambda: reduce_minbisection_to_borda_swap_cb(
             MinBisectionInstance(2, frozenset(), 0)),
-        [(1, 17, 3, 1)],
+        [(1, 17, 1, 1)],
     ),
     "sixteen-voter-shift": (
         lambda: sixteen_voter_shift_cbp(3),
-        [(3, 18, 18, 3), (2, 17, 16, None)],
+        [(3, 14, 10, 3), (2, 8, 5, None)],
     ),
     "sixteen-voter-swap-image": (
         lambda: shift_to_swap(sixteen_voter_shift_cbp(3, multiplicative=True)),
-        [(3, 23, 20, 3), (2, 19, 16, None)],
+        [(3, 17, 10, 3), (2, 9, 5, None)],
     ),
 }
 
@@ -475,7 +573,7 @@ class TestSearchWork:
     def test_state_key_round_trips_every_score_vector(self, rule):
         # Plurality and Borda fix the total points, so an optimum can hide a
         # radix one too small; the round trip over the whole score range
-        # cannot.
+        # cannot.  The top digit, the coalition's points, may pass radix - 1.
         for n in range(1, 4):
             for m in range(2, 5):
                 parties = tuple(f"p{i}" for i in range(m))
@@ -484,11 +582,14 @@ class TestSearchWork:
                     threshold=Fraction(0), coalition=parties[:1], phi=Fraction(0),
                     rho=Fraction(0), budget=0, cost_model=UnitCost(),
                 )
-                _, radix, _ = _keys(inst)
+                _, radix, _, _ = _keys(inst)
                 top = 1 if rule is ScoringRule.PLURALITY else m - 1
                 vectors = list(itertools.product(range(n * top + 1), repeat=m))
                 for vector in vectors:
                     assert _unpack(_pack(vector, radix), radix, m) == vector
+                    for coalition in (sum(vector), n * top * m):
+                        keyed = (*vector, coalition)
+                        assert _unpack(_pack(keyed, radix), radix, m + 1) == keyed
                 # a signed delta's key moves one state key to the other's
                 rng = random.Random(f"{rule}-{n}-{m}")
                 for _ in range(50):
