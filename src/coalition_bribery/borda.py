@@ -38,7 +38,7 @@ relaxation (`table.Relaxation`).  When the bound exceeds the cap the answer
 is "no" and no layer is built; otherwise each layer drops the cells whose
 bound, with the later voters' least reduced costs, exceeds the cap.  The
 kept cells, and so the optimum and its witness, are those of the unpruned
-table.  Uncapped, the cap is the dearest plan, which no plan exceeds.
+table.  A cap above the dearest plan, none included, is lowered to it.
 """
 
 from __future__ import annotations
@@ -224,11 +224,11 @@ def accumulate_voter_tables(
 
 def solve_borda_zero(
     instance: ProblemInstance,
-    cap: Optional[int],
+    cap: float,
     stats: Optional[dict] = None,
     budget: SearchBudget = SearchBudget(),
 ) -> Optional[BribePlan]:
-    """Cheapest bribe costing at most `cap` (None: no limit) for a
+    """Cheapest bribe costing at most `cap` (inf: no limit) for a
     zero-threshold Borda instance under any bribery kind, or None.  Raises
     OracleRefusal when the menus need more expansions than `budget` allows."""
     election = instance.election
@@ -241,7 +241,7 @@ def solve_borda_zero(
     total = grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA)
     gains = [steps for steps, _ in menus]
     layers, backpointers = accumulate_voter_tables(
-        gains, sum(max(steps.values()) for steps in gains) if cap is None else cap,
+        gains, min(cap, sum(max(steps.values()) for steps in gains)),
         instance.phi, total, instance.rho,
     )
     if stats is not None:

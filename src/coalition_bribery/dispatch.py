@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import Callable, Optional
 
 from .borda import solve_borda_zero
@@ -84,24 +85,26 @@ def solve_capped(
     search_budget: SearchBudget = SearchBudget(),
 ) -> Optional[BribePlan]:
     """The named solver's cheapest plan costing at most `cap` (None: no
-    limit), verified; None when there is none.
+    limit), verified; None when there is none.  Engines take `math.inf` for
+    no limit.
 
     Raises DomainError when a polynomial solver is named for a cell `ROUTES`
     does not route to it, and WitnessError when the engine's plan is
     inadmissible, misstates or exceeds its cost, or misses the goals.
     """
-    if cap is not None and cap < 0:
+    limit = inf if cap is None else cap
+    if limit < 0:
         return None
     if check_goals(instance.election.orders, instance):
         return BribePlan.empty()
     if name != ORACLE and dispatch(instance) != name:
         raise DomainError(f"{name} does not serve {instance.variant.label()}")
     kwargs = {"budget": search_budget} if name in (ORACLE, BORDA_DP) else {}
-    plan = globals()[ENGINES[name]](instance, cap, **kwargs)
+    plan = globals()[ENGINES[name]](instance, limit, **kwargs)
     if plan is None:
         return None
     cost = plan_cost(instance.cost_model, instance.coalition, instance.election, plan)
-    if cost is None or cost != plan.cost or (cap is not None and cost > cap):
+    if cost is None or cost != plan.cost or cost > limit:
         failure = "fails verification"
     elif not check_goals(apply_plan(instance.election, plan), instance):
         failure = "misses the goals"

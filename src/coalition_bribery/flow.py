@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import inf
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,10 @@ class Flow:
     cost: int
 
 
-def min_cost_flow(network: FlowNetwork, cap: Optional[int] = None) -> Flow | None:
+def min_cost_flow(network: FlowNetwork, cap: float = inf) -> Flow | None:
     """Cheapest integral flow meeting the demand exactly, or None when there
-    is none or it costs more than `cap` (None: no limit)."""
-    if cap is not None and cap < 0:
+    is none or it costs more than `cap` (inf: no limit)."""
+    if cap < 0:
         return None
     n = network.num_nodes
     # Residual graph: per node a list of [head, capacity, cost, index of twin].
@@ -104,7 +103,7 @@ def min_cost_flow(network: FlowNetwork, cap: Optional[int] = None) -> Flow | Non
             push = min(push, adj[u][idx][1])
             path_cost += adj[u][idx][2]
             v = u
-        if cap is not None and total_cost + remaining * path_cost > cap:
+        if total_cost + remaining * path_cost > cap:
             return None
         v = network.sink
         while prev[v] is not None:

@@ -9,26 +9,26 @@ scores.  A plurality voter's options are one cheapest replacement per
 achievable top; a Borda voter's are its admissible orders.  Options with the
 same effect on that key are merged into the cheapest of them.
 
-A state's key packs the coordinates the goal reads off its score vector
-into one integer, sum(c_i * R**i), with the coalition's summed points as
-its top digit, at place value `high`; `_keys` decides once per solve what
-they are, their radix R, `high` and the goal test on a key.  Under a
-threshold they are the whole vector, with R = n * top + 1, where top is the
-points of a first place (1 for plurality, m - 1 for Borda), then the
-coalition's points, so high = R**m.  At threshold 0 every party is seated,
-so the goals read only the leader's points and the coalition's (the
-coalition's alone when rho = 0, and high = 1), with R = T + 1 for the grand
-total T.  Every state is a partly bribed profile, so each digit below the
-top lies in [0, R) and the packing is injective: no digit carries, and the
-top digit, which nothing sits above, may pass R - 1.  Each order's key is
-its places' points times its parties' weights, cached per solve by its
-ranking; each option's delta is the difference of two orders' keys, so a
-sweep step is one integer addition.  A class layer is held in cost buckets,
-{total cost: keys first reached at that cost}.  The last layer is never
-stored: its keys are tested as they are built, cheapest first, and the
-witness is rebuilt by walking back from the first key that meets the goals;
-so among plans of equal cost, the one reported follows from the build
-order.
+A state's key is its score vector weighted per party, sum(s_p * weight[p]),
+with the coalition's summed points as its top digit, at place value `high`;
+`_keys` decides once per solve the weights, `high` and the goal test on a
+key.  Under a threshold the key holds the whole vector: the i-th party
+weighs R**i, with R = n * top + 1, where top is the points of a first place
+(1 for plurality, m - 1 for Borda), and a coalition member high = R**m more.
+At threshold 0 every party is seated, so the goals read only the leader's
+points and the coalition's: a member weighs high = T + 1 for the grand
+total T, and the leader 1 more (when rho = 0 the leader is not read, and a
+member weighs high = 1).  Every state is a partly bribed profile, so each
+digit below the top lies in [0, R), or at threshold 0 in [0, T], and keys
+are injective: no digit carries, and the top digit, which nothing sits
+above, may pass R - 1.  Each order's key is its places' points times its parties' weights,
+cached per solve by its ranking; each option's delta is the difference of
+two orders' keys, so a sweep step is one integer addition.  A class layer
+is held in cost buckets, {total cost: keys first reached at that cost}.
+The last layer is never stored: its keys are tested as they are built,
+cheapest first, and the witness is rebuilt by walking back from the first
+key that meets the goals; so among plans of equal cost, the one reported
+follows from the build order.
 
 Every profile that meets the goals gives the coalition at least `_floor`
 points.  Before the sweep, every class's options are listed, and going back
@@ -229,17 +229,8 @@ def _voter_classes(instance: ProblemInstance) -> list[list[int]]:
     return list(groups.values())
 
 
-def _pack(vector, radix: int) -> int:
-    """sum(vector[p] * radix**p); for signed deltas too, though only vectors
-    with every entry but the last in [0, radix) pack injectively."""
-    key = 0
-    for value in reversed(vector):
-        key = key * radix + value
-    return key
-
-
 def _unpack(key: int, radix: int, length: int) -> tuple[int, ...]:
-    """The vector of `length` entries that `_pack` maps to `key`: each but
+    """The `length` digits of `key` in base `radix`, lowest first: each but
     the last in [0, radix), the last the quotient that remains."""
     digits = []
     for _ in range(length - 1):
@@ -249,49 +240,40 @@ def _unpack(key: int, radix: int, length: int) -> tuple[int, ...]:
 
 
 def _keys(instance: ProblemInstance):
-    """What a state's key holds: `coordinates(scores)`, the numbers the goal
-    reads off a score vector in party order, the coalition's points last;
-    `radix`, one more than the most any other of them can hold; `high`, the
-    last one's place value; and `met(key)`, the goal test on a packed key,
-    without unpacking it.  The coordinates are linear, so deltas add.
+    """The key scheme of one solve, laid out in the module docstring:
+    `weight[party]`, the key of one point held by that party alone, so a
+    score vector's key is sum(s_p * weight[p]) and deltas add; `high`, the
+    coalition's place value; and `met(key)`, the goal test on a key.
 
     At threshold 0 every party is seated, so the goal reads the leader's
-    points and the coalition's (the coalition's alone when rho = 0), against
-    the grand total T, and R = T + 1; the key is leader + coalition * R, or
-    the coalition's points alone, and `met` splits it at `high`.  Under a
-    threshold every party's points decide who is seated, so the coordinates
-    are the whole vector with the coalition's sum on top, R = n * top + 1,
-    with top the points of a first place, and high = R**m.  `met` strips the
-    top digit (key % high) and splits the rest at R**(m // 2) into a low and
-    a high half; each half's seated points (`core.seated_points`) are found
-    once per distinct half, and their sums go to `core.goals_met`."""
+    points and the coalition's, against the grand total, and `met` splits
+    the key at `high` into them.  Under a threshold every party's points
+    decide who is seated, so the key holds the whole vector; `met` strips
+    the top digit (key % high) and splits the rest at R**(m // 2) into a low
+    and a high half; each half's seated points (`core.seated_points`) are
+    found once per distinct half, and their sums go to `core.goals_met`."""
     election = instance.election
     parties = election.parties
-    members = [parties.index(p) for p in instance.coalition]
     if not instance.threshold:
         total = grand_total(election.num_voters, election.num_parties, instance.rule)
-        radix = total + 1
-        # the parties each coordinate sums: the leader, then the coalition
-        groups = [members] if instance.rho == 0 else [[parties.index(instance.leader)], members]
-        high = radix ** (len(groups) - 1)
-
-        def coordinates(scores):
-            return tuple(sum([scores[i] for i in group]) for group in groups)
+        high = total + 1 if instance.rho else 1
+        weight = {party: high * (party in instance.coalition) for party in parties}
+        if instance.rho:
+            weight[instance.leader] += 1
 
         def met(key: int) -> bool:
             coalition, leader = divmod(key, high)
             return goals_met(coalition, leader, total, instance)
 
-        return coordinates, radix, high, met
+        return weight, high, met
 
     top = 1 if instance.rule is ScoringRule.PLURALITY else election.num_parties - 1
     radix = election.num_voters * top + 1
     high = radix ** len(parties)
+    weight = {party: radix ** i + high * (party in instance.coalition)
+              for i, party in enumerate(parties)}
     cut = len(parties) // 2
     split = radix ** cut
-
-    def coordinates(scores):
-        return (*scores, sum([scores[i] for i in members]))
 
     def half(part):
         points = seated_points(instance, part)
@@ -304,17 +286,13 @@ def _keys(instance: ProblemInstance):
         lo, hi = lower_points(lower), upper_points(upper)
         return goals_met(lo[0] + hi[0], lo[1] + hi[1], lo[2] + hi[2], instance)
 
-    return coordinates, radix, high, met
+    return weight, high, met
 
 
-def _order_keys(instance: ProblemInstance, coordinates, radix: int):
+def _order_keys(instance: ProblemInstance, weight: dict):
     """`packed(ranking)`, the key of one order, cached per solve by its
-    ranking: the sum of each place's points times its party's weight, the
-    key of a score vector holding one point for that party alone."""
-    parties = instance.election.parties
-    weight = {party: _pack(coordinates([int(p == party) for p in parties]), radix)
-              for party in parties}
-    m = len(parties)
+    ranking: the sum of each place's points times its party's weight."""
+    m = instance.election.num_parties
     points = [1] + [0] * (m - 1) if instance.rule is ScoringRule.PLURALITY else range(m)[::-1]
     return cache(lambda ranking: sum([p * weight[party] for p, party in zip(points, ranking)]))
 
@@ -370,14 +348,14 @@ def _next_layer(layer: dict, moves: list, limit: float, least):
 
 
 def _search(
-    instance: ProblemInstance, meter: _Meter, cost_cap: Optional[int]
+    instance: ProblemInstance, meter: _Meter, limit: float
 ) -> Optional[BribePlan]:
-    """Cheapest goal-reaching bribe costing at most `cost_cap`, or None."""
+    """Cheapest goal-reaching bribe costing at most `limit` (inf: no limit),
+    or None."""
     election = instance.election
     classes = _voter_classes(instance)
-    limit = inf if cost_cap is None else cost_cap
-    coordinates, radix, high, met = _keys(instance)
-    packed = _order_keys(instance, coordinates, radix)
+    weight, high, met = _keys(instance)
+    packed = _order_keys(instance, weight)
     class_options = [
         _voter_effect_options(instance, members[0], meter, limit, packed, high)
         for members in classes]
@@ -460,17 +438,17 @@ def oracle_solve(
     """
     if check_goals(instance.election.orders, instance):
         return 0, BribePlan.empty()
-    plan = _search(instance, _Meter(budget), cost_cap=None)
+    plan = _search(instance, _Meter(budget), inf)
     return (None, None) if plan is None else (plan.cost, plan)
 
 
 def solve_np_hard(
     instance: ProblemInstance,
-    cap: Optional[int],
+    cap: float,
     budget: SearchBudget = SearchBudget(),
     stats: Optional[dict] = None,
 ) -> Optional[BribePlan]:
-    """Cheapest bribe costing at most `cap` (None: no limit) for any
+    """Cheapest bribe costing at most `cap` (inf: no limit) for any
     variant, by the exact search, or None."""
     meter = _Meter(budget)
     plan = _search(instance, meter, cap)

@@ -34,7 +34,6 @@ no mover's target is its own top, and the two lists are equally long.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import inf
 from typing import Optional
 
 from .core import ProblemInstance, goals_met, seat_cut
@@ -45,7 +44,7 @@ from .table import combine, trace
 class _Table:
     """Kernel layers over the non-leader parties, with backpointers."""
 
-    def __init__(self, instance: ProblemInstance, cap: Optional[int]):
+    def __init__(self, instance: ProblemInstance, cap: float):
         election = instance.election
         self.n = election.num_voters
         self.threshold_count = seat_cut(self.n, instance.threshold)
@@ -70,7 +69,7 @@ class _Table:
         for party in self.parties:
             floor += len(self.supporters[party])
             steps = {self.pack(*key): c for key, c in self.single(party).items()}
-            cells, reached = combine(cells, steps, inf if cap is None else cap)
+            cells, reached = combine(cells, steps, cap)
             cells = {key: c for key, c in cells.items() if key[0] >= floor * self.radix}
             self.backpointers.append(reached)
             self.kept += len(cells)
@@ -101,9 +100,9 @@ class _Table:
 
 
 def solve_plurality_t_dollar(
-    instance: ProblemInstance, cap: Optional[int], stats: Optional[dict] = None
+    instance: ProblemInstance, cap: float, stats: Optional[dict] = None
 ) -> Optional[BribePlan]:
-    """Cheapest bribe costing at most `cap` (None: no limit), or None.
+    """Cheapest bribe costing at most `cap` (inf: no limit), or None.
 
     Works for any threshold, including zero, under unit or dollar pricing.
     """
@@ -114,7 +113,7 @@ def solve_plurality_t_dollar(
 
     base_leader = len(table.supporters[instance.leader])
     t_count = table.threshold_count
-    best_key, best_cost = None, inf if cap is None else cap + 1
+    best_key, best_cost = None, cap + 1
     for key, cell in table.cells.items():
         g, a_out, a_rest = table.unpack(key)
         cost = cell + table.mincost(instance.leader, max(0, -g))

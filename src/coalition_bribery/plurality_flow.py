@@ -82,9 +82,9 @@ def build_top_signature_network(
 
 
 def solve_plurality_zero(
-    instance: ProblemInstance, cap: Optional[int]
+    instance: ProblemInstance, cap: float
 ) -> Optional[BribePlan]:
-    """Cheapest bribe costing at most `cap` (None: no limit) for a
+    """Cheapest bribe costing at most `cap` (inf: no limit) for a
     zero-threshold plurality instance under swap/shift bribery, or None."""
     n = instance.election.num_voters
     options = [

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coalition_bribery.core import (
     DomainError,
@@ -22,7 +22,7 @@ from coalition_bribery.core import (
     tally,
 )
 from coalition_bribery.costs import UnitCost
-from coalition_bribery.oracle import _keys, _pack
+from coalition_bribery.oracle import _keys
 
 from conftest import make_election
 
@@ -218,10 +218,12 @@ def test_seat_normalization(election, rule, t):
 
 
 @st.composite
-def goal_cases(draw):
+def goal_cases(draw, profile_bound=False):
     """An instance and a score vector, favouring the predicate's edges:
     threshold, phi and rho at 0 and 1, nothing seated, and scores on, just
-    under and just over the cut threshold * total."""
+    under and just over the cut threshold * total.  With `profile_bound`,
+    scores under a threshold are clamped to n * top, the most one party holds
+    in a profile, for top the points of a first place."""
     election = draw(elections())
     rule = draw(st.sampled_from(list(ScoringRule)))
     parties = election.parties
@@ -241,6 +243,9 @@ def goal_cases(draw):
         st.lists(st.sampled_from(near), min_size=len(parties), max_size=len(parties)),
         compositions,
     ))
+    if profile_bound and threshold:
+        top = 1 if rule is ScoringRule.PLURALITY else len(parties) - 1
+        values = [min(value, election.num_voters * top) for value in values]
     coalition = draw(st.one_of(
         st.just(parties),
         st.lists(st.sampled_from(parties), min_size=1, unique=True).map(tuple),
@@ -301,27 +306,26 @@ def test_seated_goal_matches_seat_shares(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(goal_cases())
+@given(goal_cases(profile_bound=True))
 @example(cut_case(2, Fraction(1, 2), (1, 1), Fraction(1, 2)))
 @example(cut_case(3, Fraction(1, 2), (1, 2), Fraction(1, 3)))
 # At threshold 0 the key is the coalition's points alone (rho = 0).
 @example(cut_case(2, Fraction(0), (1, 1), Fraction(1, 2)))
 @example(cut_case(2, Fraction(0), (0, 2), Fraction(1, 2)))
 def test_packed_goal_matches_seated_goal(case):
-    # The exact search keys a state by the coordinates the goal reads
+    # The exact search keys a state by its score vector weighted per party
     # (`_keys`): the whole vector under a threshold, tested half by half,
     # and at threshold 0 the leader's and the coalition's points, read
     # against the grand total; the coalition's points are the top digit.  On
-    # every vector a profile can hold (each coordinate but the top below the
-    # scheme's radix, and at threshold 0 summing to the grand total), on and
-    # next to the seat cut, that must agree with the whole-vector goal test.
+    # every vector a profile can hold (each score at most n * top under a
+    # threshold, and at threshold 0 summing to the grand total), on and next
+    # to the seat cut, that must agree with the whole-vector goal test.
     inst, scores = case
+    weight, high, met = _keys(inst)
+    key = sum(s * weight[p] for p, s in scores.items())
+    assert key // high == sum(scores[p] for p in inst.coalition)
     vector = [scores[p] for p in inst.election.parties]
-    coordinates, radix, _, met = _keys(inst)
-    *digits, coalition = coordinates(vector)
-    assert coalition == sum(scores[p] for p in inst.coalition)
-    assume(all(value < radix for value in digits))
-    assert met(_pack(coordinates(vector), radix)) == seated_goal(inst, vector)
+    assert met(key) == seated_goal(inst, vector)
 
 
 @given(elections(), st.sampled_from(list(ScoringRule)), thresholds(), thresholds())

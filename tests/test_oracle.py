@@ -40,7 +40,6 @@ from coalition_bribery.oracle import (
     _floor,
     _keys,
     _order_keys,
-    _pack,
     _unpack,
     _voter_classes,
     _voter_effect_options,
@@ -225,43 +224,54 @@ EVERY_VARIANT = [
 
 def packed_orders(inst):
     """`packed(ranking)`: the order's key under the search's key scheme,
-    from its tally."""
-    coordinates, radix, _, _ = _keys(inst)
+    from its tally and the parties' weights."""
+    weight, _, _ = _keys(inst)
     parties, rule = inst.election.parties, inst.rule
-    return lambda ranking: _pack(coordinates(
-        tuple(tally((PreferenceOrder(ranking),), parties, rule).values())), radix)
+    return lambda ranking: sum(
+        s * weight[p] for p, s in tally((PreferenceOrder(ranking),), parties, rule).items())
 
 
 @pytest.mark.parametrize("variant", EVERY_VARIANT, ids=lambda v: v.label())
 def test_keys_of_bribed_profiles(variant):
     # The search keys a profile by the sum of its orders' keys and tests the
     # goal on that sum alone.  On seeded profiles, bribed a few times by
-    # replacing random voters' orders with random permutations, the summed
-    # coordinates below the top must each lie in [0, radix), so the sum
-    # carries no digit and unpacks to them; the top one, at place value
-    # `high`, must be the coalition's points; the search's own order keys
-    # must add up to the same key; and `met` must agree with `check_goals`.
+    # replacing random voters' orders with random permutations, the key must
+    # unpack, in base R, to the numbers the goal reads: the whole score
+    # vector under a threshold, with R = n * top + 1; at threshold 0 the
+    # leader's points (when rho > 0), with R = T + 1.  Each of them lies in
+    # [0, R), so no digit carries; the top digit, at place value `high`,
+    # must be the coalition's points; the search's own order keys must add
+    # up to the same key; and `met` must agree with `check_goals`.
     rng = random.Random(variant.label())
     outcomes = set()
     for index in range(10):
         inst = random_instance(variant, seed=17, index=index, max_voters=8, max_parties=6)
-        coordinates, radix, high, met = _keys(inst)
+        weight, high, met = _keys(inst)
         packed = packed_orders(inst)
-        search_packed = _order_keys(inst, coordinates, radix)
-        parties = inst.election.parties
-        orders = list(inst.election.orders)
+        search_packed = _order_keys(inst, weight)
+        election = inst.election
+        parties = election.parties
+        if inst.threshold:
+            top = 1 if inst.rule is ScoringRule.PLURALITY else len(parties) - 1
+            radix = election.num_voters * top + 1
+        else:
+            radix = grand_total(election.num_voters, len(parties), inst.rule) + 1
+        orders = list(election.orders)
         for bribe in range(4):
             where = (variant.label(), index, bribe)
             scores = tally(orders, parties, inst.rule)
-            *digits, top = summed = coordinates(tuple(scores.values()))
+            coalition = sum(scores[p] for p in inst.coalition)
+            if inst.threshold:
+                digits = tuple(scores.values())
+            else:
+                digits = (scores[inst.leader],) if inst.rho else ()
             assert all(0 <= digit < radix for digit in digits), where
-            assert top == sum(scores[p] for p in inst.coalition), where
             assert high == radix ** len(digits), where
             rankings = [order.ranking for order in orders]
             key = sum(map(packed, rankings))
             assert key == sum(map(search_packed, rankings)), where
-            assert _unpack(key, radix, len(summed)) == summed, where
-            assert key // high == top, where
+            assert _unpack(key, radix, len(digits) + 1) == (*digits, coalition), where
+            assert key // high == coalition, where
             goal = met(key)
             assert goal == check_goals(orders, inst), where
             outcomes.add(goal)
@@ -278,7 +288,7 @@ def test_voter_options_have_distinct_score_effects(variant):
     for index in range(20):
         inst = random_instance(variant, seed=11, index=index)
         packed = packed_orders(inst)
-        _, _, high, _ = _keys(inst)
+        _, high, _ = _keys(inst)
         for voter in range(inst.election.num_voters):
             options = _voter_effect_options(
                 inst, voter, _Meter(SearchBudget()), math.inf, packed, high
@@ -357,7 +367,7 @@ def test_pruned_search_matches_naive_product_search(variant, monkeypatch):
         inst = dataclasses.replace(inst, phi=Fraction(rng.randint(4, 8), 8),
                                    threshold=Fraction(rng.randint(1, n), 2 * n * m))
         opt = naive_optimum(inst)
-        for cap in [None] if opt is None else [None, opt] + [opt - 1] * (opt > 0):
+        for cap in [math.inf] if opt is None else [math.inf, opt] + [opt - 1] * (opt > 0):
             pruned, unpruned = {}, {}
             plan = solve_np_hard(inst, cap, stats=pruned)
             with monkeypatch.context() as patch:
@@ -365,7 +375,7 @@ def test_pruned_search_matches_naive_product_search(variant, monkeypatch):
                 solve_np_hard(inst, cap, stats=unpruned)
             bites += pruned["states"] < unpruned["states"]
             where = (trial, cap)
-            if opt is None or (cap is not None and cap < opt):
+            if opt is None or cap < opt:
                 assert plan is None, where
                 continue
             assert plan.cost == opt, where
@@ -443,11 +453,11 @@ def test_witness_walks_back_through_multi_member_classes(kind):
         assert all(2 <= len(members) <= 5 for members in classes)
         opt = naive_optimum(inst)
         if opt is None:
-            assert solve_np_hard(inst, None) is None, trial
+            assert solve_np_hard(inst, math.inf) is None, trial
             continue
         if opt:
             assert solve_np_hard(inst, opt - 1) is None, trial
-        for cap in (None, opt):
+        for cap in (math.inf, opt):
             plan = solve_np_hard(inst, cap)
             assert plan.cost == opt, (trial, cap)
             assert plan_cost(inst.cost_model, inst.coalition, inst.election, plan) == opt
@@ -472,9 +482,9 @@ def test_projected_states_match_full_score_vectors(variant):
         total = grand_total(election.num_voters, election.num_parties, inst.rule)
         full = dataclasses.replace(inst, threshold=Fraction(1, total))
         assert seat_cut(total, full.threshold) == 1
-        plan = solve_np_hard(inst, None)
+        plan = solve_np_hard(inst, math.inf)
         opt = None if plan is None else plan.cost
-        caps = [None] if opt is None else [None, opt, opt - 1] if opt else [None, 0]
+        caps = [math.inf] if opt is None else [math.inf, opt, opt - 1] if opt else [math.inf, 0]
         for cap in caps:
             projected, unprojected = {}, {}
             costs = [None if plan is None else plan.cost for plan in (
@@ -482,7 +492,7 @@ def test_projected_states_match_full_score_vectors(variant):
                 solve_np_hard(full, cap, stats=unprojected),
             )]
             where = (index, cap)
-            assert costs == [None if cap is not None and cap < opt else opt] * 2, where
+            assert costs == [None if opt is None or cap < opt else opt] * 2, where
             assert projected["expansions"] <= unprojected["expansions"], where
 
 
@@ -518,7 +528,7 @@ class TestSolveNpHard:
             budget = rng.randint(0, 3)
             inst = with_budget(inst, budget)
             pruned = solve_np_hard(inst, budget)
-            unpruned = solve_np_hard(inst, None)
+            unpruned = solve_np_hard(inst, math.inf)
             if unpruned is None or unpruned.cost > budget:
                 assert pruned is None
             else:
@@ -577,25 +587,32 @@ class TestSearchWork:
         for n in range(1, 4):
             for m in range(2, 5):
                 parties = tuple(f"p{i}" for i in range(m))
-                inst = ProblemInstance(
-                    election=make_election(parties, [parties] * n), rule=rule,
-                    threshold=Fraction(0), coalition=parties[:1], phi=Fraction(0),
-                    rho=Fraction(0), budget=0, cost_model=UnitCost(),
-                )
-                _, radix, _, _ = _keys(inst)
                 top = 1 if rule is ScoringRule.PLURALITY else m - 1
-                vectors = list(itertools.product(range(n * top + 1), repeat=m))
-                for vector in vectors:
-                    assert _unpack(_pack(vector, radix), radix, m) == vector
-                    for coalition in (sum(vector), n * top * m):
-                        keyed = (*vector, coalition)
-                        assert _unpack(_pack(keyed, radix), radix, m + 1) == keyed
-                # a signed delta's key moves one state key to the other's
-                rng = random.Random(f"{rule}-{n}-{m}")
-                for _ in range(50):
-                    a, b = rng.sample(vectors, 2)
-                    delta = tuple(y - x for x, y in zip(a, b))
-                    assert _pack(a, radix) + _pack(delta, radix) == _pack(b, radix)
+                radix = n * top + 1
+                vectors = list(itertools.product(range(radix), repeat=m))
+                election = make_election(parties, [parties] * n)
+                for size in (1, m):
+                    inst = ProblemInstance(
+                        election=election, rule=rule,
+                        threshold=Fraction(1, 2), coalition=parties[:size],
+                        phi=Fraction(0), rho=Fraction(0), budget=0, cost_model=UnitCost(),
+                    )
+                    weight, _, _ = _keys(inst)
+
+                    def key(vector):
+                        return sum(s * weight[p] for p, s in zip(parties, vector))
+
+                    def keyed(vector):
+                        return (*vector, sum(vector[:size]))
+
+                    for vector in vectors:
+                        assert _unpack(key(vector), radix, m + 1) == keyed(vector)
+                    # a signed delta's key moves one state key to the other's
+                    rng = random.Random(f"{rule}-{n}-{m}-{size}")
+                    for _ in range(50):
+                        a, b = rng.sample(vectors, 2)
+                        delta = tuple(y - x for x, y in zip(a, b))
+                        assert _unpack(key(a) + key(delta), radix, m + 1) == keyed(b)
 
     @pytest.mark.parametrize("rule", [ScoringRule.PLURALITY, ScoringRule.BORDA])
     @pytest.mark.parametrize("kind", ["unit", "dollar", "swap", "shift"])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 
@@ -55,12 +56,12 @@ def small_instance(prices, threshold, coalition=("a", "b"), preferred=None,
     )
 
 
-def _table(instance, budget=None):
+def _table(instance, budget=inf):
     """The signature table of an instance, uncapped unless a budget is given."""
     return _Table(instance, budget)
 
 
-def _signatures(instance, budget=None):
+def _signatures(instance, budget=inf):
     """The table's final cells, unpacked to (g, a_out, a_rest) signatures."""
     table = _table(instance, budget)
     return {table.unpack(key): cost for key, cost in table.cells.items()}
@@ -276,7 +277,7 @@ def test_every_mover_is_lifted_off_its_own_top(max_price):
         for index in range(25):
             inst = random_instance(variant, 3, index, max_voters=8, max_parties=5,
                                    max_price=max_price)
-            for cap in (None, inst.budget):
+            for cap in (inf, inst.budget):
                 plan = solve_plurality_t_dollar(inst, cap)
                 for voter, order in (plan.replacements if plan else {}).items():
                     old = inst.election.orders[voter]

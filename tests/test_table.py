@@ -203,7 +203,7 @@ class TestRelaxation:
 def dp_reference_cells(instance):
     """The DP's unpruned (g, a_out, a_rest) table, with the leader's count
     kept non-negative."""
-    table = _Table(instance, None)
+    table = _Table(instance, inf)
     cells = {(0, 0, 0): 0}
     for party in table.parties:
         cells = min_plus(cells, table.single(party))
