@@ -5,8 +5,8 @@ table kernel: (points for the coalition, points for the leader), or
 (coalition points, 0) when rho = 0 and the goal never reads the leader.  One
 placement DP, `_placements`, builds every menu from the description
 `costs.iter_orders` takes: the parties that may rise and a price per
-inverted pair.  It fills an order's slots front to back, each slot worth one
-point less than the one before; a state is (every party placed, as a mask
+inverted pair.  It fills an order's slots front to back, each worth its
+entry of the Borda score vector, `ScoringRule.points`; a state is (every party placed, as a mask
 over the order, ka, k1) and keeps the least price of a partial order and a
 backpointer.  Placing y pays `pair_price(x, y)` for each unplaced x that was
 above y, and a party that may not rise waits until nothing above it is left.
@@ -17,8 +17,9 @@ decrease).  Unit/dollar menus run that rule on the canonical order
 (*outsiders, *coalition), so every step some order realizes is reached; it
 costs the voter's price, and the current step 0.
 
-Every menu is charged to the solve's `SearchBudget`, one expansion per
-(state, unplaced party) before each slot.  Every subset of the r parties
+A solve builds its menus through one memo with its meter bound in: voters
+sharing an order share one DP, and each DP is charged to the solve's
+`SearchBudget`, one expansion per (state, unplaced party) before each slot.  Every subset of the r parties
 that may rise is a reachable mask, so a menu needs at least
 2**(r - 1) * (2m - r) expansions; when that floor passes the limit,
 `OracleRefusal` is raised before any slot is built.
@@ -44,12 +45,12 @@ table.  A cap above the dearest plan, none included, is lowered to it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import inf
 from typing import Callable, Collection, Optional
 
 from .core import (
-    PreferenceOrder, ProblemInstance, ScoringRule, goals_met, grand_total, score,
+    PreferenceOrder, ProblemInstance, ScoringRule, goals_met, score,
 )
 from .costs import BribePlan, ShiftCost, SwapCost
 from .oracle import OracleRefusal, SearchBudget, _Meter
@@ -88,8 +89,7 @@ def _placements(
     # layers[t]: (mask of the t parties placed, ka, k1) -> (least price,
     # previous state, index of the party placed last).
     layers = [{(0, 0, 0): (0, None, None)}]
-    for t in range(m):
-        points = m - 1 - t
+    for t, points in enumerate(ScoringRule.BORDA.points(m)):
         meter.charge(len(layers[-1]) * (m - t))
         nxt: dict = {}
         moves_of: dict = {}  # mask -> [(next mask, ka gain, k1 gain, price, j)]
@@ -146,15 +146,12 @@ def price_menu(
     outsiders: tuple[str, ...],
     price: int,
     placements=_placements,
-    meter: Optional[_Meter] = None,
 ):
     """Unit/dollar menu for one voter: `price` for every step some order
     realizes, 0 for the current step; and `realize(step)`, an order realizing
     it."""
     canonical = PreferenceOrder((*outsiders, *coalition))
-    reachable, realize_any = placements(
-        canonical, coalition, leader, coalition, _unit_price, meter
-    )
+    reachable, realize_any = placements(canonical, coalition, leader, coalition, _unit_price)
     current = step_of(order, coalition, leader)
     costs = dict.fromkeys(reachable, price)
     costs[current] = 0
@@ -167,19 +164,15 @@ def shift_menu(
     leader: Optional[str],
     table: tuple[int, ...],
     placements=_placements,
-    meter: Optional[_Meter] = None,
 ):
     """Shift menu for one voter: per step some admissible order realizes,
     the table price of its fewest inversions; and `realize(step)`, an order
     attaining that price."""
-    fewest, realize = placements(order, coalition, leader, coalition, _unit_price, meter)
+    fewest, realize = placements(order, coalition, leader, coalition, _unit_price)
     return {step: table[inv] for step, inv in fewest.items()}, realize
 
 
-def _voter_menu(
-    instance: ProblemInstance, voter: int, placements=_placements,
-    meter: Optional[_Meter] = None,
-):
+def _voter_menu(instance: ProblemInstance, voter: int, placements=_placements):
     """One voter's cheapest replacement per kernel step, and `realize(step)`;
     the leader's points are tracked only when the ratio goal reads them."""
     order = instance.election.orders[voter]
@@ -187,16 +180,13 @@ def _voter_menu(
     leader = instance.leader if instance.rho else None
     model = instance.cost_model
     if isinstance(model, ShiftCost):
-        return shift_menu(order, coalition, leader, model.tables[voter],
-                          placements, meter)
+        return shift_menu(order, coalition, leader, model.tables[voter], placements)
     if isinstance(model, SwapCost):
-        # every party may rise; not memoized, as each voter's price function is new
+        # every party may rise; each voter's price function is new, so a memo misses
         prices = model.pair_prices[voter]
-        return _placements(order, coalition, leader, order.ranking,
-                           lambda x, y: prices[x, y], meter)
+        return placements(order, coalition, leader, order.ranking, lambda x, y: prices[x, y])
     return price_menu(
-        order, coalition, leader, instance.outsiders, model.voter_price(voter),
-        placements, meter,
+        order, coalition, leader, instance.outsiders, model.voter_price(voter), placements
     )
 
 
@@ -232,13 +222,10 @@ def solve_borda_zero(
     zero-threshold Borda instance under any bribery kind, or None.  Raises
     OracleRefusal when the menus need more expansions than `budget` allows."""
     election = instance.election
-    # One memo per solve: voters sharing an order share one DP, charged once.
-    placements = cache(_placements)
-    meter = _Meter(budget, MENUS)
-    menus = [
-        _voter_menu(instance, i, placements, meter) for i in range(election.num_voters)
-    ]
-    total = grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA)
+    # One memo and one meter per solve: voters sharing an order share one DP.
+    placements = cache(partial(_placements, meter=_Meter(budget, MENUS)))
+    menus = [_voter_menu(instance, i, placements) for i in range(election.num_voters)]
+    total = instance.total
     gains = [steps for steps, _ in menus]
     layers, backpointers = accumulate_voter_tables(
         gains, min(cap, sum(max(steps.values()) for steps in gains)),

@@ -142,15 +142,14 @@ def _cmd_crossval(args) -> int:
                 max_price=args.max_price,
             )
             solver = solver_for(dispatch(instance), budget)
+            why = ""
             try:
                 optimum, _plan = oracle_solve(instance, budget)
+                agrees = _agrees(instance, solver, optimum)
             except OracleRefusal as exc:
                 print(f"refused: {variant.label()} index {index}: {exc}",
                       file=sys.stderr)
                 return EXIT_REFUSAL
-            why = ""
-            try:
-                agrees = _agrees(instance, solver, optimum)
             except WitnessError as exc:
                 agrees, why = False, f" ({exc})"
             if agrees:
@@ -231,7 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--max-expansions", type=_at_least(0),
                        default=SearchBudget().max_expansions,
-                       help="expansion limit for the exact search")
+                       help="expansion limit for the exact search and for "
+                       "Borda menu placement")
 
     def add_sizes(p):
         p.add_argument("--max-voters", type=_at_least(1), default=5)
@@ -263,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="emit a seeded random instance")
     p_gen.set_defaults(run=_cmd_gen)
-    p_gen.add_argument("--rule", choices=("plurality", "borda"), default="plurality")
+    p_gen.add_argument("--rule", choices=[r.value for r in ScoringRule], default="plurality")
     p_gen.add_argument("--bribery", choices=BRIBERY_KINDS, default="unit")
     p_gen.add_argument("--thresholded", action="store_true")
     p_gen.add_argument("--preferred", action="store_true")

@@ -1,5 +1,8 @@
 """Election model: parties, preference orders, positional scoring, seats.
 
+A scoring rule is its score vector, `ScoringRule.points(m)`, which `score`,
+`tally` and `grand_total` read; an instance's grand total is its `total`.
+
 Everything that decides feasibility is exact: the threshold and the phi/rho
 targets are `fractions.Fraction`s; the threshold becomes one integer cut,
 and `goals_met` compares integer point counts against phi and rho by
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Mapping, Optional, Sequence
 
 
@@ -32,6 +36,16 @@ class ScoringRule(Enum):
     PLURALITY = "plurality"
     BORDA = "borda"
 
+    __hash__ = object.__hash__  # members are singletons: `points`' memo hashes in C
+
+    @cache
+    def points(self, m: int) -> tuple[int, ...]:
+        """The rule's score vector over m places, first place first:
+        (1, 0, ..., 0) for plurality, (m - 1, ..., 1, 0) for Borda."""
+        if self is ScoringRule.PLURALITY:
+            return (1,) + (0,) * (m - 1)
+        return tuple(range(m - 1, -1, -1))
+
 
 @dataclass(frozen=True)
 class Variant:
@@ -44,10 +58,9 @@ class Variant:
 
     def label(self) -> str:
         """Taxonomy cell name, e.g. ``Plurality_t-CBP/dollar``."""
-        name = "Plurality" if self.rule is ScoringRule.PLURALITY else "Borda"
         sub = "t" if self.thresholded else "0"
         kind = "CBP" if self.with_preferred else "CB"
-        return f"{name}_{sub}-{kind}/{self.bribery}"
+        return f"{self.rule.value.capitalize()}_{sub}-{kind}/{self.bribery}"
 
 
 @dataclass(frozen=True)
@@ -123,34 +136,26 @@ class Election:
 
 
 def score(order: PreferenceOrder, party: str, rule: ScoringRule) -> int:
-    """Points `order` awards to `party`: top-only for plurality, m - rank for Borda."""
-    pos = order.position(party)
-    if rule is ScoringRule.PLURALITY:
-        return 1 if pos == 1 else 0
-    return len(order) - pos
+    """Points `order` awards to `party`: its place's entry of `rule.points`."""
+    return rule.points(len(order))[order.position(party) - 1]
 
 
 def tally(
     orders: Sequence[PreferenceOrder], parties: Sequence[str], rule: ScoringRule
 ) -> dict[str, int]:
     """Per-party total points under `rule`."""
-    counts = {p: 0 for p in parties}
-    if rule is ScoringRule.PLURALITY:
+    counts = dict.fromkeys(parties, 0)
+    for place, points in enumerate(rule.points(len(parties))):
+        if not points:
+            break  # a score vector never rises, so no later place scores
         for order in orders:
-            counts[order.top()] += 1
-    else:
-        m = len(parties)
-        for order in orders:
-            for i, p in enumerate(order.ranking):
-                counts[p] += m - 1 - i
+            counts[order.ranking[place]] += points
     return counts
 
 
 def grand_total(num_voters: int, num_parties: int, rule: ScoringRule) -> int:
     """Total points any order profile distributes; invariant under bribery."""
-    if rule is ScoringRule.PLURALITY:
-        return num_voters
-    return num_voters * num_parties * (num_parties - 1) // 2
+    return num_voters * sum(rule.points(num_parties))
 
 
 def seat_cut(total: int, threshold: Fraction) -> int:
@@ -246,6 +251,12 @@ class ProblemInstance:
         return tuple(p for p in self.election.parties if p not in inside)
 
     @property
+    def total(self) -> int:
+        """The grand total of points, `grand_total` of this election."""
+        election = self.election
+        return grand_total(election.num_voters, election.num_parties, self.rule)
+
+    @property
     def variant(self) -> Variant:
         """The taxonomy cell this instance belongs to."""
         kind = self.cost_model.kind
@@ -276,9 +287,7 @@ def seated_points(
     """The (seated coalition, seated leader, all seated) points of a score
     tuple over `parties`, compiled once: the threshold becomes one integer
     cut, `seat_cut`.  Over disjoint parts of the parties the triples add up."""
-    election = instance.election
-    total = grand_total(election.num_voters, election.num_parties, instance.rule)
-    need = seat_cut(total, instance.threshold)
+    need = seat_cut(instance.total, instance.threshold)
     leader = instance.leader
     members = [parties.index(p) for p in instance.coalition if p in parties]
     leads = [parties.index(leader)] if leader in parties else []

@@ -25,7 +25,6 @@ from .core import (
     ScoringRule,
     Variant,
     check_goals,
-    grand_total,
     seat_fractions_from_scores,
     tally,
 )
@@ -146,10 +145,9 @@ def solve_instance(
     elapsed = time.monotonic() - start
 
     election = instance.election
-    total = grand_total(election.num_voters, election.num_parties, instance.rule)
     def outcome(orders):
         scores = tally(orders, election.parties, instance.rule)
-        return scores, seat_fractions_from_scores(scores, total, instance.threshold)
+        return scores, seat_fractions_from_scores(scores, instance.total, instance.threshold)
 
     scores_before, seats_before = outcome(election.orders)
     scores_after, seats_after = (

@@ -13,8 +13,8 @@ A state's key is its score vector weighted per party, sum(s_p * weight[p]),
 with the coalition's summed points as its top digit, at place value `high`;
 `_keys` decides once per solve the weights, `high` and the goal test on a
 key.  Under a threshold the key holds the whole vector: the i-th party
-weighs R**i, with R = n * top + 1, where top is the points of a first place
-(1 for plurality, m - 1 for Borda), and a coalition member high = R**m more.
+weighs R**i, with R = n * top + 1 for top the first place's points in the
+rule's score vector (`ScoringRule.points`), and a member high = R**m more.
 At threshold 0 every party is seated, so the goals read only the leader's
 points and the coalition's: a member weighs high = T + 1 for the grand
 total T, and the leader 1 more (when rho = 0 the leader is not read, and a
@@ -67,7 +67,6 @@ from .core import (
     ScoringRule,
     check_goals,
     goals_met,
-    grand_total,
     seat_cut,
     seated_points,
 )
@@ -255,7 +254,7 @@ def _keys(instance: ProblemInstance):
     election = instance.election
     parties = election.parties
     if not instance.threshold:
-        total = grand_total(election.num_voters, election.num_parties, instance.rule)
+        total = instance.total
         high = total + 1 if instance.rho else 1
         weight = {party: high * (party in instance.coalition) for party in parties}
         if instance.rho:
@@ -267,8 +266,7 @@ def _keys(instance: ProblemInstance):
 
         return weight, high, met
 
-    top = 1 if instance.rule is ScoringRule.PLURALITY else election.num_parties - 1
-    radix = election.num_voters * top + 1
+    radix = election.num_voters * instance.rule.points(len(parties))[0] + 1
     high = radix ** len(parties)
     weight = {party: radix ** i + high * (party in instance.coalition)
               for i, party in enumerate(parties)}
@@ -292,8 +290,7 @@ def _keys(instance: ProblemInstance):
 def _order_keys(instance: ProblemInstance, weight: dict):
     """`packed(ranking)`, the key of one order, cached per solve by its
     ranking: the sum of each place's points times its party's weight."""
-    m = instance.election.num_parties
-    points = [1] + [0] * (m - 1) if instance.rule is ScoringRule.PLURALITY else range(m)[::-1]
+    points = instance.rule.points(instance.election.num_parties)
     return cache(lambda ranking: sum([p * weight[party] for p, party in zip(points, ranking)]))
 
 
@@ -309,10 +306,8 @@ def _floor(instance: ProblemInstance) -> int:
     for the seated coalition points C_s (or nobody is seated and phi = 0).
     Since C >= C_s, it follows that C * phi_d >= phi_n * (T - k_out * (need
     - 1)).  At threshold 0 the floor is ceil(phi * T), the CB goal itself."""
-    election = instance.election
-    total = grand_total(election.num_voters, election.num_parties, instance.rule)
-    need = seat_cut(total, instance.threshold)
-    rest = total - len(instance.outsiders) * max(0, need - 1)
+    need = seat_cut(instance.total, instance.threshold)
+    rest = instance.total - len(instance.outsiders) * max(0, need - 1)
     phi = instance.phi
     return max(0, -(-phi.numerator * rest // phi.denominator))
 

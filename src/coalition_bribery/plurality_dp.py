@@ -47,7 +47,7 @@ class _Table:
     def __init__(self, instance: ProblemInstance, cap: float):
         election = instance.election
         self.n = election.num_voters
-        self.threshold_count = seat_cut(self.n, instance.threshold)
+        self.threshold_count = seat_cut(instance.total, instance.threshold)
         self.parties = list(instance.outsiders) + list(instance.coalition_rest)
         self.is_rest = set(instance.coalition_rest)
         self.radix = self.n * len(self.is_rest) + 1

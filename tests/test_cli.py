@@ -392,6 +392,22 @@ def test_crossval_refusal_exit_three(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_crossval_refusal_by_the_routed_solver_exit_three(tmp_path, capsys):
+    # The exact search answers this all-party Borda_0 coalition at m = 4
+    # within 28 expansions, but its Borda menu's floor is 32.
+    code = cli.main(
+        ["crossval", "--seed", "5", "--count", "10", "--max-voters", "1",
+         "--max-parties", "4", "--max-expansions", "28",
+         "--artifact-dir", str(tmp_path / "artifacts")]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "refused: Borda_0-CBP/unit index 2: Borda menu placement needs more "
+        "than 28 expansions (stopped at 32)\n"
+    )
+    assert not (tmp_path / "artifacts").exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "oracle", "reduce"])
 def test_non_utf8_file_exit_two(tmp_path, capsys, command):
     path = tmp_path / "binary.txt"

@@ -51,9 +51,13 @@ def election_35_15_50():
 class TestScore:
     def test_borda_bottom(self):
         assert score(REVERSED4, "c1", ScoringRule.BORDA) == 0
+        for m in range(1, 9):
+            assert ScoringRule.BORDA.points(m) == tuple(range(m))[::-1]
 
     def test_plurality_top(self):
         assert score(REVERSED4, "c4", ScoringRule.PLURALITY) == 1
+        for m in range(1, 9):
+            assert ScoringRule.PLURALITY.points(m) == (1,) + (0,) * (m - 1)
 
     def test_borda_third(self):
         assert score(REVERSED4, "c2", ScoringRule.BORDA) == 1
@@ -206,10 +210,18 @@ def test_positions_are_a_permutation(election):
 
 @given(elections(), st.sampled_from(list(ScoringRule)))
 def test_score_conservation(election, rule):
+    # Each order awards a party its place's entry of the score vector; the
+    # points sum to the grand total, which an instance reads as `total`.
+    points = rule.points(election.num_parties)
+    for order in election.orders:
+        for party in election.parties:
+            assert score(order, party, rule) == points[order.position(party) - 1]
     counts = tally(election.orders, election.parties, rule)
-    assert sum(counts.values()) == grand_total(
-        election.num_voters, election.num_parties, rule
-    )
+    total = grand_total(election.num_voters, election.num_parties, rule)
+    assert sum(counts.values()) == total
+    instance = ProblemInstance(election, rule, Fraction(0), election.parties[:1],
+                               Fraction(0), Fraction(0), 0, UnitCost())
+    assert instance.total == total
 
 
 @given(elections(), st.sampled_from(list(ScoringRule)), thresholds())

@@ -117,7 +117,9 @@ def test_optimum_keeps_its_relations(variant):
     # the goals: the optimum never falls as either rises toward 1, and once
     # a step has none, every later one has none.  The CB copy (no preferred
     # party, rho = 0) drops the ratio goal, so it never costs more than the
-    # CBP case at the same phi.  "None" counts as inf here.
+    # CBP case at the same phi.  "None" counts as inf here.  Capped at
+    # opt, opt - 1 and 2 * opt, the solver finds a plan costing opt, none,
+    # and one costing opt.
     inst = unmet_case(variant, 20, 4, 2)
     solver = solver_for(dispatch(inst), SearchBudget())
     rng = random.Random(variant.label())
@@ -130,6 +132,9 @@ def test_optimum_keeps_its_relations(variant):
     phis = raised(inst, "phi")
     costs = [optimum(step) for step in phis]
     assert costs == sorted(costs), (where, costs)
+    opt = costs[0]
+    capped = [solver(inst, cap) for cap in (opt, opt - 1, 2 * opt)]
+    assert [None if plan is None else plan.cost for plan in capped] == [opt, None, opt], where
     if inst.preferred is not None:
         rho_costs = [optimum(step) for step in raised(inst, "rho")]
         assert rho_costs == sorted(rho_costs), (where, rho_costs)
