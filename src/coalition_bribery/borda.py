@@ -17,12 +17,12 @@ decrease).  Unit/dollar menus run that rule on the canonical order
 (*outsiders, *coalition), so every step some order realizes is reached; it
 costs the voter's price, and the current step 0.
 
-A solve builds its menus through one memo with its meter bound in: voters
-sharing an order share one DP, and each DP is charged to the solve's
-`SearchBudget`, one expansion per (state, unplaced party) before each slot.  Every subset of the r parties
-that may rise is a reachable mask, so a menu needs at least
-2**(r - 1) * (2m - r) expansions; when that floor passes the limit,
-`OracleRefusal` is raised before any slot is built.
+A solve builds its menus through one memo with its meter bound in
+(`metered_placements`): voters sharing an order share one DP, each charged
+to the solve's `SearchBudget`, one expansion per (state, unplaced party)
+before each slot.  Every subset of the r parties that may rise is a
+reachable mask, so a menu needs at least 2**(r - 1) * (2m - r) expansions;
+past the limit, `OracleRefusal` is raised before any slot is built.
 
 The table kernel (`table.combine`) then runs one layer per voter over the
 cells (ka, k1) its steps reach, and the final scan picks the cheapest cell
@@ -65,14 +65,13 @@ def _placements(
     leader: Optional[str],
     may_rise: Collection[str],
     pair_price: Callable[[str, str], int],
-    meter: Optional[_Meter] = None,
+    meter: _Meter,
 ):
     """Least summed `pair_price` of a reordering of `order` in which only
     parties in `may_rise` rise, per step it realizes, and `realize(step)`, a
     reordering attaining it.  A step is (ka, k1), the points of `coalition`
     and of `leader` (None: k1 stays 0).  Raises `OracleRefusal` past the
-    limit of `meter` (None: a fresh default budget)."""
-    meter = meter or _Meter(SearchBudget(), MENUS)
+    limit of `meter`."""
     ranking = order.ranking
     m = len(ranking)
     # Per party of `order`: its bit, whether it may rise, its ka and k1
@@ -124,6 +123,11 @@ def _placements(
     return {key[1:]: price for key, (price, _, _) in layers[-1].items()}, realize
 
 
+def metered_placements(budget: SearchBudget) -> Callable:
+    """One solve's `_placements`: memoized, and charged to one meter of `budget`."""
+    return cache(partial(_placements, meter=_Meter(budget, MENUS)))
+
+
 def _unit_price(x: str, y: str) -> int:
     """One inversion; a single function, so a per-solve memo of the DP hits."""
     return 1
@@ -145,7 +149,7 @@ def price_menu(
     leader: Optional[str],
     outsiders: tuple[str, ...],
     price: int,
-    placements=_placements,
+    placements: Callable,
 ):
     """Unit/dollar menu for one voter: `price` for every step some order
     realizes, 0 for the current step; and `realize(step)`, an order realizing
@@ -163,7 +167,7 @@ def shift_menu(
     coalition: tuple[str, ...],
     leader: Optional[str],
     table: tuple[int, ...],
-    placements=_placements,
+    placements: Callable,
 ):
     """Shift menu for one voter: per step some admissible order realizes,
     the table price of its fewest inversions; and `realize(step)`, an order
@@ -172,7 +176,7 @@ def shift_menu(
     return {step: table[inv] for step, inv in fewest.items()}, realize
 
 
-def _voter_menu(instance: ProblemInstance, voter: int, placements=_placements):
+def _voter_menu(instance: ProblemInstance, voter: int, placements: Callable):
     """One voter's cheapest replacement per kernel step, and `realize(step)`;
     the leader's points are tracked only when the ratio goal reads them."""
     order = instance.election.orders[voter]
@@ -222,8 +226,7 @@ def solve_borda_zero(
     zero-threshold Borda instance under any bribery kind, or None.  Raises
     OracleRefusal when the menus need more expansions than `budget` allows."""
     election = instance.election
-    # One memo and one meter per solve: voters sharing an order share one DP.
-    placements = cache(partial(_placements, meter=_Meter(budget, MENUS)))
+    placements = metered_placements(budget)
     menus = [_voter_menu(instance, i, placements) for i in range(election.num_voters)]
     total = instance.total
     gains = [steps for steps, _ in menus]

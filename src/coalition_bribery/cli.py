@@ -2,13 +2,13 @@
 
 Subcommands: solve, oracle, crossval, reduce, gen.  The parser is built
 once, at import; each subcommand names its handler through
-`set_defaults(run=...)`, and `main` calls it.  Exit codes for
-solve/oracle: 0 feasible, 1 infeasible, 2 input error, 3 search refusal,
-4 failed witness check (a solver emitted a plan that does not verify).
-`crossval` exits 1 on a disagreement and 3 on a search refusal.  `gen`,
-`reduce` and `crossval` exit 2 when they cannot write a file, and every
-subcommand exits 2 when its stdout is closed.
-"""
+`set_defaults(run=...)`; `main` calls it and maps any error to its exit
+code.  Exit codes for solve/oracle: 0 feasible, 1 infeasible, 2 input
+error, 3 search refusal, 4 failed witness check (a solver emitted a
+malformed plan or one that does not verify).  `crossval` exits 1 on a
+disagreement and 3 on a search refusal.  Every subcommand exits 2 when an
+input cannot be read or an output cannot be written: a closed pipe, a full
+device, an unwritable `--output` or crossval dump."""
 
 from __future__ import annotations
 
@@ -99,20 +99,9 @@ def _print_report(report: SolveReport, emit_witness: bool, fmt: str,
 
 def _cmd_solve(args) -> int:
     """`solve`, or `oracle` when the exact search must answer."""
-    try:
-        instance = parse_instance(Path(args.instance).read_text())
-    except (OSError, UnicodeDecodeError, InstanceParseError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    instance = parse_instance(Path(args.instance).read_text())
     budget = SearchBudget(max_expansions=args.max_expansions)
-    try:
-        report = solve_instance(instance, budget, force_oracle=args.command == "oracle")
-    except OracleRefusal as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSAL
-    except WitnessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WITNESS_ERROR
+    report = solve_instance(instance, budget, force_oracle=args.command == "oracle")
     _print_report(report, args.emit_witness, args.format, instance)
     return EXIT_FEASIBLE if report.feasible else EXIT_INFEASIBLE
 
@@ -147,9 +136,8 @@ def _cmd_crossval(args) -> int:
                 optimum, _plan = oracle_solve(instance, budget)
                 agrees = _agrees(instance, solver, optimum)
             except OracleRefusal as exc:
-                print(f"refused: {variant.label()} index {index}: {exc}",
-                      file=sys.stderr)
-                return EXIT_REFUSAL
+                raise OracleRefusal(exc.required, exc.limit,
+                                    f"{variant.label()} index {index}: {exc.what}") from exc
             except WitnessError as exc:
                 agrees, why = False, f" ({exc})"
             if agrees:
@@ -163,9 +151,8 @@ def _cmd_crossval(args) -> int:
                     dump.parent.mkdir(parents=True, exist_ok=True)
                     dump.write_text(serialize_instance(instance))
                 except OSError as exc:
-                    print(f"error: disagreement on {variant.label()} index {index}"
-                          f" not written: {exc}", file=sys.stderr)
-                    return EXIT_INPUT_ERROR
+                    raise OSError(f"disagreement on {variant.label()} index {index}"
+                                  f" not written: {exc}") from exc
                 print(
                     f"disagreement on {variant.label()} index {index}{why}; "
                     f"instance written to {dump}",
@@ -177,11 +164,7 @@ def _cmd_crossval(args) -> int:
 
 def _cmd_reduce(args) -> int:
     parse_source, reduce = REDUCTIONS[args.kind]
-    try:
-        instance = reduce(parse_source(Path(args.source).read_text()))
-    except (OSError, UnicodeDecodeError, InstanceParseError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    instance = reduce(parse_source(Path(args.source).read_text()))
     return _emit(serialize_instance(instance), args.output)
 
 
@@ -199,14 +182,10 @@ def _cmd_gen(args) -> int:
 
 def _emit(text: str, output: Optional[str]) -> int:
     """Write `text` to the file `output`, or to stdout when there is none."""
-    if not output:
-        sys.stdout.write(text)
-        return EXIT_FEASIBLE
-    try:
+    if output:
         Path(output).write_text(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    else:
+        sys.stdout.write(text)
     return EXIT_FEASIBLE
 
 
@@ -279,17 +258,29 @@ PARSER = _build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one subcommand; the one place an error becomes its exit status."""
     args = PARSER.parse_args(argv)
     try:
         status = args.run(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # Nobody reads stdout any more: point it at devnull, so the flush at
-        # exit cannot fail again, and report that the output was not written.
+        return status
+    except OracleRefusal as exc:
+        status, message = EXIT_REFUSAL, f"refused: {exc}"
+    except WitnessError as exc:
+        status, message = EXIT_WITNESS_ERROR, f"error: {exc}"
+    except BrokenPipeError:  # nobody reads stdout any more
+        status, message = EXIT_INPUT_ERROR, None
+    except (OSError, UnicodeDecodeError, InstanceParseError, DomainError) as exc:
+        status, message = EXIT_INPUT_ERROR, f"error: {exc}"
+    if message:
+        print(message, file=sys.stderr)
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # Point stdout at devnull, so the flush at exit cannot fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_INPUT_ERROR
     return status
 
 

@@ -89,7 +89,7 @@ def solve_capped(
 
     Raises DomainError when a polynomial solver is named for a cell `ROUTES`
     does not route to it, and WitnessError when the engine's plan is
-    inadmissible, misstates or exceeds its cost, or misses the goals.
+    malformed, inadmissible, misstates or exceeds its cost, or misses goals.
     """
     limit = inf if cap is None else cap
     if limit < 0:
@@ -102,10 +102,14 @@ def solve_capped(
     plan = globals()[ENGINES[name]](instance, limit, **kwargs)
     if plan is None:
         return None
-    cost = plan_cost(instance.cost_model, instance.coalition, instance.election, plan)
+    election, cost = instance.election, None
+    parties = frozenset(election.parties)
+    if all(0 <= i < election.num_voters and frozenset(order.ranking) == parties
+           for i, order in plan.replacements.items()):
+        cost = plan_cost(instance.cost_model, instance.coalition, election, plan)
     if cost is None or cost != plan.cost or cost > limit:
         failure = "fails verification"
-    elif not check_goals(apply_plan(instance.election, plan), instance):
+    elif not check_goals(apply_plan(election, plan), instance):
         failure = "misses the goals"
     else:
         return plan

@@ -99,6 +99,7 @@ class OracleRefusal(RuntimeError):
         )
         self.required = required
         self.limit = limit
+        self.what = what
 
 
 class _Meter:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from coalition_bribery.borda import price_menu, step_of
+from coalition_bribery.borda import metered_placements, price_menu, step_of
 from coalition_bribery.core import PreferenceOrder, ScoringRule, check_goals, tally
 from coalition_bribery.costs import apply_plan
 from coalition_bribery.dispatch import (
@@ -184,6 +184,7 @@ def test_criterion_06_oracle_equivalence_suites():
 
 def test_criterion_07_attainability_oracle():
     with criterion(7, "price_menu's steps match full permutation enumeration"):
+        placements = metered_placements(SearchBudget())
         mismatches = 0
         for m in range(1, 6):
             parties = tuple(f"p{i}" for i in range(m))
@@ -192,7 +193,7 @@ def test_criterion_07_attainability_oracle():
                 coalition, outsiders = parties[:size], parties[size:]
                 reachable = {step_of(order, coalition, leader) for order in orders}
                 for order in orders:
-                    menu, _ = price_menu(order, coalition, leader, outsiders, price=1)
+                    menu, _ = price_menu(order, coalition, leader, outsiders, 1, placements)
                     mismatches += set(menu) != reachable
         assert mismatches == 0
 

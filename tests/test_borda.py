@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from coalition_bribery.borda import (
     accumulate_voter_tables,
+    metered_placements,
     price_menu,
     shift_menu,
     solve_borda_zero,
     step_of,
-    _placements,
     _voter_menu,
 )
 from coalition_bribery.core import (
@@ -27,7 +27,7 @@ from coalition_bribery.costs import (
 )
 from coalition_bribery.dispatch import BORDA_DP, solve_capped
 from coalition_bribery.generators import with_budget
-from coalition_bribery.oracle import OracleRefusal, SearchBudget, _Meter, oracle_solve
+from coalition_bribery.oracle import OracleRefusal, SearchBudget, oracle_solve
 from coalition_bribery.reductions import (
     MinBisectionInstance, reduce_minbisection_to_borda_swap_cb,
 )
@@ -53,8 +53,9 @@ def every_coalition(max_parties):
 
 
 def test_realize_pair_hits_every_attainable_cell():
+    placements = metered_placements(SearchBudget())
     for order, coalition, leader, outsiders in every_coalition(5):
-        costs, realize = price_menu(order, coalition, leader, outsiders, price=1)
+        costs, realize = price_menu(order, coalition, leader, outsiders, 1, placements)
         for step in costs:
             assert step_of(realize(step), coalition, leader) == step
 
@@ -65,7 +66,8 @@ def menu_steps(m, size, track_leader=True):
     parties = tuple(f"p{i}" for i in range(m))
     leader = parties[0] if track_leader else None
     costs, _ = price_menu(
-        PreferenceOrder(parties), parties[:size], leader, parties[size:], 1
+        PreferenceOrder(parties), parties[:size], leader, parties[size:], 1,
+        metered_placements(SearchBudget()),
     )
     return set(costs)
 
@@ -85,6 +87,7 @@ class TestAttainable:
         assert max(ka for ka, _k1 in menu_steps(4, 3, False)) == 3 + 2 + 1
 
     def test_exhaustive_against_enumeration(self):
+        placements = metered_placements(SearchBudget())
         reachable_of = {}  # the steps of every order, per coalition and leader
         for order, coalition, leader, outsiders in every_coalition(5):
             key = (len(order), coalition, leader)
@@ -94,7 +97,7 @@ class TestAttainable:
                     for perm in itertools.permutations(order.ranking)
                 }
             reachable = reachable_of[key]
-            costs, _ = price_menu(order, coalition, leader, outsiders, price=4)
+            costs, _ = price_menu(order, coalition, leader, outsiders, 4, placements)
             assert set(costs) == reachable, (order, coalition, leader)
             current = step_of(order, coalition, leader)
             assert {step for step, c in costs.items() if c != 4} == {current}
@@ -103,42 +106,48 @@ class TestAttainable:
 
 class TestPriceMenu:
     def test_attainable_pair_costs_price(self):
+        placements = metered_placements(SearchBudget())
         order = PreferenceOrder(("c3", "c2", "c1"))
-        menu, _ = price_menu(order, ("c1", "c2"), "c1", ("c3",), price=4)
+        menu, _ = price_menu(order, ("c1", "c2"), "c1", ("c3",), 4, placements)
         assert menu[(3, 2)] == 4
 
     def test_current_pair_is_free(self):
+        placements = metered_placements(SearchBudget())
         order = PreferenceOrder(("c3", "c2", "c1"))
         for leader in ("c1", None):
-            menu, realize = price_menu(order, ("c1", "c2"), leader, ("c3",), price=4)
+            menu, realize = price_menu(order, ("c1", "c2"), leader, ("c3",), 4, placements)
             assert menu[(1, 0)] == 0
             assert realize((1, 0)) == order
 
     def test_impossible_pair_absent(self):
+        placements = metered_placements(SearchBudget())
         order = PreferenceOrder(("c3", "c2", "c1"))
         for leader in ("c1", None):
-            menu, _ = price_menu(order, ("c1", "c2"), leader, ("c3",), price=4)
+            menu, _ = price_menu(order, ("c1", "c2"), leader, ("c3",), 4, placements)
             assert (0, 0) not in menu
 
 
 class TestShiftBounds:
     def test_lower_side_envelope(self):
+        placements = metered_placements(SearchBudget())
         order = PreferenceOrder(("c2", "c3", "c1"))
-        menu, realize = shift_menu(order, ("c1", "c2"), "c1", (0, 1, 2, 3))
+        menu, realize = shift_menu(order, ("c1", "c2"), "c1", (0, 1, 2, 3), placements)
         # The leader climbs two ranks and c2 keeps the point of rank 2.
         assert menu[(3, 2)] == 2
         assert realize((3, 2)) == PreferenceOrder(("c1", "c2", "c3"))
 
     def test_no_room_above(self):
+        placements = metered_placements(SearchBudget())
         order = PreferenceOrder(("c2", "c3", "c1"))
-        menu, _ = shift_menu(order, ("c1", "c2"), "c1", (0, 1, 2, 3))
+        menu, _ = shift_menu(order, ("c1", "c2"), "c1", (0, 1, 2, 3), placements)
         # With the leader on top no slot is left above it for c2, and c3
         # may not rise over c2.
         assert [step for step in menu if step[1] == 2] == [(3, 2)]
 
     def test_leader_sinking_pair_is_offered(self):
+        placements = metered_placements(SearchBudget())
         order = PreferenceOrder(("c1", "c2", "c3"))
-        menu, realize = shift_menu(order, ("c1", "c2"), "c1", (0, 5, 9, 9))
+        menu, realize = shift_menu(order, ("c1", "c2"), "c1", (0, 5, 9, 9), placements)
         # c2 overtakes the leader: one inversion, and c3 stays last.
         assert menu[(3, 1)] == 5
         assert realize((3, 1)) == PreferenceOrder(("c2", "c1", "c3"))
@@ -147,19 +156,22 @@ class TestShiftBounds:
 
 class TestShiftMenu:
     def test_two_rank_lift(self):
+        placements = metered_placements(SearchBudget())
         order = PreferenceOrder(("c2", "c3", "c1"))
         table = (0, 1, 2, 3)
-        menu, realize = shift_menu(order, ("c1", "c2"), "c1", table)
+        menu, realize = shift_menu(order, ("c1", "c2"), "c1", table, placements)
         assert menu[(3, 2)] == 2
         assert step_of(realize((3, 2)), ("c1", "c2"), "c1") == (3, 2)
 
     def test_current_pair_is_free(self):
+        placements = metered_placements(SearchBudget())
         order = PreferenceOrder(("c2", "c3", "c1"))
         for leader in ("c1", None):
-            menu, _ = shift_menu(order, ("c1", "c2"), leader, (0, 1, 2, 3))
+            menu, _ = shift_menu(order, ("c1", "c2"), leader, (0, 1, 2, 3), placements)
             assert menu[(2, 0)] == 0
 
     def test_exhaustive_against_admissible_orders(self):
+        placements = metered_placements(SearchBudget())
         rng = random.Random(23)
         for m in (2, 3, 4):
             parties = tuple(f"p{i}" for i in range(m))
@@ -177,7 +189,7 @@ class TestShiftMenu:
                         for cand, inv in admissible.items():
                             key = step_of(cand, coalition, leader)
                             brute[key] = min(brute.get(key, 10**9), table[inv])
-                        menu, realize = shift_menu(order, coalition, leader, table)
+                        menu, realize = shift_menu(order, coalition, leader, table, placements)
                         assert menu == brute, (order, coalition, leader)
                         for key, cost in menu.items():
                             w = realize(key)
@@ -206,9 +218,8 @@ def test_swap_menu_against_every_order():
                         step = step_of(candidate, coalition, leader)
                         cost = model.voter_cost(0, order, candidate, coalition)
                         brute[step] = min(brute.get(step, cost), cost)
-                    menu, realize = _placements(
+                    menu, realize = metered_placements(SearchBudget())(
                         order, coalition, leader, order.ranking, lambda x, y: prices[x, y],
-                        _Meter(SearchBudget()),
                     )
                     assert menu == brute, (order, coalition, leader)
                     for step, cost in menu.items():
@@ -302,7 +313,8 @@ def _menus(inst, voters, track_leader):
     """The voters' step menus, with leader points tracked (rho > 0) or not."""
     if track_leader:
         inst = replace(inst, preferred=inst.coalition[0], rho=Fraction(1, 2))
-    return [_voter_menu(inst, i)[0] for i in voters]
+    placements = metered_placements(SearchBudget())
+    return [_voter_menu(inst, i, placements)[0] for i in voters]
 
 
 def _accumulate(menus, budget, share=Fraction(0), total=0, ratio=Fraction(0)):

@@ -12,7 +12,7 @@ import pytest
 
 import coalition_bribery.cli as cli
 import coalition_bribery.dispatch as dispatch_module
-from coalition_bribery.core import DomainError, ScoringRule, check_goals
+from coalition_bribery.core import DomainError, PreferenceOrder, ScoringRule, check_goals
 from coalition_bribery.costs import BribePlan, WitnessError, lift_to_top
 from coalition_bribery.dispatch import (
     BORDA_DP,
@@ -113,23 +113,53 @@ def test_solve_capped_refuses_a_solver_for_a_cell_it_does_not_serve():
     assert len(refused) == 38
 
 
-@pytest.mark.parametrize("command", [["gen"], ["crossval", "--count", "1"]])
-def test_closed_stdout_exits_two_without_traceback(command, tmp_path):
+def _run_cli(command, stdout, cwd):
+    """The CLI run as its own process, with `stdout` as its standard output,
+    block-buffered as by default: a failed flush keeps the unwritten text."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "coalition_bribery.cli", *command],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=cwd,
+        env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("command", [["gen"], ["crossval", "--count", "1"]])
+def test_closed_stdout_exits_two_without_traceback(command, tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        result = subprocess.run(
-            [sys.executable, "-m", "coalition_bribery.cli", *command],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
-            env=env, timeout=120,
-        )
+        result = _run_cli(command, write_end, tmp_path)
     finally:
         os.close(write_end)
     assert result.returncode == cli.EXIT_INPUT_ERROR
     assert result.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("command", [
+    ["solve", "instance.txt"],
+    ["oracle", "instance.txt"],
+    ["gen"],
+    ["reduce", "x3c-borda-unit", "cover.txt"],
+    ["crossval", "--count", "1"],
+], ids=lambda command: command[0])
+def test_full_stdout_exits_two_with_one_error_line(command, tmp_path):
+    # Every write to /dev/full fails with "no space left on device".
+    (tmp_path / "instance.txt").write_text(serialize_instance(three_party_unit_cb(5)))
+    (tmp_path / "cover.txt").write_text(
+        "universe: 4\nsubset: 1 2 3 4\nsubset: 1 2 3 4\nsubset: 1 2 3 4\n"
+    )
+    with open("/dev/full", "w") as full:
+        result = _run_cli(command, full, tmp_path)
+    assert result.returncode == cli.EXIT_INPUT_ERROR
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
 
 
 def write(tmp_path, name, instance):
@@ -286,8 +316,25 @@ def _drop_a_replacement(plan):
     return BribePlan(replacements, plan.cost)
 
 
-@pytest.mark.parametrize("corrupt", [_overstate_cost, _drop_a_replacement],
-                         ids=["cost-plus-one", "replacement-dropped"])
+def _move_to_an_unknown_voter(plan):
+    replacements = dict(plan.replacements)
+    _, order = replacements.popitem()
+    replacements[100] = order
+    return BribePlan(replacements, plan.cost)
+
+
+def _rank_a_foreign_party(plan):
+    replacements = dict(plan.replacements)
+    voter, order = replacements.popitem()
+    replacements[voter] = PreferenceOrder((*order.ranking[:-1], "stranger"))
+    return BribePlan(replacements, plan.cost)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_overstate_cost, _drop_a_replacement, _move_to_an_unknown_voter, _rank_a_foreign_party],
+    ids=["cost-plus-one", "replacement-dropped", "unknown-voter", "foreign-party"],
+)
 @pytest.mark.parametrize("name", list(CORRUPTIBLE))
 def test_a_corrupted_plan_is_caught_by_solve_capped(name, corrupt, tmp_path, capsys,
                                                     monkeypatch):

@@ -6,7 +6,9 @@ least once more, beyond its definition, somewhere in the package,
 not count, and neither do the tests: a helper only tests call belongs in
 `tests/conftest.py`.
 
-And one place judges a plan: only `dispatch.py` raises `WitnessError`.
+And one place judges a plan: only `dispatch.py` raises `WitnessError`; one
+place maps an error to its exit code, `cli.main`; and no engine falls back
+to a default expansion meter.
 """
 
 import ast
@@ -72,3 +74,27 @@ def test_only_dispatch_raises_witness_error():
                for node in ast.walk(ast.parse(path.read_text())))
     )
     assert raisers == ["dispatch.py"]
+
+
+def test_only_main_and_crossval_handle_errors_in_cli():
+    # `cli.main` maps every error to its exit code; crossval only adds the
+    # variant, index or dump path to the error it passes on.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    handlers = {
+        node.name: sum(isinstance(inner, ast.ExceptHandler) for inner in ast.walk(node))
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    assert sorted(name for name, count in handlers.items() if count) == [
+        "_cmd_crossval", "main",
+    ]
+    assert sum(handlers.values()) == sum(
+        isinstance(node, ast.ExceptHandler) for node in ast.walk(tree)
+    )
+
+
+def test_no_fallback_search_meter():
+    # Every meter is built from the budget its solve was given.
+    assert [
+        path.name for path in sorted(PACKAGE.glob("*.py"))
+        if "_Meter(SearchBudget()" in path.read_text()
+    ] == []

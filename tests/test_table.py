@@ -9,7 +9,7 @@ from math import ceil, inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coalition_bribery.borda import _voter_menu
+from coalition_bribery.borda import _voter_menu, metered_placements
 from coalition_bribery.core import ScoringRule, check_goals, goals_met, grand_total
 from coalition_bribery.dispatch import (
     BORDA_DP, CROSSVAL_VARIANTS, ORACLE, PLURALITY_DP, solver_for,
@@ -186,8 +186,10 @@ class TestRelaxation:
                 if plan is None or plan.cost == 0:
                     continue
                 opt, election = plan.cost, instance.election
+                placements = metered_placements(SearchBudget())
                 relaxation = Relaxation(
-                    [_voter_menu(instance, i)[0] for i in range(election.num_voters)],
+                    [_voter_menu(instance, i, placements)[0]
+                     for i in range(election.num_voters)],
                     instance.phi,
                     grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA),
                     instance.rho,
@@ -228,8 +230,9 @@ def borda_reference_optimum(instance):
     """The optimum over an unpruned (ka, k1) table of every voter's menu."""
     election = instance.election
     cells = {(0, 0): 0}
+    placements = metered_placements(SearchBudget())
     for voter in range(election.num_voters):
-        steps, _ = _voter_menu(instance, voter)
+        steps, _ = _voter_menu(instance, voter, placements)
         cells = min_plus(cells, steps)
     total = grand_total(election.num_voters, election.num_parties, ScoringRule.BORDA)
     return min(

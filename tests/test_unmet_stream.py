@@ -18,10 +18,12 @@ from math import inf
 
 import pytest
 
+from coalition_bribery.borda import _voter_menu, metered_placements
 from coalition_bribery.core import Election, PreferenceOrder
 from coalition_bribery.costs import DollarCost, ShiftCost, SwapCost, UnitCost
-from coalition_bribery.dispatch import CROSSVAL_VARIANTS, dispatch, solver_for
+from coalition_bribery.dispatch import BORDA_DP, CROSSVAL_VARIANTS, dispatch, solver_for
 from coalition_bribery.oracle import SearchBudget, oracle_solve
+from coalition_bribery.table import DENOMINATOR, Relaxation
 
 from conftest import unmet_case
 
@@ -119,7 +121,8 @@ def test_optimum_keeps_its_relations(variant):
     # party, rho = 0) drops the ratio goal, so it never costs more than the
     # CBP case at the same phi.  "None" counts as inf here.  Capped at
     # opt, opt - 1 and 2 * opt, the solver finds a plan costing opt, none,
-    # and one costing opt.
+    # and one costing opt; on the Borda_0 cells the Lagrangian bound the
+    # table prunes by stays at most opt at each of those caps.
     inst = unmet_case(variant, 20, 4, 2)
     solver = solver_for(dispatch(inst), SearchBudget())
     rng = random.Random(variant.label())
@@ -135,6 +138,15 @@ def test_optimum_keeps_its_relations(variant):
     opt = costs[0]
     capped = [solver(inst, cap) for cap in (opt, opt - 1, 2 * opt)]
     assert [None if plan is None else plan.cost for plan in capped] == [opt, None, opt], where
+    if dispatch(inst) == BORDA_DP:
+        placements = metered_placements(SearchBudget())
+        relaxation = Relaxation(
+            [_voter_menu(inst, i, placements)[0] for i in range(inst.election.num_voters)],
+            inst.phi, inst.total, inst.rho,
+        )
+        for cap in (opt - 1, opt, 2 * opt):
+            bound, _ = relaxation.value(*relaxation.search(cap))
+            assert bound <= DENOMINATOR * opt, (where, cap, bound)
     if inst.preferred is not None:
         rho_costs = [optimum(step) for step in raised(inst, "rho")]
         assert rho_costs == sorted(rho_costs), (where, rho_costs)
