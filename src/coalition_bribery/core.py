@@ -281,21 +281,19 @@ def goals_met(coalition: int, leader: int, seated: int, instance: ProblemInstanc
     )
 
 
-def seated_points(
-    instance: ProblemInstance, parties: Sequence[str]
-) -> Callable[[Sequence[int]], tuple[int, int, int]]:
+def seated_points(instance: ProblemInstance) -> Callable[[Sequence[int]], tuple[int, int, int]]:
     """The (seated coalition, seated leader, all seated) points of a score
-    tuple over `parties`, compiled once: the threshold becomes one integer
-    cut, `seat_cut`.  Over disjoint parts of the parties the triples add up."""
+    tuple in party order, compiled once: the threshold becomes one integer
+    cut, `seat_cut`."""
     need = seat_cut(instance.total, instance.threshold)
-    leader = instance.leader
-    members = [parties.index(p) for p in instance.coalition if p in parties]
-    leads = [parties.index(leader)] if leader in parties else []
+    parties = instance.election.parties
+    members = [parties.index(p) for p in instance.coalition]
+    lead = parties.index(instance.leader)
 
     def points(scores: Sequence[int]) -> tuple[int, int, int]:
         return (
             sum([scores[i] for i in members if scores[i] >= need]),
-            sum([scores[i] for i in leads if scores[i] >= need]),
+            scores[lead] if scores[lead] >= need else 0,
             sum([s for s in scores if s >= need]),
         )
 
@@ -305,6 +303,5 @@ def seated_points(
 def check_goals(orders: Sequence[PreferenceOrder], instance: ProblemInstance) -> bool:
     """True iff the order profile meets the instance's support and ratio
     targets: its `tally`, read by `seated_points`, decided by `goals_met`."""
-    parties = instance.election.parties
-    scores = tuple(tally(orders, parties, instance.rule).values())
-    return goals_met(*seated_points(instance, parties)(scores), instance)
+    scores = tuple(tally(orders, instance.election.parties, instance.rule).values())
+    return goals_met(*seated_points(instance)(scores), instance)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (
     Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence, get_args,
 )
@@ -32,17 +33,20 @@ class WitnessError(RuntimeError):
 def inverted_pairs(
     old: PreferenceOrder, new: PreferenceOrder
 ) -> set[tuple[str, str]]:
-    """Ordered pairs (x, y) where y is below x in `old` and above x in `new`."""
+    """Ordered pairs (x, y) where y is below x in `old` and above x in `new`.
+
+    Places `new` top down, as `iter_orders` does: each y inverts with the
+    parties not yet placed that `old` ranks above it."""
     if frozenset(old.ranking) != frozenset(new.ranking):
         raise DomainError("orders range over different party sets")
-    ranking = old.ranking
-    rank = [new.position(p) for p in ranking]
-    return {
-        (ranking[i], ranking[j])
-        for i in range(len(ranking))
-        for j in range(i + 1, len(ranking))
-        if rank[j] < rank[i]
-    }
+    unplaced = list(old.ranking)
+    pairs = set()
+    for y in new.ranking:
+        i = unplaced.index(y)
+        if i:
+            pairs.update(zip(unplaced[:i], repeat(y)))
+        del unplaced[i]
+    return pairs
 
 
 @dataclass(frozen=True)

@@ -12,23 +12,24 @@ same effect on that key are merged into the cheapest of them.
 A state's key is its score vector weighted per party, sum(s_p * weight[p]),
 with the coalition's summed points as its top digit, at place value `high`;
 `_keys` decides once per solve the weights, `high` and the goal test on a
-key.  Under a threshold the key holds the whole vector: the i-th party
-weighs R**i, with R = n * top + 1 for top the first place's points in the
-rule's score vector (`ScoringRule.points`), and a member high = R**m more.
+key.  Under a threshold the key holds the whole vector in fields of
+`width` bits: the i-th party weighs 2**(width * i), and a member high =
+2**(width * m) more, with width = max(bits(n * top) + 1, bits(T + 1)) for
+top the first place's points (`ScoringRule.points`) and T the grand total.
 At threshold 0 every party is seated, so the goals read only the leader's
-points and the coalition's: a member weighs high = T + 1 for the grand
-total T, and the leader 1 more (when rho = 0 the leader is not read, and a
-member weighs high = 1).  Every state is a partly bribed profile, so each
-digit below the top lies in [0, R), or at threshold 0 in [0, T], and keys
-are injective: no digit carries, and the top digit, which nothing sits
-above, may pass R - 1.  Each order's key is its places' points times its parties' weights,
-cached per solve by its ranking; each option's delta is the difference of
-two orders' keys, so a sweep step is one integer addition.  A class layer
-is held in cost buckets, {total cost: keys first reached at that cost}.
-The last layer is never stored: its keys are tested as they are built,
-cheapest first, and the witness is rebuilt by walking back from the first
-key that meets the goals; so among plans of equal cost, the one reported
-follows from the build order.
+points and the coalition's: a member weighs high = T + 1, and the leader 1
+more (when rho = 0 the leader is not read, and a member weighs high = 1).
+Every state is a partly bribed profile, so each digit below the top lies
+in [0, 2**(width - 1)), or at threshold 0 in [0, T], and keys are
+injective: no digit carries, and the top digit, which nothing sits above,
+may pass a field.  Each order's key is its places' points times its
+parties' weights, cached per solve by its ranking; each option's delta is
+the difference of two orders' keys, so a sweep step is one integer
+addition.  A class layer is held in cost buckets, {total cost: keys first
+reached at that cost}.  The last layer is never stored: its keys are tested
+as they are built, cheapest first, and the witness is rebuilt by walking
+back from the first key that meets the goals; so among plans of equal cost,
+the one reported follows from the build order.
 
 Every profile that meets the goals gives the coalition at least `_floor`
 points.  Before the sweep, every class's options are listed, and going back
@@ -68,7 +69,6 @@ from .core import (
     check_goals,
     goals_met,
     seat_cut,
-    seated_points,
 )
 from .costs import (
     BribePlan,
@@ -229,16 +229,6 @@ def _voter_classes(instance: ProblemInstance) -> list[list[int]]:
     return list(groups.values())
 
 
-def _unpack(key: int, radix: int, length: int) -> tuple[int, ...]:
-    """The `length` digits of `key` in base `radix`, lowest first: each but
-    the last in [0, radix), the last the quotient that remains."""
-    digits = []
-    for _ in range(length - 1):
-        key, digit = divmod(key, radix)
-        digits.append(digit)
-    return (*digits, key) if length else ()
-
-
 def _keys(instance: ProblemInstance):
     """The key scheme of one solve, laid out in the module docstring:
     `weight[party]`, the key of one point held by that party alone, so a
@@ -248,14 +238,17 @@ def _keys(instance: ProblemInstance):
     At threshold 0 every party is seated, so the goal reads the leader's
     points and the coalition's, against the grand total, and `met` splits
     the key at `high` into them.  Under a threshold every party's points
-    decide who is seated, so the key holds the whole vector; `met` strips
-    the top digit (key % high) and splits the rest at R**(m // 2) into a low
-    and a high half; each half's seated points (`core.seated_points`) are
-    found once per distinct half, and their sums go to `core.goals_met`."""
+    decide who is seated, so the key holds the whole vector.  Every digit
+    leaves its field's top bit, the guard, clear, and no sum of digits
+    passes T < 2**width - 1.  `met` strips the top digit and subtracts the
+    seat cut from every field at once with its guard set: a guard survives
+    where its digit reaches the cut, and masks that digit in.  The seated
+    points of all parties, of the coalition and of the leader are then each
+    one remainder modulo 2**width - 1, and go to `core.goals_met`."""
     election = instance.election
     parties = election.parties
+    total = instance.total
     if not instance.threshold:
-        total = instance.total
         high = total + 1 if instance.rho else 1
         weight = {party: high * (party in instance.coalition) for party in parties}
         if instance.rho:
@@ -267,23 +260,26 @@ def _keys(instance: ProblemInstance):
 
         return weight, high, met
 
-    radix = election.num_voters * instance.rule.points(len(parties))[0] + 1
-    high = radix ** len(parties)
-    weight = {party: radix ** i + high * (party in instance.coalition)
+    most = election.num_voters * instance.rule.points(len(parties))[0]
+    width = max(most.bit_length() + 1, (total + 1).bit_length())
+    field = (1 << width) - 1
+    high = 1 << width * len(parties)
+    weight = {party: (1 << width * i) + high * (party in instance.coalition)
               for i, party in enumerate(parties)}
-    cut = len(parties) // 2
-    split = radix ** cut
-
-    def half(part):
-        points = seated_points(instance, part)
-        return cache(lambda key: points(_unpack(key, radix, len(part))))
-
-    lower_points, upper_points = half(parties[:cut]), half(parties[cut:])
+    ones = (high - 1) // field  # a 1 at the bottom of every field
+    guards = ones << width - 1
+    # the seat cut on every field at once; past 2**(width - 1) it seats no
+    # digit, and clamped there it never borrows from the next field
+    cut = min(seat_cut(total, instance.threshold), 1 << width - 1) * ones
+    members = sum(field << width * parties.index(party) for party in instance.coalition)
+    lead = width * parties.index(instance.leader)
 
     def met(key: int) -> bool:
-        upper, lower = divmod(key % high, split)
-        lo, hi = lower_points(lower), upper_points(upper)
-        return goals_met(lo[0] + hi[0], lo[1] + hi[1], lo[2] + hi[2], instance)
+        digits = key & high - 1
+        seated = ((digits | guards) - cut) & guards
+        digits &= seated - (seated >> width - 1)
+        return goals_met((digits & members) % field, digits >> lead & field,
+                         digits % field, instance)
 
     return weight, high, met
 

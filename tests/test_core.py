@@ -235,7 +235,8 @@ def goal_cases(draw, profile_bound=False):
     threshold, phi and rho at 0 and 1, nothing seated, and scores on, just
     under and just over the cut threshold * total.  With `profile_bound`,
     scores under a threshold are clamped to n * top, the most one party holds
-    in a profile, for top the points of a first place."""
+    in a profile, for top the points of a first place, and then in party
+    order to what the grand total leaves, as a profile's scores sum to it."""
     election = draw(elections())
     rule = draw(st.sampled_from(list(ScoringRule)))
     parties = election.parties
@@ -257,7 +258,11 @@ def goal_cases(draw, profile_bound=False):
     ))
     if profile_bound and threshold:
         top = 1 if rule is ScoringRule.PLURALITY else len(parties) - 1
-        values = [min(value, election.num_voters * top) for value in values]
+        bounded, room = [], total
+        for value in values:
+            bounded.append(min(value, election.num_voters * top, room))
+            room -= bounded[-1]
+        values = bounded
     coalition = draw(st.one_of(
         st.just(parties),
         st.lists(st.sampled_from(parties), min_size=1, unique=True).map(tuple),
@@ -282,17 +287,19 @@ def composition(cuts, total):
 
 def seated_goal(inst, vector):
     """The goal test `check_goals` applies, on a score vector in party order."""
-    return goals_met(*seated_points(inst, inst.election.parties)(vector), inst)
+    return goals_met(*seated_points(inst)(vector), inst)
 
 
-def cut_case(num_voters, threshold, scores, phi):
-    """Plurality over p0, p1 with coalition (p0,) and `scores` in party order."""
-    election = make_election(("p0", "p1"), [("p0", "p1")] * num_voters)
+def cut_case(num_voters, threshold, scores, phi, rule=ScoringRule.PLURALITY, size=1):
+    """`rule` over p0, p1, ..., one party per score, with the first `size`
+    parties as coalition and `scores` in party order."""
+    parties = tuple(f"p{i}" for i in range(len(scores)))
+    election = make_election(parties, [parties] * num_voters)
     inst = ProblemInstance(
-        election=election, rule=ScoringRule.PLURALITY, threshold=threshold,
-        coalition=("p0",), phi=phi, rho=Fraction(0), budget=0, cost_model=UnitCost(),
+        election=election, rule=rule, threshold=threshold,
+        coalition=parties[:size], phi=phi, rho=Fraction(0), budget=0, cost_model=UnitCost(),
     )
-    return inst, dict(zip(election.parties, scores))
+    return inst, dict(zip(parties, scores))
 
 
 @settings(max_examples=300, deadline=None)
@@ -324,14 +331,23 @@ def test_seated_goal_matches_seat_shares(case):
 # At threshold 0 the key is the coalition's points alone (rho = 0).
 @example(cut_case(2, Fraction(0), (1, 1), Fraction(1, 2)))
 @example(cut_case(2, Fraction(0), (0, 2), Fraction(1, 2)))
+# All six seated, summing to T = 15: a field too narrow for T reads the sum 0.
+@example(cut_case(1, Fraction(1, 100), (5, 4, 3, 2, 1, 0), Fraction(1, 2),
+                  ScoringRule.BORDA, size=6))
+# The cut T = 6 passes every digit (at most 3) and half a field: unclamped,
+# it borrows across fields and seats some party.
+@example(cut_case(1, Fraction(1), (0, 1, 2, 3), Fraction(1, 2), ScoringRule.BORDA, size=4))
+# p0 holds n * top = 2: without a guard bit above it, its field reads unseated.
+@example(cut_case(2, Fraction(1, 4), (2, 0), Fraction(1, 2)))
 def test_packed_goal_matches_seated_goal(case):
     # The exact search keys a state by its score vector weighted per party
-    # (`_keys`): the whole vector under a threshold, tested half by half,
-    # and at threshold 0 the leader's and the coalition's points, read
-    # against the grand total; the coalition's points are the top digit.  On
-    # every vector a profile can hold (each score at most n * top under a
-    # threshold, and at threshold 0 summing to the grand total), on and next
-    # to the seat cut, that must agree with the whole-vector goal test.
+    # (`_keys`): the whole vector under a threshold, one field per party,
+    # tested on all fields in one pass, and at threshold 0 the leader's and
+    # the coalition's points, read against the grand total; the coalition's
+    # points are the top digit.  On every vector a profile can hold (under
+    # a threshold each score at most n * top and all of them at most the
+    # grand total; at threshold 0 summing to it), on and next to the seat
+    # cut, that must agree with the whole-vector goal test.
     inst, scores = case
     weight, high, met = _keys(inst)
     key = sum(s * weight[p] for p, s in scores.items())

@@ -75,6 +75,25 @@ class TestInvertedPairs:
                 }
                 assert inverted_pairs(old, new) == expected
 
+    def test_matches_definition_on_every_pair_of_orders(self):
+        for m in range(1, 6):
+            rankings = list(itertools.permutations(f"p{i}" for i in range(m)))
+            ranks = {ranking: {p: i for i, p in enumerate(ranking)} for ranking in rankings}
+            for old in rankings:
+                above = [(x, y) for x, y in itertools.permutations(old, 2)
+                         if ranks[old][x] < ranks[old][y]]
+                for new in rankings:
+                    expected = {(x, y) for x, y in above if ranks[new][y] < ranks[new][x]}
+                    assert inverted_pairs(
+                        PreferenceOrder(old), PreferenceOrder(new)) == expected, (old, new)
+
+    def test_lift_inverts_exactly_the_parties_above(self):
+        rng = random.Random("lift-31")
+        order = PreferenceOrder(tuple(rng.sample([f"p{i}" for i in range(31)], 31)))
+        for i, party in enumerate(order.ranking):
+            assert inverted_pairs(order, lift_to_top(order, party)) == {
+                (x, party) for x in order.ranking[:i]}
+
 
 def admissible(model, coalition, old, new):
     return bribe_cost(model, 0, old, new, coalition) is not None

@@ -40,7 +40,6 @@ from coalition_bribery.oracle import (
     _floor,
     _keys,
     _order_keys,
-    _unpack,
     _voter_classes,
     _voter_effect_options,
     enumerate_voter_options,
@@ -67,6 +66,7 @@ from conftest import (
     solve_at_budget,
     unanimous_four_party_plurality_cb,
 )
+from test_reductions import COVERLESS8
 
 
 class TestEnumerateOptions:
@@ -231,17 +231,30 @@ def packed_orders(inst):
         s * weight[p] for p, s in tally((PreferenceOrder(ranking),), parties, rule).items())
 
 
+def field_width(num_voters, top, total):
+    """The bits per party of a key under a threshold: n * top below a clear
+    guard bit, and room for the grand total below 2**width - 1."""
+    return max((num_voters * top).bit_length() + 1, (total + 1).bit_length())
+
+
+def fields(key, width, count):
+    """The `count` lowest `width`-bit fields of `key`, lowest first."""
+    return tuple(key >> width * i & (1 << width) - 1 for i in range(count))
+
+
 @pytest.mark.parametrize("variant", EVERY_VARIANT, ids=lambda v: v.label())
 def test_keys_of_bribed_profiles(variant):
     # The search keys a profile by the sum of its orders' keys and tests the
     # goal on that sum alone.  On seeded profiles, bribed a few times by
     # replacing random voters' orders with random permutations, the key must
-    # unpack, in base R, to the numbers the goal reads: the whole score
-    # vector under a threshold, with R = n * top + 1; at threshold 0 the
-    # leader's points (when rho > 0), with R = T + 1.  Each of them lies in
-    # [0, R), so no digit carries; the top digit, at place value `high`,
-    # must be the coalition's points; the search's own order keys must add
-    # up to the same key; and `met` must agree with `check_goals`.
+    # hold below its top digit the numbers the goal reads.  Under a
+    # threshold that is the whole score vector, party i's points in the
+    # width-bit field at width * i, each below 2**(width - 1), so every
+    # guard bit is clear, and summing to less than 2**width - 1; at
+    # threshold 0 the leader's points (when rho > 0), below high = T + 1.
+    # The top digit, at place value `high`, must be the coalition's points;
+    # the search's own order keys must add up to the same key; and `met`
+    # must agree with `check_goals`.
     rng = random.Random(variant.label())
     outcomes = set()
     for index in range(10):
@@ -251,26 +264,26 @@ def test_keys_of_bribed_profiles(variant):
         search_packed = _order_keys(inst, weight)
         election = inst.election
         parties = election.parties
-        if inst.threshold:
-            top = 1 if inst.rule is ScoringRule.PLURALITY else len(parties) - 1
-            radix = election.num_voters * top + 1
-        else:
-            radix = grand_total(election.num_voters, len(parties), inst.rule) + 1
+        total = grand_total(election.num_voters, len(parties), inst.rule)
+        top = 1 if inst.rule is ScoringRule.PLURALITY else len(parties) - 1
+        width = field_width(election.num_voters, top, total)
         orders = list(election.orders)
         for bribe in range(4):
             where = (variant.label(), index, bribe)
             scores = tally(orders, parties, inst.rule)
             coalition = sum(scores[p] for p in inst.coalition)
-            if inst.threshold:
-                digits = tuple(scores.values())
-            else:
-                digits = (scores[inst.leader],) if inst.rho else ()
-            assert all(0 <= digit < radix for digit in digits), where
-            assert high == radix ** len(digits), where
             rankings = [order.ranking for order in orders]
             key = sum(map(packed, rankings))
             assert key == sum(map(search_packed, rankings)), where
-            assert _unpack(key, radix, len(digits) + 1) == (*digits, coalition), where
+            if inst.threshold:
+                digits = fields(key, width, len(parties))
+                assert digits == tuple(scores.values()), where
+                assert all(digit < 1 << width - 1 for digit in digits), where
+                assert sum(digits) < (1 << width) - 1, where
+                assert high == 1 << width * len(parties), where
+            else:
+                assert high == (total + 1 if inst.rho else 1), where
+                assert key % high == (scores[inst.leader] if inst.rho else 0), where
             assert key // high == coalition, where
             goal = met(key)
             assert goal == check_goals(orders, inst), where
@@ -540,7 +553,9 @@ class TestSolveNpHard:
 # must not move the expansions or the optima.  The bisection images have
 # threshold 0, so a state is the coalition's points alone; the last layer's
 # states count only up to the first key that meets the goals; no key is kept
-# from which the coalition cannot reach `_floor` within the cap.
+# from which the coalition cannot reach `_floor` within the cap.  The
+# coverless X3C image (31 parties) has a floor of 0, so none of its keys is
+# pruned and every last-layer key is tested until one meets the goals.
 METER_PINS = {
     "x3c-covered4": (
         lambda: reduce_x3c_to_plurality_shift_cb(
@@ -565,6 +580,10 @@ METER_PINS = {
         lambda: shift_to_swap(sixteen_voter_shift_cbp(3, multiplicative=True)),
         [(3, 17, 10, 3), (2, 9, 5, None)],
     ),
+    "x3c-coverless8": (
+        lambda: reduce_x3c_to_plurality_shift_cb(COVERLESS8),
+        [(38, 21351, 7814, 38), (37, 19178, 7608, None)],
+    ),
 }
 
 
@@ -582,14 +601,17 @@ class TestSearchWork:
     @pytest.mark.parametrize("rule", [ScoringRule.PLURALITY, ScoringRule.BORDA])
     def test_state_key_round_trips_every_score_vector(self, rule):
         # Plurality and Borda fix the total points, so an optimum can hide a
-        # radix one too small; the round trip over the whole score range
-        # cannot.  The top digit, the coalition's points, may pass radix - 1.
+        # field one bit too narrow; the round trip over the whole score range
+        # cannot.  Every score up to n * top keeps its field's guard bit
+        # clear; the top digit, the coalition's points, may pass a field.
         for n in range(1, 4):
             for m in range(2, 5):
                 parties = tuple(f"p{i}" for i in range(m))
                 top = 1 if rule is ScoringRule.PLURALITY else m - 1
-                radix = n * top + 1
-                vectors = list(itertools.product(range(radix), repeat=m))
+                total = n if rule is ScoringRule.PLURALITY else n * m * (m - 1) // 2
+                width = field_width(n, top, total)
+                vectors = list(itertools.product(range(n * top + 1), repeat=m))
+                assert n * top < 1 << width - 1
                 election = make_election(parties, [parties] * n)
                 for size in (1, m):
                     inst = ProblemInstance(
@@ -597,22 +619,26 @@ class TestSearchWork:
                         threshold=Fraction(1, 2), coalition=parties[:size],
                         phi=Fraction(0), rho=Fraction(0), budget=0, cost_model=UnitCost(),
                     )
-                    weight, _, _ = _keys(inst)
+                    weight, high, _ = _keys(inst)
+                    assert high == 1 << width * m
 
                     def key(vector):
                         return sum(s * weight[p] for p, s in zip(parties, vector))
+
+                    def unpacked(key):
+                        return (*fields(key, width, m), key // high)
 
                     def keyed(vector):
                         return (*vector, sum(vector[:size]))
 
                     for vector in vectors:
-                        assert _unpack(key(vector), radix, m + 1) == keyed(vector)
+                        assert unpacked(key(vector)) == keyed(vector)
                     # a signed delta's key moves one state key to the other's
                     rng = random.Random(f"{rule}-{n}-{m}-{size}")
                     for _ in range(50):
                         a, b = rng.sample(vectors, 2)
                         delta = tuple(y - x for x, y in zip(a, b))
-                        assert _unpack(key(a) + key(delta), radix, m + 1) == keyed(b)
+                        assert unpacked(key(a) + key(delta)) == keyed(b)
 
     @pytest.mark.parametrize("rule", [ScoringRule.PLURALITY, ScoringRule.BORDA])
     @pytest.mark.parametrize("kind", ["unit", "dollar", "swap", "shift"])
